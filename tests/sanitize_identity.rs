@@ -14,6 +14,11 @@
 //! * feature on — every invariant check passes on valid inputs and the
 //!   checked computation still produces the identical bits.
 //!
+//! The auxiliary models (M0, M2a and the two-ratio branch model) share
+//! the pruning kernel, so their lnL bits at the generating parameters are
+//! pinned in the same file, through both the dense (`slim`) and the
+//! Eq. 12 symmetric (`eq12`) transition operators.
+//!
 //! Regenerate (only after an intentional numerical change, with the
 //! default feature set) via:
 //!
@@ -22,8 +27,11 @@
 //! ```
 
 use slimcodeml::bio::{FreqModel, GeneticCode};
+use slimcodeml::lik::branch_model::log_likelihood_branch;
+use slimcodeml::lik::m0::log_likelihood_m0;
+use slimcodeml::lik::site_models::site_model_log_likelihood;
 use slimcodeml::lik::{log_likelihood, EngineConfig, LikelihoodProblem};
-use slimcodeml::model::BranchSiteModel;
+use slimcodeml::model::{BranchSiteModel, SiteModel, SitesHypothesis};
 use slimcodeml::sim::{dataset, DatasetId};
 use std::path::PathBuf;
 
@@ -47,23 +55,54 @@ fn perturbed(m: &BranchSiteModel) -> BranchSiteModel {
     }
 }
 
-fn eval_bits(id: DatasetId, model: &BranchSiteModel, threads: usize) -> u64 {
+fn problem(id: DatasetId) -> LikelihoodProblem {
     let d = dataset(id);
-    let problem = LikelihoodProblem::new(
+    LikelihoodProblem::new(
         &d.tree,
         &d.alignment,
         &GeneticCode::universal(),
         FreqModel::F3x4,
     )
-    .expect("preset dataset is well-formed");
-    let bl = d.tree.branch_lengths();
+    .expect("preset dataset is well-formed")
+}
+
+fn eval_bits(id: DatasetId, model: &BranchSiteModel, threads: usize) -> u64 {
+    let bl = dataset(id).tree.branch_lengths();
     let config = EngineConfig::slim().with_threads(threads);
-    log_likelihood(&problem, &config, model, &bl)
+    log_likelihood(&problem(id), &config, model, &bl)
         .expect("likelihood evaluation")
         .to_bits()
 }
 
+/// M0, M2a and two-ratio lnL bits at the generating parameters, one
+/// `(label, bits)` per model.
+fn aux_bits(id: DatasetId, config: &EngineConfig) -> [(&'static str, u64); 3] {
+    let p = problem(id);
+    let m = dataset(id).true_model;
+    let bl = dataset(id).tree.branch_lengths();
+    let sites = SiteModel {
+        kappa: m.kappa,
+        omega0: m.omega0,
+        omega2: m.omega2,
+        p0: m.p0,
+        p1: m.p1,
+    };
+    let m0 = log_likelihood_m0(&p, config, m.kappa, m.omega0, &bl).expect("M0 evaluation");
+    let m2a = site_model_log_likelihood(&p, config, &sites, SitesHypothesis::M2a, &bl)
+        .expect("M2a evaluation")
+        .lnl;
+    let two_ratio = log_likelihood_branch(&p, config, m.kappa, m.omega0, m.omega2, &bl)
+        .expect("two-ratio evaluation");
+    [
+        ("m0", m0.to_bits()),
+        ("m2a", m2a.to_bits()),
+        ("two-ratio", two_ratio.to_bits()),
+    ]
+}
+
 /// One line per case: `<dataset> <model> <threads> <lnl bits as hex>`.
+/// Auxiliary-model rows follow the branch-site rows; their model label
+/// carries an `.eq12` suffix for the symmetric operator.
 fn compute_lines() -> Vec<String> {
     let mut lines = Vec::new();
     for id in DatasetId::ALL {
@@ -72,6 +111,16 @@ fn compute_lines() -> Vec<String> {
             for threads in [1usize, 2] {
                 let bits = eval_bits(id, &model, threads);
                 lines.push(format!("{} {label} {threads} {bits:016x}", id.label()));
+            }
+        }
+    }
+    for id in DatasetId::ALL {
+        for (suffix, config) in [
+            ("", EngineConfig::slim()),
+            (".eq12", EngineConfig::slim_symmetric()),
+        ] {
+            for (label, bits) in aux_bits(id, &config) {
+                lines.push(format!("{} {label}{suffix} 1 {bits:016x}", id.label()));
             }
         }
     }
