@@ -138,7 +138,6 @@ fn backend_token(b: Backend) -> &'static str {
         Backend::Slim => "slim",
         Backend::SlimPlus => "slim+",
         Backend::SlimSymmetric => "eq12",
-        Backend::SlimParallel => "slim-par",
     }
 }
 

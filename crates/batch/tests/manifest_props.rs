@@ -7,12 +7,11 @@ use slim_bio::FreqModel;
 use slim_core::{Backend, GradMode};
 
 const ID_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-";
-const BACKENDS: [Backend; 5] = [
+const BACKENDS: [Backend; 4] = [
     Backend::CodeMlStyle,
     Backend::Slim,
     Backend::SlimPlus,
     Backend::SlimSymmetric,
-    Backend::SlimParallel,
 ];
 const FREQS: [FreqModel; 4] = [
     FreqModel::Equal,

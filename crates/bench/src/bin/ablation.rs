@@ -95,7 +95,10 @@ fn main() {
     println!("2b. parallel site classes (SS V-B FastCodeML direction):");
     for (label, cfg) in [
         ("serial classes", EngineConfig::slim()),
-        ("4 threads (crossbeam scope)", EngineConfig::slim_parallel()),
+        (
+            "4 threads (crossbeam scope)",
+            EngineConfig::slim().with_threads(4),
+        ),
     ] {
         let (ms, lnl) = time_eval(&problem, &cfg, &model, &bl, reps);
         println!("   {label:<36} {ms:>9.2} ms   (lnL {lnl:.6})");

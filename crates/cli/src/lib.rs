@@ -635,7 +635,7 @@ fn timing_report(analysis: &Analysis, baseline: &Snapshot) -> String {
 /// Usage text.
 pub fn usage() -> String {
     "usage: slimcodeml --seq <aln.fasta|aln.phy> --tree <tree.nwk> \
-     [--backend codeml|slim|slim+|eq12|slim-par] [--freq equal|f1x4|f3x4|f61] \
+     [--backend codeml|slim|slim+|eq12] [--freq equal|f1x4|f3x4|f61] \
      [--seed N] [--max-iter N] [--forward-grad] [--threads N] \
      [--simd auto|scalar|avx2|neon] [--reuse|--no-reuse] [--timing] \
      [--metrics <path>] [--metrics-format json|prom] [--trace <path>] \

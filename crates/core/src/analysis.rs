@@ -7,13 +7,10 @@ use rand::{Rng, SeedableRng};
 use slim_bio::{CodonAlignment, FreqModel, GeneticCode, Tree};
 use slim_expm::EigenCache;
 use slim_lik::{
-    log_likelihood, site_class_log_likelihoods, LikelihoodProblem, ReuseEvaluator, ReuseHint,
-    SimdMode,
+    log_likelihood, site_class_log_likelihoods, LikelihoodProblem, ReuseEvaluator, SimdMode,
 };
 use slim_model::{BranchSiteModel, Hypothesis};
-use slim_opt::{
-    minimize_delta, minimize_lbfgs_delta, BfgsOptions, Block, BlockTransform, GradMode, ParamDelta,
-};
+use slim_opt::{minimize, minimize_lbfgs, BfgsOptions, Block, BlockTransform, GradMode};
 use slim_stat::{lrt_pvalue, positive_selection_posteriors, LrtResult};
 use std::time::Instant;
 
@@ -54,20 +51,20 @@ pub struct AnalysisOptions {
     /// vertebrate mitochondrial code is also supported (60 sense codons).
     pub genetic_code: GeneticCode,
     /// Worker threads per likelihood evaluation (the `slim-par` intra-gene
-    /// engine). `None` keeps the backend's own default (serial for every
-    /// backend except [`Backend::SlimParallel`], which auto-sizes);
-    /// `Some(n)` overrides it, with `0` meaning auto. Results are
-    /// bit-identical for every setting. Defaults from the
-    /// `SLIMCODEML_THREADS` environment variable when set (how CI runs
-    /// the whole suite at 4 threads).
+    /// engine). `None` keeps the backend's own default (serial);
+    /// `Some(n)` overrides it, with `0` meaning auto
+    /// (`available_parallelism`). Results are bit-identical for every
+    /// setting. Defaults from the `SLIMCODEML_THREADS` environment
+    /// variable when set (how CI runs the whole suite at 4 threads).
     pub threads: Option<usize>,
     /// SIMD kernel dispatch ([`SimdMode::Auto`] honors `SLIMCODEML_SIMD`,
     /// else CPU detection). Every mode computes bit-identical likelihoods.
     pub simd: SimdMode,
-    /// Cross-evaluation partial-likelihood reuse during fits (the
-    /// dirty-path engine in `slim-lik`). `None` = auto: on for the Slim
-    /// backends, off for [`Backend::CodeMlStyle`] so the paper-comparison
-    /// profile keeps its measured cost model; overridable via the
+    /// Cross-evaluation partial-likelihood reuse during fits: whether the
+    /// fit's evaluator keeps its state between calls (on) or clears it
+    /// before each call (off). `None` = auto: on for the Slim backends,
+    /// off for [`Backend::CodeMlStyle`] so the paper-comparison profile
+    /// keeps its measured cost model; overridable via the
     /// `SLIMCODEML_REUSE` environment variable and the `--reuse` /
     /// `--no-reuse` CLI flags. Reuse-on and reuse-off fits are
     /// bit-identical by the invalidation contract.
@@ -113,7 +110,7 @@ impl AnalysisOptions {
         config
     }
 
-    /// Whether fits run on the dirty-path reuse evaluator. Resolution
+    /// Whether fits keep the evaluator's state between calls. Resolution
     /// order: the explicit [`AnalysisOptions::reuse`] setting, then the
     /// `SLIMCODEML_REUSE` environment variable (`0`/`off`/`false`/`no`
     /// disable, any other non-empty value enables), then the backend
@@ -129,31 +126,6 @@ impl AnalysisOptions {
             }
         }
         !matches!(self.backend, Backend::CodeMlStyle)
-    }
-}
-
-/// Translate the optimizer's unconstrained-coordinate delta into the
-/// engine's invalidation hint: parameter-layout positions `< 5` are the
-/// globals (κ, ω0, ω2, p0, p1), the rest are branch lengths in order.
-fn hint_for(transform: &BlockTransform, delta: &ParamDelta) -> ReuseHint {
-    match delta {
-        ParamDelta::Full => ReuseHint::Full,
-        ParamDelta::Coords(coords) => {
-            let mut globals = false;
-            let mut branches = Vec::new();
-            for &z in coords {
-                for x in transform.touched_constrained(z) {
-                    if x < 5 {
-                        globals = true;
-                    } else {
-                        branches.push(x - 5);
-                    }
-                }
-            }
-            branches.sort_unstable();
-            branches.dedup();
-            ReuseHint::Sparse { globals, branches }
-        }
     }
 }
 
@@ -392,40 +364,29 @@ impl Analysis {
     /// layout as [`Analysis::start_vector`]); every coordinate must be
     /// strictly inside the hypothesis' feasible region.
     fn fit_from(&self, hypothesis: Hypothesis, x0: Vec<f64>) -> Result<Fit, CoreError> {
-        let config = &self.engine_config;
         let transform = self.transform(hypothesis);
         let z0 = transform.to_unconstrained(&x0);
 
-        let problem = &self.problem;
-        // The reuse evaluator keeps the previous evaluation's operators
-        // and CPVs; the optimizer's coordinate delta (mapped to a
-        // ReuseHint) is advisory — the evaluator diffs parameters bitwise
-        // itself, so a stateless evaluation of the same point returns the
-        // same bits (see slim-lik's reuse module docs).
-        let mut evaluator = self
-            .options
-            .reuse_enabled()
-            .then(|| ReuseEvaluator::new(problem, config.clone()));
-        let mut objective = |z: &[f64], delta: &ParamDelta| -> f64 {
+        // One evaluator per fit. It diffs parameters bitwise against its
+        // previous call, so kept and cleared state give the same bits
+        // (see slim-lik's reuse module docs); reuse off clears it before
+        // every call.
+        let reuse = self.options.reuse_enabled();
+        let mut evaluator = ReuseEvaluator::new(&self.problem, self.engine_config.clone());
+        let mut objective = |z: &[f64]| -> f64 {
             let x = transform.to_constrained(z);
             let (model, bl) = self.unpack(&x);
-            match &mut evaluator {
-                Some(ev) => {
-                    let hint = hint_for(&transform, delta);
-                    match ev.evaluate(&model, &bl, &hint, None) {
-                        Ok(v) if v.lnl.is_finite() => -v.lnl,
-                        _ => f64::INFINITY,
-                    }
-                }
-                None => match log_likelihood(problem, config, &model, &bl) {
-                    Ok(lnl) if lnl.is_finite() => -lnl,
-                    _ => f64::INFINITY,
-                },
+            if !reuse {
+                evaluator.clear();
+            }
+            match evaluator.evaluate(&model, &bl, None) {
+                Ok(v) if v.lnl.is_finite() => -v.lnl,
+                _ => f64::INFINITY,
             }
         };
 
         // Sanity: the start must be evaluable.
-        if !objective(&z0, &ParamDelta::Full).is_finite() {
+        if !objective(&z0).is_finite() {
             return Err(CoreError::Optimization(
                 "likelihood not finite at the starting point".into(),
             ));
@@ -441,8 +402,8 @@ impl Analysis {
         // check: allow(det-wallclock) feeds the report wall_time field only
         let started = Instant::now();
         let result = match self.options.optimizer {
-            Optimizer::DenseBfgs => minimize_delta(&mut objective, &z0, &opts),
-            Optimizer::LBfgs => minimize_lbfgs_delta(&mut objective, &z0, &opts),
+            Optimizer::DenseBfgs => minimize(&mut objective, &z0, &opts),
+            Optimizer::LBfgs => minimize_lbfgs(&mut objective, &z0, &opts),
         };
         let wall_time = started.elapsed();
 
@@ -468,7 +429,9 @@ impl Analysis {
     }
 
     /// Run the full positive-selection test: fit H0 and H1, compute the
-    /// LRT, and NEB site posteriors at the H1 MLE.
+    /// LRT, and NEB site posteriors at the H1 MLE. The reported H1 lnL is
+    /// never below H0's: an H1 fit still below after a warm re-polish
+    /// from the H0 solution reports H0's point (ω2 = 1) as its estimate.
     ///
     /// # Errors
     /// Propagates fit errors.
@@ -494,6 +457,7 @@ impl Analysis {
             if polished.lnl > h1.lnl {
                 h1 = polished;
             }
+            h1 = nest_h0(h1, &h0);
         }
         let lrt = lrt_pvalue(h0.lnl, h1.lnl);
 
@@ -514,6 +478,22 @@ impl Analysis {
             lrt,
             site_posteriors,
         })
+    }
+}
+
+/// H1 nests H0 (ω2 = 1 lies in H1's closed space), so H1's estimate is
+/// never worse than H0's: if `h1` still landed below `h0`, report H0's
+/// point as the H1 estimate, keeping H1's own iteration, evaluation,
+/// wall-time and termination accounting.
+fn nest_h0(h1: Fit, h0: &Fit) -> Fit {
+    if h1.lnl >= h0.lnl {
+        return h1;
+    }
+    Fit {
+        lnl: h0.lnl,
+        model: h0.model,
+        branch_lengths: h0.branch_lengths.clone(),
+        ..h1
     }
 }
 
@@ -561,17 +541,58 @@ mod tests {
     fn h1_at_least_as_good_as_h0() {
         let a = small_analysis(Backend::Slim);
         let r = a.test_positive_selection().unwrap();
-        // H1 nests H0; allow small optimizer noise.
-        assert!(
-            r.h1.lnl >= r.h0.lnl - 0.05,
-            "h1 {} vs h0 {}",
-            r.h1.lnl,
-            r.h0.lnl
-        );
+        // H1 nests H0, and the test never reports it below H0.
+        assert!(r.h1.lnl >= r.h0.lnl, "h1 {} vs h0 {}", r.h1.lnl, r.h0.lnl);
         assert!(r.lrt.p_value > 0.0 && r.lrt.p_value <= 1.0);
         assert_eq!(r.site_posteriors.len(), 6);
         for &p in &r.site_posteriors {
             assert!((0.0..=1.0).contains(&p));
+        }
+    }
+
+    #[test]
+    fn h1_below_h0_reports_the_h0_point() {
+        let a = small_analysis(Backend::Slim);
+        let h0 = a.fit(Hypothesis::H0).unwrap();
+        let stuck = Fit {
+            hypothesis: Hypothesis::H1,
+            lnl: h0.lnl - 1e-5,
+            model: BranchSiteModel::default_start(Hypothesis::H1),
+            branch_lengths: vec![0.5; h0.branch_lengths.len()],
+            iterations: 9,
+            f_evals: 123,
+            wall_time: std::time::Duration::from_millis(7),
+            termination: slim_opt::TerminationReason::LineSearchFailed,
+        };
+        let nested = nest_h0(stuck.clone(), &h0);
+        assert_eq!(nested.hypothesis, Hypothesis::H1);
+        assert_eq!(nested.lnl.to_bits(), h0.lnl.to_bits());
+        assert_eq!(nested.model, h0.model);
+        assert!(nested.model.is_valid(Hypothesis::H1), "ω2 = 1 is in H1");
+        assert_eq!(nested.branch_lengths, h0.branch_lengths);
+        // H1's own accounting survives.
+        assert_eq!(nested.iterations, stuck.iterations);
+        assert_eq!(nested.f_evals, stuck.f_evals);
+        assert_eq!(nested.wall_time, stuck.wall_time);
+        assert_eq!(nested.termination, stuck.termination);
+        // The reported lnL replays bit-exactly at the reported point.
+        let replay = a
+            .log_likelihood(&nested.model, &nested.branch_lengths)
+            .unwrap();
+        assert_eq!(replay.to_bits(), nested.lnl.to_bits());
+
+        // An H1 at or above H0 is reported as fitted.
+        for lnl in [h0.lnl, h0.lnl + 1e-5] {
+            let kept = nest_h0(
+                Fit {
+                    lnl,
+                    ..stuck.clone()
+                },
+                &h0,
+            );
+            assert_eq!(kept.lnl.to_bits(), lnl.to_bits());
+            assert_eq!(kept.model, stuck.model);
+            assert_eq!(kept.branch_lengths, stuck.branch_lengths);
         }
     }
 

@@ -10,17 +10,13 @@ use slim_lik::EngineConfig;
 ///
 /// `slim-batch` parallelizes at the *job* level: each H0/H1 test runs on
 /// one worker thread. Backends are orthogonal to that and every backend
-/// is safe to use in a batch, but note the interplay for
-/// [`Backend::SlimParallel`]: it additionally runs the `slim-par`
-/// intra-gene engine *inside* each likelihood evaluation, by default
-/// auto-sized to every available core — so a batch with `workers = N`
-/// can oversubscribe the machine N-fold. On a machine sized for `N`
-/// workers, prefer [`Backend::Slim`] or [`Backend::SlimPlus`] in
-/// manifests and let the batch pool own all cores; reserve
-/// `SlimParallel` for `workers` well below the core count (or cap it
-/// via `AnalysisOptions::threads`). Results are **bit-identical** either
-/// way — the engine's deterministic reduction guarantees it — only the
-/// thread budget differs.
+/// is safe to use in a batch. Intra-gene threads are a separate knob
+/// (`AnalysisOptions::threads`, `--threads`, `SLIMCODEML_THREADS`; `0` =
+/// auto): a batch with `workers = N` and auto threads can oversubscribe
+/// the machine N-fold, so on a machine sized for `N` workers let the
+/// batch pool own all cores. Results are **bit-identical** either way —
+/// the engine's deterministic reduction guarantees it — only the thread
+/// budget differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// CodeML v4.4c profile: Eq. 9 expm through naive kernels, per-site
@@ -35,22 +31,15 @@ pub enum Backend {
     SlimPlus,
     /// SlimCodeML with the Eq. 12 symmetric CPV application.
     SlimSymmetric,
-    /// SlimCodeML on the `slim-par` intra-gene parallel engine — the
-    /// paper's FastCodeML direction (§V-B): eigendecompositions and
-    /// per-branch expm fanned across branches × ω-classes, pruning fanned
-    /// across site-class × pattern-block units, with a deterministic
-    /// fixed-order reduction. Auto-sizes to `available_parallelism`.
-    SlimParallel,
 }
 
 impl Backend {
     /// All backends, for sweeps.
-    pub const ALL: [Backend; 5] = [
+    pub const ALL: [Backend; 4] = [
         Backend::CodeMlStyle,
         Backend::Slim,
         Backend::SlimPlus,
         Backend::SlimSymmetric,
-        Backend::SlimParallel,
     ];
 
     /// Materialize the engine configuration.
@@ -60,7 +49,6 @@ impl Backend {
             Backend::Slim => EngineConfig::slim(),
             Backend::SlimPlus => EngineConfig::slim_plus(),
             Backend::SlimSymmetric => EngineConfig::slim_symmetric(),
-            Backend::SlimParallel => EngineConfig::slim_parallel(),
         }
     }
 
@@ -76,7 +64,6 @@ impl Backend {
             "slim" | "slimcodeml" => Some(Backend::Slim),
             "slim+" | "slimplus" | "slim-plus" => Some(Backend::SlimPlus),
             "slim-sym" | "slimsymmetric" | "eq12" => Some(Backend::SlimSymmetric),
-            "slim-par" | "parallel" | "fastcodeml" => Some(Backend::SlimParallel),
             _ => None,
         }
     }

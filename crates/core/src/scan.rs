@@ -78,6 +78,7 @@ mod tests {
         assert!(named.contains(&"A".to_string()));
         for e in &entries {
             assert!(e.result.h1.lnl.is_finite());
+            assert!(e.result.h1.lnl >= e.result.h0.lnl, "H1 nests H0");
             assert!(e.result.lrt.p_value > 0.0);
         }
     }

@@ -6,10 +6,11 @@
 //! the optimized pipeline serves unchanged: two eigendecompositions per
 //! evaluation, one pruning pass.
 
-use crate::engine::{EngineConfig, ExpmPath};
+use crate::engine::EngineConfig;
+use crate::par::build_op;
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::{CpvStrategy, EigenSystem};
+use slim_expm::EigenSystem;
 use slim_linalg::LinalgError;
 use slim_model::{build_rate_matrix, rate_components, ScalePolicy};
 use std::sync::Arc;
@@ -74,15 +75,7 @@ pub fn log_likelihood_branch(
             &[0]
         };
         for &w in needed {
-            let es = &eigensystems[w];
-            ops[node][w] = Some(match config.cpv {
-                CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),
-                _ => TransOp::Dense(match config.expm {
-                    ExpmPath::Eq9Naive => es.transition_matrix_eq9_naive(t),
-                    ExpmPath::Eq9Tuned => es.transition_matrix_eq9(t),
-                    ExpmPath::Eq10Syrk => es.transition_matrix_eq10(t),
-                }),
-            });
+            ops[node][w] = Some(build_op(&eigensystems[w], config, t));
         }
     }
 

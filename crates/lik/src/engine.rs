@@ -127,19 +127,6 @@ impl EngineConfig {
         }
     }
 
-    /// The FastCodeML direction (§V-B): the Slim profile on the `slim-par`
-    /// intra-gene parallel engine, auto-sized to the machine
-    /// (`threads = 0` → `available_parallelism`). Bit-identical to
-    /// [`EngineConfig::slim`] with `threads = 1` by the determinism
-    /// contract.
-    pub fn slim_parallel() -> EngineConfig {
-        EngineConfig {
-            threads: 0,
-            label: "SlimCodeML-par",
-            ..EngineConfig::slim()
-        }
-    }
-
     /// Swap the eigensolver (builder-style).
     pub fn with_eigen(mut self, method: EigenMethod) -> EngineConfig {
         self.eigen = method;

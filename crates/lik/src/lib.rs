@@ -19,6 +19,15 @@
 //!   after its evaluation, plus a cross-evaluation eigendecomposition
 //!   cache.
 //!
+//! Every branch-site likelihood is computed by one evaluator,
+//! [`ReuseEvaluator`], through one pruning kernel. It keeps the previous
+//! evaluation's transition operators and conditional probability vectors
+//! and recomputes only what its bitwise parameter diff marks dirty. A
+//! stateless call ([`log_likelihood`], [`site_class_log_likelihoods`]) is
+//! one evaluation on a fresh evaluator, whose empty state marks every unit
+//! dirty. Thread count ([`EngineConfig::threads`]), SIMD dispatch and
+//! kept-vs-cleared state never change a bit of the result.
+//!
 //! Numerical scaling keeps per-pattern conditional probabilities in range
 //! on large trees; per-class per-pattern log-likelihoods are exposed for
 //! empirical-Bayes site identification.
@@ -43,6 +52,6 @@ pub use problem::LikelihoodProblem;
 pub use pruning::{
     log_likelihood, site_class_log_likelihoods, site_class_log_likelihoods_timed, LikelihoodValue,
 };
-pub use reuse::{ReuseEvaluator, ReuseHint};
+pub use reuse::ReuseEvaluator;
 pub use slim_linalg::simd;
 pub use slim_linalg::{SimdBackend, SimdMode};

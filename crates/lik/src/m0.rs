@@ -6,10 +6,11 @@
 //! — the Eq. 1 rate matrix, the symmetric expm paths, and the pruning
 //! engine (a single site class, identical foreground/background ω).
 
-use crate::engine::{EngineConfig, ExpmPath};
+use crate::engine::EngineConfig;
+use crate::par::build_op;
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::{CpvStrategy, EigenSystem};
+use slim_expm::EigenSystem;
 use slim_linalg::LinalgError;
 use slim_model::{build_rate_matrix, ScalePolicy};
 use std::sync::Arc;
@@ -55,15 +56,7 @@ pub fn log_likelihood_m0(
         let Some(bi) = problem.branch_index[node] else {
             continue;
         };
-        let t = branch_lengths[bi];
-        op_slot[0] = Some(match config.cpv {
-            CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),
-            _ => TransOp::Dense(match config.expm {
-                ExpmPath::Eq9Naive => es.transition_matrix_eq9_naive(t),
-                ExpmPath::Eq9Tuned => es.transition_matrix_eq9(t),
-                ExpmPath::Eq10Syrk => es.transition_matrix_eq10(t),
-            }),
-        });
+        op_slot[0] = Some(build_op(&es, config, branch_lengths[bi]));
     }
 
     let per_pattern = prune_one_class(problem, config, &ops, 0, 0);

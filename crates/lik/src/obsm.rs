@@ -29,11 +29,8 @@ pub(crate) struct LikMetrics {
     /// `lik.simd.lanes` — vector lanes of the SIMD backend the last
     /// evaluation resolved to (1 = scalar, 4 = AVX2, 2 = NEON).
     pub simd_lanes: Arc<Gauge>,
-    /// `lik.reuse.evaluations` — evaluations served by the reuse engine.
-    pub reuse_evaluations: Arc<Counter>,
-    /// `lik.reuse.full_invalidations` — reuse evaluations that had to
-    /// recompute everything (globals changed, first call, or shape
-    /// change).
+    /// `lik.reuse.full_invalidations` — evaluations that had to recompute
+    /// everything (globals changed, empty state, or shape change).
     pub reuse_full_invalidations: Arc<Counter>,
     /// `lik.reuse.dirty_branches` — branches whose length bits changed
     /// since the previous evaluation, summed over evaluations.
@@ -42,12 +39,8 @@ pub(crate) struct LikMetrics {
     /// cross-evaluation cache.
     pub reuse_units_reused: Arc<Counter>,
     /// `lik.reuse.units_recomputed` — internal-node CPV blocks recomputed
-    /// because they sat on a dirty root-path.
+    /// because they sat on a dirty root-path or the state was empty.
     pub reuse_units_recomputed: Arc<Counter>,
-    /// `lik.reuse.hint_violations` — optimizer deltas that failed to cover
-    /// an observed parameter change (the bitwise self-diff caught it; the
-    /// evaluation stays correct).
-    pub reuse_hint_violations: Arc<Counter>,
 }
 
 static M: OnceLock<LikMetrics> = OnceLock::new();
@@ -63,12 +56,10 @@ pub(crate) fn metrics() -> &'static LikMetrics {
         worker_busy: slim_obs::histogram("lik.pruning.worker_busy_seconds"),
         threads: slim_obs::gauge("lik.threads"),
         simd_lanes: slim_obs::gauge("lik.simd.lanes"),
-        reuse_evaluations: slim_obs::counter("lik.reuse.evaluations"),
         reuse_full_invalidations: slim_obs::counter("lik.reuse.full_invalidations"),
         reuse_dirty_branches: slim_obs::counter("lik.reuse.dirty_branches"),
         reuse_units_reused: slim_obs::counter("lik.reuse.units_reused"),
         reuse_units_recomputed: slim_obs::counter("lik.reuse.units_recomputed"),
-        reuse_hint_violations: slim_obs::counter("lik.reuse.hint_violations"),
     })
 }
 

@@ -1,19 +1,19 @@
-//! `slim-par`: the intra-gene parallel evaluation driver (§V-B's
-//! FastCodeML direction).
+//! `slim-par`: the phase helpers of one branch-site evaluation (§V-B's
+//! FastCodeML direction), driven by [`crate::reuse::ReuseEvaluator`].
 //!
-//! One branch-site likelihood evaluation runs as four phases:
+//! One evaluation runs as four phases:
 //!
 //! 1. **eigen** — the three ω rate matrices are built and decomposed, each
-//!    independent, fanned one-per-thread;
-//! 2. **expm** — one transition operator per (branch, needed ω) pair, all
-//!    independent, chunked across threads;
+//!    independent, fanned one-per-thread ([`build_eigensystems`]);
+//! 2. **expm** — one transition operator per (branch, needed ω) pair
+//!    ([`build_op`]), all independent, chunked across threads;
 //! 3. **pruning** — units of (site class × pattern block) stream through a
 //!    crossbeam channel to workers that each own a
-//!    [`PruneWorkspace`](crate::pruning), so the steady state allocates
+//!    [`PruneScratch`](crate::pruning), so the steady state allocates
 //!    nothing (the slim-batch pool conventions, applied within a gene);
 //! 4. **reduction** — per-pattern class mixing and the weighted total, on
 //!    the calling thread, in fixed pattern order with Neumaier compensated
-//!    summation.
+//!    summation ([`mix_and_reduce`]).
 //!
 //! ## Why every thread count gives the same bits
 //!
@@ -28,12 +28,12 @@
 
 use crate::engine::{EngineConfig, ExpmPath};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_block, LikelihoodValue, PruneWorkspace, TransOp, N_OMEGA};
+use crate::pruning::TransOp;
 use slim_expm::{CpvStrategy, EigenSystem};
 use slim_linalg::{simd, LinalgError, NeumaierSum};
-use slim_model::{build_rate_matrix, BranchSiteModel, ScalePolicy, N_SITE_CLASSES};
+use slim_model::{build_rate_matrix, ScalePolicy, N_SITE_CLASSES};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wall-clock time spent in each phase of one (or more, when accumulated)
 /// likelihood evaluations — the `--timing` breakdown.
@@ -64,287 +64,8 @@ impl PhaseTiming {
     }
 }
 
-/// One pruning work unit: a site class over a contiguous pattern block.
-struct Unit<'a> {
-    bg: usize,
-    fg: usize,
-    lo: usize,
-    out: &'a mut [f64],
-}
-
-/// Evaluate the branch-site likelihood on `config.threads` workers.
-///
-/// This is the engine behind
-/// [`site_class_log_likelihoods`](crate::site_class_log_likelihoods); see
-/// the module docs for the phase structure and determinism argument.
-pub(crate) fn evaluate(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    model: &BranchSiteModel,
-    branch_lengths: &[f64],
-    timing: Option<&mut PhaseTiming>,
-) -> Result<LikelihoodValue, LinalgError> {
-    // The SIMD dispatch override is thread-local; this call covers the
-    // calling thread, and each spawned worker below re-installs it.
-    simd::with_forced(config.simd, || {
-        evaluate_inner(problem, config, model, branch_lengths, timing)
-    })
-}
-
-fn evaluate_inner(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    model: &BranchSiteModel,
-    branch_lengths: &[f64],
-    mut timing: Option<&mut PhaseTiming>,
-) -> Result<LikelihoodValue, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
-    let n_pat = problem.n_patterns();
-    let threads = config.resolved_threads().max(1);
-    let obs = crate::obsm::metrics();
-    obs.evaluations.inc();
-    obs.threads.set(threads as f64);
-    let simd_mode = config.simd;
-    obs.simd_lanes.set(simd::resolve(simd_mode).lanes() as f64);
-    let mut eval_span = slim_trace::span("lik.evaluate", "lik");
-    eval_span.arg_u64("threads", threads as u64);
-    eval_span.arg_u64("patterns", n_pat as u64);
-
-    // --- Phase 1: rate matrices + eigendecompositions, one per distinct
-    // ω. All classes share one rate scale (the background mixture
-    // average), so ω2 > 1 genuinely accelerates foreground evolution —
-    // see BranchSiteModel::shared_scale. The three decompositions are
-    // independent; with threads they run one-per-spawn.
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.eigen", "lik");
-    let omegas = model.omegas();
-    let (syn_flux, nonsyn_flux) =
-        slim_model::codon_model::rate_components(&problem.code, model.kappa, &problem.pi);
-    let scale = model.shared_scale(syn_flux, nonsyn_flux);
-    let eigensystems = build_eigensystems(problem, config, model.kappa, &omegas, scale, threads)?;
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.eigen.observe(elapsed);
-    if let Some(t) = timing.as_deref_mut() {
-        t.eigen += elapsed;
-    }
-
-    // --- Phase 2: transition operators per (branch, needed ω). ---
-    // Background branches need ω0 and ω1; the foreground branch also ω2.
-    // Each reconstruction is an independent dsyrk/gemm; threads take
-    // contiguous chunks of the item list (ownership via chunks_mut — no
-    // locks, no unsafe).
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.expm", "lik");
-    let n_nodes = problem.children.len();
-    let mut items: Vec<(usize, usize, f64)> = Vec::new();
-    for node in 0..n_nodes {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        let t = branch_lengths[bi];
-        let needed: &[usize] = if problem.is_foreground[node] {
-            &[0, 1, 2]
-        } else {
-            &[0, 1]
-        };
-        for &w in needed {
-            items.push((node, w, t));
-        }
-    }
-    let mut built: Vec<Option<TransOp>> = (0..items.len()).map(|_| None).collect();
-    let expm_threads = threads.min(items.len()).max(1);
-    if expm_threads >= 2 {
-        let per = items.len().div_ceil(expm_threads);
-        let eigensystems = &eigensystems;
-        crossbeam::thread::scope(|scope| {
-            for (chunk, out) in items.chunks(per).zip(built.chunks_mut(per)) {
-                scope.spawn(move |_| {
-                    simd::with_forced(simd_mode, || {
-                        for (&(_, w, t), slot) in chunk.iter().zip(out.iter_mut()) {
-                            *slot = Some(build_op(&eigensystems[w], config, t));
-                        }
-                    });
-                });
-            }
-        })
-        .expect("expm scope");
-    } else {
-        for (&(_, w, t), slot) in items.iter().zip(built.iter_mut()) {
-            *slot = Some(build_op(&eigensystems[w], config, t));
-        }
-    }
-    let mut ops: Vec<[Option<TransOp>; N_OMEGA]> =
-        (0..n_nodes).map(|_| [None, None, None]).collect();
-    for (&(node, w, _), op) in items.iter().zip(built) {
-        ops[node][w] = op;
-    }
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.expm.observe(elapsed);
-    if let Some(t) = timing.as_deref_mut() {
-        t.expm += elapsed;
-    }
-
-    // --- Phase 3: pruning over (site class × pattern block) units. ---
-    // Block boundaries are fixed by config.pattern_block alone; which
-    // worker computes which block cannot affect any value (see crate
-    // module docs), so the channel's nondeterministic scheduling is
-    // harmless.
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.pruning", "lik");
-    let classes = model.site_classes();
-    let block = config.pattern_block.max(1);
-    let mut per_class: Vec<Vec<f64>> = classes
-        .iter()
-        .map(|class| {
-            if class.proportion <= 0.0 {
-                vec![f64::NEG_INFINITY; n_pat]
-            } else {
-                vec![0.0f64; n_pat]
-            }
-        })
-        .collect();
-    let mut units: Vec<Unit> = Vec::new();
-    for (class, buf) in classes.iter().zip(per_class.iter_mut()) {
-        if class.proportion <= 0.0 {
-            continue; // already filled with −∞; no pruning pass needed
-        }
-        let mut lo = 0usize;
-        for chunk in buf.chunks_mut(block) {
-            let len = chunk.len();
-            units.push(Unit {
-                bg: class.background_omega,
-                fg: class.foreground_omega,
-                lo,
-                out: chunk,
-            });
-            lo += len;
-        }
-    }
-    obs.units.add(units.len() as u64);
-    let prune_threads = threads.min(units.len()).max(1);
-    // Per-worker busy time is only clocked while collection is on, so the
-    // disabled path takes no Instant reads per unit.
-    let obs_on = slim_obs::enabled();
-    if prune_threads >= 2 {
-        let (tx, rx) = crossbeam::channel::unbounded::<Unit>();
-        for unit in units {
-            // Unbounded channel with both endpoints alive: send cannot fail.
-            let _ = tx.send(unit);
-        }
-        drop(tx);
-        let ops = &ops;
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..prune_threads {
-                let rx = rx.clone();
-                scope.spawn(move |_| {
-                    simd::with_forced(simd_mode, || {
-                        let worker_span = slim_trace::span("lik.worker", "lik");
-                        let mut ws = PruneWorkspace::new();
-                        let mut busy = Duration::ZERO;
-                        while let Ok(unit) = rx.recv() {
-                            // check: allow(det-wallclock) feeds the obs worker-busy gauge only
-                            let t0 = obs_on.then(Instant::now);
-                            // Per-unit block span: which (class ω-pair ×
-                            // pattern block) this worker ran, and when.
-                            let mut block_span = slim_trace::span("lik.block", "lik");
-                            block_span.arg_u64("bg", unit.bg as u64);
-                            block_span.arg_u64("fg", unit.fg as u64);
-                            block_span.arg_u64("lo", unit.lo as u64);
-                            prune_block(
-                                problem,
-                                config,
-                                ops.as_slice(),
-                                unit.bg,
-                                unit.fg,
-                                unit.lo,
-                                unit.out,
-                                &mut ws,
-                            );
-                            drop(block_span);
-                            if let Some(t0) = t0 {
-                                busy += t0.elapsed();
-                            }
-                        }
-                        obs.worker_busy.observe(busy);
-                        drop(worker_span);
-                    });
-                    // Scoped thread: flush before the scope unblocks.
-                    if slim_trace::enabled() {
-                        slim_trace::flush_thread();
-                    }
-                });
-            }
-        })
-        .expect("pruning scope");
-    } else {
-        let mut ws = PruneWorkspace::new();
-        // check: allow(det-wallclock) feeds the obs worker-busy gauge only
-        let t0 = obs_on.then(Instant::now);
-        for unit in units {
-            prune_block(
-                problem,
-                config,
-                ops.as_slice(),
-                unit.bg,
-                unit.fg,
-                unit.lo,
-                unit.out,
-                &mut ws,
-            );
-        }
-        if let Some(t0) = t0 {
-            obs.worker_busy.observe(t0.elapsed());
-        }
-    }
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.pruning.observe(elapsed);
-    if let Some(t) = timing.as_deref_mut() {
-        t.pruning += elapsed;
-    }
-
-    // --- Phase 4: mix classes per pattern (log-sum-exp), then the
-    // weighted total — serial, fixed pattern order, compensated. This is
-    // the only order-sensitive reduction in the evaluation, which is what
-    // makes the whole pipeline thread-count invariant. ---
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.reduction", "lik");
-    let props = [
-        classes[0].proportion,
-        classes[1].proportion,
-        classes[2].proportion,
-        classes[3].proportion,
-    ];
-    let (lnl, per_pattern) = mix_and_reduce(problem, props, &per_class, threads);
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.reduction.observe(elapsed);
-    if let Some(t) = timing {
-        t.reduction += elapsed;
-    }
-
-    Ok(LikelihoodValue {
-        lnl,
-        per_pattern,
-        per_class,
-        proportions: props,
-    })
-}
-
-/// Phase 1 as a reusable step: build and decompose the three ω rate
-/// matrices (one-per-spawn when `threads >= 2`). Shared by the stateless
-/// engine here and by [`crate::reuse::ReuseEvaluator`] when globals
-/// change.
+/// Phase 1: build and decompose the three ω rate matrices (one-per-spawn
+/// when `threads >= 2`); the evaluator reruns it when globals change.
 pub(crate) fn build_eigensystems(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
@@ -384,11 +105,10 @@ pub(crate) fn build_eigensystems(
     }
 }
 
-/// Phase 4 as a reusable step: per-pattern class mixing (log-sum-exp) and
-/// the weighted total — always serial, fixed pattern order, Neumaier
-/// compensated, so every thread count and both engines (stateless and
-/// reuse) produce the same bits. `threads` is reported in the sanitize
-/// context only.
+/// Phase 4: per-pattern class mixing (log-sum-exp) and the weighted
+/// total — always serial, fixed pattern order, Neumaier compensated, so
+/// every thread count produces the same bits. `threads` is reported in
+/// the sanitize context only.
 pub(crate) fn mix_and_reduce(
     problem: &LikelihoodProblem,
     props: [f64; N_SITE_CLASSES],
@@ -458,7 +178,8 @@ fn eigen_for(
 }
 
 /// Reconstruct one branch's transition operator in the representation the
-/// engine's CPV strategy needs.
+/// engine's CPV strategy needs — the one place a `TransOp` is made,
+/// shared by the branch-site evaluator and the auxiliary models.
 pub(crate) fn build_op(es: &EigenSystem, config: &EngineConfig, t: f64) -> TransOp {
     match config.cpv {
         CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),

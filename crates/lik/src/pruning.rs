@@ -1,10 +1,14 @@
 //! Felsenstein pruning over site patterns with branch-site classes.
 //!
-//! This module holds the *per-unit* pruning kernel: one site class over one
-//! contiguous block of site patterns, with caller-owned scratch so the hot
-//! path is allocation-free. The `slim-par` driver in [`crate::par`] fans
-//! these units across worker threads; `prune_one_class` is the full-width
-//! serial wrapper used by the auxiliary models (M0, M1a/M2a, branch model).
+//! This module holds the *per-unit* pruning kernel, [`prune_block`]: one
+//! site class over one contiguous block of site patterns, recomputing the
+//! internal nodes a dirty mask names and reading every other node's CPV
+//! from the unit's [`UnitCache`]. Every internal node runs through the one
+//! per-node body, `node_cpv` (child combine + rescale). The evaluator in
+//! [`crate::reuse`] fans units across worker threads; a stateless
+//! evaluation is that evaluator with empty state, so every unit is fully
+//! dirty. `prune_one_class` is the full-width serial wrapper used by the
+//! auxiliary models (M0, M1a/M2a, branch model).
 //!
 //! ## Determinism contract
 //!
@@ -20,6 +24,7 @@
 use crate::engine::EngineConfig;
 use crate::par::PhaseTiming;
 use crate::problem::LikelihoodProblem;
+use crate::reuse::ReuseEvaluator;
 use slim_expm::{cpv, CpvScratch, CpvStrategy, SymTransition};
 use slim_linalg::{LinalgError, Mat};
 use slim_model::{BranchSiteModel, N_SITE_CLASSES};
@@ -40,7 +45,7 @@ impl TransOp {
     /// `P·e_c` — the CPV a leaf with observed codon `c` propagates to its
     /// parent (the product against an indicator vector collapses to a
     /// column gather; CodeML special-cases this identically).
-    // check: allow(panic-free-hot-path) c < cols() by caller loop bound; out sized n by PruneWorkspace::ensure
+    // check: allow(panic-free-hot-path) c < cols() by caller loop bound; out sized n by PruneScratch::ensure
     fn column(&self, c: usize, out: &mut [f64]) {
         match self {
             TransOp::Dense(p) => {
@@ -70,20 +75,21 @@ impl TransOp {
 }
 
 /// Source of per-(node, ω) transition operators for a pruning pass: the
-/// stateless engine hands the kernel a per-evaluation table, the reuse
-/// engine a cross-evaluation [`slim_expm::PtCache`] view. Both must hold
-/// an operator for every ω the scheduled classes select on every branch.
+/// auxiliary models hand the kernel a per-evaluation table, the
+/// branch-site evaluator a cross-evaluation [`slim_expm::PtCache`] view.
+/// Both must hold an operator for every ω the scheduled classes select on
+/// every branch.
 pub(crate) trait OpSource: Sync {
     /// The operator for the edge above `node` under ω index `w`.
     fn op(&self, node: usize, w: usize) -> &TransOp;
 }
 
 impl OpSource for [[Option<TransOp>; N_OMEGA]] {
-    // check: allow(panic-free-hot-path) the expm phase builds an operator for every ω a class selects before pruning starts
+    // check: allow(panic-free-hot-path) the caller builds an operator for every ω a class selects before pruning starts
     fn op(&self, node: usize, w: usize) -> &TransOp {
         self[node][w]
             .as_ref()
-            // check: allow(rob-unwrap) the expm phase builds an operator for every ω a class selects before pruning starts
+            // check: allow(rob-unwrap) the caller builds an operator for every ω a class selects before pruning starts
             .expect("operator built for needed omega")
     }
 }
@@ -118,8 +124,9 @@ pub fn log_likelihood(
 /// Evaluate the branch-site likelihood, returning per-class detail.
 ///
 /// `branch_lengths` is indexed like [`LikelihoodProblem::branch_index`].
-/// Runs on [`EngineConfig::threads`] workers; results are bit-identical
-/// for every thread count (see the module docs).
+/// One evaluation on a fresh [`ReuseEvaluator`], whose empty state marks
+/// every unit dirty. Runs on [`EngineConfig::threads`] workers; results
+/// are bit-identical for every thread count (see the module docs).
 ///
 /// # Errors
 /// Propagates eigensolver failures.
@@ -132,7 +139,7 @@ pub fn site_class_log_likelihoods(
     model: &BranchSiteModel,
     branch_lengths: &[f64],
 ) -> Result<LikelihoodValue, LinalgError> {
-    crate::par::evaluate(problem, config, model, branch_lengths, None)
+    ReuseEvaluator::new(problem, config.clone()).evaluate(model, branch_lengths, None)
 }
 
 /// Like [`site_class_log_likelihoods`], additionally accumulating
@@ -149,35 +156,70 @@ pub fn site_class_log_likelihoods_timed(
     branch_lengths: &[f64],
     timing: &mut PhaseTiming,
 ) -> Result<LikelihoodValue, LinalgError> {
-    crate::par::evaluate(problem, config, model, branch_lengths, Some(timing))
+    ReuseEvaluator::new(problem, config.clone()).evaluate(model, branch_lengths, Some(timing))
 }
 
-/// Reusable buffers for pruning passes. One per worker thread: after the
-/// first block at a given (states × block-width) shape, subsequent blocks
-/// allocate nothing.
-pub(crate) struct PruneWorkspace {
-    /// Per-node CPV slots, `take`n by the parent as it consumes children.
-    slots: Vec<Option<Mat>>,
-    /// Retired CPV matrices awaiting reuse (all at `dims`).
-    pool: Vec<Mat>,
+/// Cross-evaluation cache for one (site class × pattern block) unit: the
+/// post-rescale CPV of every internal node, plus each node's per-column
+/// ln-rescale contribution so the block's total scale log can be rebuilt
+/// exactly after a partial recompute.
+///
+/// `0.0` in [`UnitCache::scale`] means "this node did not rescale this
+/// column" — unambiguous because a real contribution is `ln m` with
+/// `m < scale_threshold ≤ 1e-100`, i.e. at most ≈ −230.
+pub(crate) struct UnitCache {
+    /// Post-rescale CPV per node; `None` for leaves and never-computed
+    /// nodes.
+    cpv: Vec<Option<Mat>>,
+    /// Per-node per-column ln-rescale contributions (empty for leaves).
+    scale: Vec<Vec<f64>>,
+    /// (states, block width) of the cached CPVs.
+    dims: (usize, usize),
+}
+
+impl UnitCache {
+    /// An empty cache; buffers appear on first recompute.
+    pub(crate) fn new() -> UnitCache {
+        UnitCache {
+            cpv: Vec::new(),
+            scale: Vec::new(),
+            dims: (0, 0),
+        }
+    }
+
+    fn ensure(&mut self, n_nodes: usize, n: usize, bw: usize) {
+        if self.dims != (n, bw) {
+            self.cpv.clear();
+            self.scale.clear();
+            self.dims = (n, bw);
+        }
+        if self.cpv.len() < n_nodes {
+            self.cpv.resize_with(n_nodes, || None);
+            self.scale.resize_with(n_nodes, Vec::new);
+        }
+    }
+}
+
+/// Per-worker scratch for [`prune_block`] (per-node CPV storage lives in
+/// the [`UnitCache`]). After the first block at a given (states ×
+/// block-width) shape, the scratch allocates nothing.
+pub(crate) struct PruneScratch {
     /// Staging block for non-first children.
     tmp: Mat,
     /// One gathered leaf column.
     col: Vec<f64>,
-    /// Accumulated log of rescale factors, per block column.
+    /// Rebuilt total log of rescale factors, per block column.
     scale_log: Vec<f64>,
     /// Column/result scratch for the CPV kernels.
     scratch: CpvScratch,
-    /// (states, block width) the pooled matrices currently have.
+    /// (states, block width) `tmp` currently has.
     dims: (usize, usize),
 }
 
-impl PruneWorkspace {
-    /// Empty workspace; buffers are created on first use.
-    pub(crate) fn new() -> PruneWorkspace {
-        PruneWorkspace {
-            slots: Vec::new(),
-            pool: Vec::new(),
+impl PruneScratch {
+    /// Empty scratch; buffers are created on first use.
+    pub(crate) fn new() -> PruneScratch {
+        PruneScratch {
             tmp: Mat::zeros(0, 0),
             col: Vec::new(),
             scale_log: Vec::new(),
@@ -186,19 +228,13 @@ impl PruneWorkspace {
         }
     }
 
-    /// Size every buffer for a block of `bw` patterns over `n` states in a
-    /// tree of `n_nodes` nodes. No-op when already sized.
-    fn ensure(&mut self, n_nodes: usize, n: usize, bw: usize) {
+    fn ensure(&mut self, n: usize, bw: usize) {
         if self.dims != (n, bw) {
-            self.pool.clear();
             // Lane-padded blocks (61 → 64 columns): the CPV kernels and the
             // elementwise combine run tail-free, and the pad columns stay
             // zero so whole-storage ops cannot leak them into results.
             self.tmp = Mat::zeros_padded(n, bw);
             self.dims = (n, bw);
-        }
-        if self.slots.len() < n_nodes {
-            self.slots.resize_with(n_nodes, || None);
         }
         if self.col.len() != n {
             self.col = vec![0.0; n];
@@ -206,24 +242,31 @@ impl PruneWorkspace {
         self.scale_log.clear();
         self.scale_log.resize(bw, 0.0);
     }
-
-    /// A CPV matrix at the current dims, recycled when possible.
-    fn grab(&mut self) -> Mat {
-        self.pool
-            .pop()
-            .unwrap_or_else(|| Mat::zeros_padded(self.dims.0, self.dims.1))
-    }
 }
 
 /// Pruning pass for one site class over the pattern block
-/// `[lo, lo + out.len())`, writing per-pattern log-likelihoods into `out`.
+/// `[lo, lo + out.len())`, writing per-pattern log-likelihoods into `out`:
+/// recomputes the `dirty` internal nodes and reuses every clean node's CPV
+/// and rescale record byte-for-byte from `cache`. With every node dirty
+/// (an empty cache) this is a plain full pass.
 ///
-/// `ops[node][ω]` must hold operators for every ω this class selects on
-/// every branch. Bit-identical to the corresponding slice of a full-width
-/// pass (see module docs), so callers may partition patterns freely.
+/// `ops` must hold operators for every ω this class selects on every
+/// branch; `dirty` must cover every node whose inputs changed since
+/// `cache` was filled and be closed under "parent of".
+///
+/// ## Why partial recomputes keep the bits
+///
+/// * A clean node's cached CPV and rescale record are exactly what the
+///   last recompute stored, and every recompute runs the same per-node
+///   body on the same inputs, so by induction each cached CPV equals the
+///   full-pass CPV bit-for-bit.
+/// * The block's scale log is rebuilt by summing the per-node records in
+///   postorder. A `0.0` record adds nothing: the accumulator starts at
+///   +0.0 and only ever holds sums of records ≤ −230, never −0.0.
+/// * The root combination is a per-column dot with π.
 // check: hot per-block pruning unit (paper's inner loop)
 #[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; expect() guarded by topological order
+// check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
 pub(crate) fn prune_block<O: OpSource + ?Sized>(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
@@ -231,84 +274,70 @@ pub(crate) fn prune_block<O: OpSource + ?Sized>(
     bg_omega: usize,
     fg_omega: usize,
     lo: usize,
+    dirty: &[bool],
     out: &mut [f64],
-    ws: &mut PruneWorkspace,
+    cache: &mut UnitCache,
+    ws: &mut PruneScratch,
 ) {
     let n = problem.pi.len();
     let bw = out.len();
     let n_nodes = problem.children.len();
-    ws.ensure(n_nodes, n, bw);
+    cache.ensure(n_nodes, n, bw);
+    ws.ensure(n, bw);
 
     for &node in &problem.postorder {
-        // Leaves contribute through their parent; internal nodes combine
-        // their first child straight into the accumulator (same bits as
-        // computing into staging and copying), later children through
-        // `tmp` with an elementwise multiply.
-        let Some((&first, rest)) = problem.children[node].split_first() else {
+        if problem.children[node].is_empty() {
             continue;
-        };
-        let mut cpv = ws.grab();
-        child_block_into(
+        }
+        if !dirty[node] {
+            debug_assert!(
+                cache.cpv[node].is_some(),
+                "clean node {node} must have a cached CPV"
+            );
+            continue;
+        }
+        // Take the node's matrix out so the children's cached CPVs can be
+        // read immutably while we write into it.
+        let mut cpv = cache.cpv[node]
+            .take()
+            .unwrap_or_else(|| Mat::zeros_padded(n, bw));
+        node_cpv(
             problem,
             config,
             ops,
             bg_omega,
             fg_omega,
             lo,
-            first,
+            node,
+            &cache.cpv,
             &mut cpv,
-            &mut ws.col,
-            &mut ws.slots,
-            &mut ws.pool,
-            &mut ws.scratch,
+            &mut cache.scale[node],
+            ws,
         );
-        for &child in rest {
-            child_block_into(
-                problem,
-                config,
-                ops,
-                bg_omega,
-                fg_omega,
-                lo,
-                child,
-                &mut ws.tmp,
-                &mut ws.col,
-                &mut ws.slots,
-                &mut ws.pool,
-                &mut ws.scratch,
-            );
-            // Whole-storage elementwise combine (dispatched kernel): `cpv`
-            // and `tmp` share the same padded layout, and pad columns are
-            // 0·0 = 0, so logical values match the per-element loop.
-            slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), cpv.as_mut_slice());
-        }
+        cache.cpv[node] = Some(cpv);
+    }
 
-        // Numerical rescaling per pattern column.
-        for q in 0..bw {
-            let mut m = 0.0f64;
-            for i in 0..n {
-                let v = cpv[(i, q)];
-                if v > m {
-                    m = v;
-                }
-            }
-            if m > 0.0 && m < config.scale_threshold {
-                let inv = 1.0 / m;
-                for i in 0..n {
-                    cpv[(i, q)] *= inv;
-                }
-                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
-                ws.scale_log[q] += m.ln();
-            }
+    // Rebuild the block's total scale log: postorder sum of the per-node
+    // records.
+    for v in ws.scale_log.iter_mut() {
+        *v = 0.0;
+    }
+    for &node in &problem.postorder {
+        if problem.children[node].is_empty() {
+            continue;
         }
-        #[cfg(feature = "sanitize")]
-        sanitize_hooks::node_cpv(&cpv, &ws.scale_log, node, bg_omega, fg_omega, lo);
-        ws.slots[node] = Some(cpv);
+        let rec = &cache.scale[node];
+        for (sl, &v) in ws.scale_log.iter_mut().zip(rec.iter()) {
+            // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
+            *sl += v;
+        }
     }
 
     // Root combination with π.
-    // check: allow(rob-unwrap) the root is internal, so the node loop above always fills its slot
-    let root_cpv = ws.slots[problem.root].take().expect("root CPV computed");
+    let root_cpv = cache.cpv[problem.root]
+        .as_ref()
+        // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
+        .expect("root CPV cached or recomputed");
     for (q, o) in out.iter_mut().enumerate() {
         let mut s = 0.0;
         for i in 0..n {
@@ -323,16 +352,99 @@ pub(crate) fn prune_block<O: OpSource + ?Sized>(
     }
     #[cfg(feature = "sanitize")]
     sanitize_hooks::root_outputs(out, problem.root, bg_omega, fg_omega, lo);
-    ws.pool.push(root_cpv);
+}
+
+/// The per-node body: internal `node`'s post-rescale CPV block into
+/// `dest` and its per-column ln-rescale contributions into `rec` (`0.0`
+/// where the column was not rescaled). Internal children are read from
+/// `cpvs`; leaf children gather operator columns. The first child lands
+/// straight in `dest`, later children through staging with an
+/// elementwise multiply.
+#[allow(clippy::too_many_arguments)]
+// check: allow(panic-free-hot-path) children precede parents in postorder, so child CPVs are present; indices bounded by block width
+fn node_cpv<O: OpSource + ?Sized>(
+    problem: &LikelihoodProblem,
+    config: &EngineConfig,
+    ops: &O,
+    bg_omega: usize,
+    fg_omega: usize,
+    lo: usize,
+    node: usize,
+    cpvs: &[Option<Mat>],
+    dest: &mut Mat,
+    rec: &mut Vec<f64>,
+    ws: &mut PruneScratch,
+) {
+    let n = problem.pi.len();
+    let bw = ws.dims.1;
+    let (&first, rest) = problem.children[node]
+        .split_first()
+        // check: allow(rob-unwrap) callers dispatch internal nodes only
+        .expect("internal node has children");
+    child_block(
+        problem,
+        config,
+        ops,
+        bg_omega,
+        fg_omega,
+        lo,
+        first,
+        dest,
+        &mut ws.col,
+        cpvs,
+        &mut ws.scratch,
+    );
+    for &child in rest {
+        child_block(
+            problem,
+            config,
+            ops,
+            bg_omega,
+            fg_omega,
+            lo,
+            child,
+            &mut ws.tmp,
+            &mut ws.col,
+            cpvs,
+            &mut ws.scratch,
+        );
+        // Whole-storage elementwise combine (dispatched kernel): `dest`
+        // and `tmp` share the same padded layout, and pad columns are
+        // 0·0 = 0, so logical values match the per-element loop.
+        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), dest.as_mut_slice());
+    }
+
+    // Numerical rescaling per pattern column, recording this node's
+    // contribution.
+    rec.clear();
+    rec.resize(bw, 0.0);
+    for q in 0..bw {
+        let mut m = 0.0f64;
+        for i in 0..n {
+            let v = dest[(i, q)];
+            if v > m {
+                m = v;
+            }
+        }
+        if m > 0.0 && m < config.scale_threshold {
+            let inv = 1.0 / m;
+            for i in 0..n {
+                dest[(i, q)] *= inv;
+            }
+            rec[q] = m.ln();
+        }
+    }
+    #[cfg(feature = "sanitize")]
+    sanitize_hooks::node_cpv(dest, rec, node, bg_omega, fg_omega, lo);
 }
 
 /// Compute one child's contribution to its parent's CPV block into
 /// `dest` (the accumulator for the first child, staging for the rest).
 /// Leaf children gather operator columns per pattern; internal children
-/// consume the CPV their own pruning pass left in `slots`.
+/// apply the operator to their CPV in `cpvs`.
 #[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) child partials exist before parents by post-order traversal; indices bounded by block width
-fn child_block_into<O: OpSource + ?Sized>(
+// check: allow(panic-free-hot-path) postorder computes every child before its parent; indices bounded by block width
+fn child_block<O: OpSource + ?Sized>(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
     ops: &O,
@@ -342,8 +454,7 @@ fn child_block_into<O: OpSource + ?Sized>(
     child: usize,
     dest: &mut Mat,
     col: &mut [f64],
-    slots: &mut [Option<Mat>],
-    pool: &mut Vec<Mat>,
+    cpvs: &[Option<Mat>],
     scratch: &mut CpvScratch,
 ) {
     let (n, bw) = (dest.rows(), dest.cols());
@@ -371,10 +482,11 @@ fn child_block_into<O: OpSource + ?Sized>(
             }
         }
     } else {
-        // check: allow(rob-unwrap) postorder visits children before their parent, so the child slot is always filled
-        let child_cpv = slots[child].take().expect("child CPV in postorder");
-        op.apply_dense(config.cpv, &child_cpv, dest, scratch);
-        pool.push(child_cpv);
+        let child_cpv = cpvs[child]
+            .as_ref()
+            // check: allow(rob-unwrap) postorder computes every child (or keeps it cached) before its parent
+            .expect("child CPV cached or recomputed in postorder");
+        op.apply_dense(config.cpv, child_cpv, dest, scratch);
     }
 }
 
@@ -427,10 +539,10 @@ mod sanitize_hooks {
 }
 
 /// Full-width serial pruning pass for one site class: returns per-pattern
-/// log-likelihood. Thin wrapper over [`prune_block`] used by the auxiliary
-/// models (M0, site models, branch model) and by the parallel driver when
-/// running single-threaded.
-// check: hot full-width pruning pass (serial driver)
+/// log-likelihood. A [`prune_block`] over every pattern with an empty
+/// cache and every node dirty, used by the auxiliary models (M0, site
+/// models, branch model).
+// check: hot full-width pruning pass (serial wrapper)
 pub(crate) fn prune_one_class(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
@@ -439,324 +551,20 @@ pub(crate) fn prune_one_class(
     fg_omega: usize,
 ) -> Vec<f64> {
     let mut out = vec![0.0f64; problem.n_patterns()];
-    let mut ws = PruneWorkspace::new();
+    let all_dirty = vec![true; problem.children.len()];
     prune_block(
-        problem, config, ops, bg_omega, fg_omega, 0, &mut out, &mut ws,
-    );
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Dirty-path reuse: cached variant of the kernel above.
-// ---------------------------------------------------------------------------
-
-/// Cross-evaluation cache for one (site class × pattern block) unit: the
-/// post-rescale CPV of every internal node, plus each node's per-column
-/// ln-rescale contribution so the block's total scale log can be rebuilt
-/// exactly after a partial recompute.
-///
-/// `0.0` in [`UnitCache::scale`] means "this node did not rescale this
-/// column" — unambiguous because a real contribution is `ln m` with
-/// `m < scale_threshold ≤ 1e-100`, i.e. at most ≈ −230.
-pub(crate) struct UnitCache {
-    /// Post-rescale CPV per node; `None` for leaves and never-computed
-    /// nodes.
-    cpv: Vec<Option<Mat>>,
-    /// Per-node per-column ln-rescale contributions (empty for leaves).
-    scale: Vec<Vec<f64>>,
-    /// (states, block width) of the cached CPVs.
-    dims: (usize, usize),
-}
-
-impl UnitCache {
-    /// An empty cache; buffers appear on first recompute.
-    pub(crate) fn new() -> UnitCache {
-        UnitCache {
-            cpv: Vec::new(),
-            scale: Vec::new(),
-            dims: (0, 0),
-        }
-    }
-
-    fn ensure(&mut self, n_nodes: usize, n: usize, bw: usize) {
-        if self.dims != (n, bw) {
-            self.cpv.clear();
-            self.scale.clear();
-            self.dims = (n, bw);
-        }
-        if self.cpv.len() < n_nodes {
-            self.cpv.resize_with(n_nodes, || None);
-            self.scale.resize_with(n_nodes, Vec::new);
-        }
-    }
-}
-
-/// Per-worker scratch for [`prune_block_cached`] — the subset of
-/// [`PruneWorkspace`] the cached kernel needs (per-node CPV storage lives
-/// in the [`UnitCache`] instead of worker-local slots).
-pub(crate) struct ReuseScratch {
-    /// Staging block for non-first children.
-    tmp: Mat,
-    /// One gathered leaf column.
-    col: Vec<f64>,
-    /// Rebuilt total log of rescale factors, per block column.
-    scale_log: Vec<f64>,
-    /// Column/result scratch for the CPV kernels.
-    scratch: CpvScratch,
-    /// (states, block width) `tmp` currently has.
-    dims: (usize, usize),
-}
-
-impl ReuseScratch {
-    /// Empty scratch; buffers are created on first use.
-    pub(crate) fn new() -> ReuseScratch {
-        ReuseScratch {
-            tmp: Mat::zeros(0, 0),
-            col: Vec::new(),
-            scale_log: Vec::new(),
-            scratch: CpvScratch::new(),
-            dims: (0, 0),
-        }
-    }
-
-    fn ensure(&mut self, n: usize, bw: usize) {
-        if self.dims != (n, bw) {
-            self.tmp = Mat::zeros_padded(n, bw);
-            self.dims = (n, bw);
-        }
-        if self.col.len() != n {
-            self.col = vec![0.0; n];
-        }
-        self.scale_log.clear();
-        self.scale_log.resize(bw, 0.0);
-    }
-}
-
-/// Cached pruning pass for one site class over the pattern block
-/// `[lo, lo + out.len())`: recomputes only `dirty` internal nodes, reusing
-/// every clean node's CPV and rescale record byte-for-byte from `cache`.
-///
-/// ## Bit-identity to [`prune_block`]
-///
-/// * A clean node's cached CPV and rescale record are exactly what the
-///   last recompute stored — and recomputes run the same kernel calls on
-///   the same inputs as a fresh pass, so by induction each cached CPV
-///   equals the fresh-pass CPV bit-for-bit (the caller guarantees `dirty`
-///   covers every node whose inputs changed, and that `dirty` is closed
-///   under "parent of").
-/// * The block's scale log is rebuilt by summing the per-node records in
-///   postorder — the same addition sequence the fresh pass performs
-///   (skipping exact-zero records cannot change bits: the accumulator is
-///   never −0.0, and the fresh pass performs no addition at those nodes).
-/// * The root combination is the same per-column dot with π.
-// check: hot dirty-path pruning unit (reuse engine inner loop)
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) same bounds as prune_block; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
-pub(crate) fn prune_block_cached<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    dirty: &[bool],
-    out: &mut [f64],
-    cache: &mut UnitCache,
-    ws: &mut ReuseScratch,
-) {
-    let n = problem.pi.len();
-    let bw = out.len();
-    let n_nodes = problem.children.len();
-    cache.ensure(n_nodes, n, bw);
-    ws.ensure(n, bw);
-
-    for &node in &problem.postorder {
-        if problem.children[node].is_empty() {
-            continue;
-        }
-        if !dirty[node] {
-            debug_assert!(
-                cache.cpv[node].is_some(),
-                "clean node {node} must have a cached CPV"
-            );
-            continue;
-        }
-        recompute_node_cpv(
-            problem, config, ops, bg_omega, fg_omega, lo, node, cache, ws,
-        );
-    }
-
-    // Rebuild the block's total scale log: postorder sum of the per-node
-    // records — the same per-column addition sequence as a fresh pass.
-    for v in ws.scale_log.iter_mut() {
-        *v = 0.0;
-    }
-    for &node in &problem.postorder {
-        if problem.children[node].is_empty() {
-            continue;
-        }
-        let rec = &cache.scale[node];
-        for (sl, &v) in ws.scale_log.iter_mut().zip(rec.iter()) {
-            // check: allow(det-float-cmp) 0.0 is the "no rescale" sentinel; real records are ≤ ln(scale_threshold) ≈ −230
-            if v != 0.0 {
-                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder — same sequence as prune_block
-                *sl += v;
-            }
-        }
-    }
-
-    // Root combination with π — identical arithmetic to `prune_block`.
-    let root_cpv = cache.cpv[problem.root]
-        .as_ref()
-        // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
-        .expect("root CPV cached or recomputed");
-    for (q, o) in out.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for i in 0..n {
-            // check: allow(det-float-accum) 61-term per-pattern dot with π; fixed order is the determinism contract
-            s += problem.pi[i] * root_cpv[(i, q)];
-        }
-        *o = if s > 0.0 {
-            s.ln() + ws.scale_log[q]
-        } else {
-            f64::NEG_INFINITY
-        };
-    }
-    #[cfg(feature = "sanitize")]
-    sanitize_hooks::root_outputs(out, problem.root, bg_omega, fg_omega, lo);
-}
-
-/// Recompute one internal node's CPV and rescale record into `cache`,
-/// consuming children from the cache (leaf children gather operator
-/// columns directly). The arithmetic sequence is exactly
-/// [`prune_block`]'s per-node body.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) children precede parents in postorder, so child cache slots are filled; indices bounded as in prune_block
-fn recompute_node_cpv<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    node: usize,
-    cache: &mut UnitCache,
-    ws: &mut ReuseScratch,
-) {
-    let n = problem.pi.len();
-    let bw = ws.dims.1;
-    let (&first, rest) = problem.children[node]
-        .split_first()
-        // check: allow(rob-unwrap) caller dispatches internal nodes only
-        .expect("internal node has children");
-    // Take the node's matrix out so the children's cached CPVs can be read
-    // immutably while we write into it.
-    let mut cpv = cache.cpv[node]
-        .take()
-        .unwrap_or_else(|| Mat::zeros_padded(n, bw));
-    child_block_cached(
         problem,
         config,
         ops,
         bg_omega,
         fg_omega,
-        lo,
-        first,
-        &mut cpv,
-        &mut ws.col,
-        &cache.cpv,
-        &mut ws.scratch,
+        0,
+        &all_dirty,
+        &mut out,
+        &mut UnitCache::new(),
+        &mut PruneScratch::new(),
     );
-    for &child in rest {
-        child_block_cached(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            child,
-            &mut ws.tmp,
-            &mut ws.col,
-            &cache.cpv,
-            &mut ws.scratch,
-        );
-        // Same whole-storage combine as prune_block: pads are 0·0 = 0.
-        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), cpv.as_mut_slice());
-    }
-
-    // Numerical rescaling per pattern column, recording this node's
-    // contribution instead of accumulating into a running total.
-    let rec = &mut cache.scale[node];
-    rec.clear();
-    rec.resize(bw, 0.0);
-    for q in 0..bw {
-        let mut m = 0.0f64;
-        for i in 0..n {
-            let v = cpv[(i, q)];
-            if v > m {
-                m = v;
-            }
-        }
-        if m > 0.0 && m < config.scale_threshold {
-            let inv = 1.0 / m;
-            for i in 0..n {
-                cpv[(i, q)] *= inv;
-            }
-            rec[q] = m.ln();
-        }
-    }
-    #[cfg(feature = "sanitize")]
-    sanitize_hooks::node_cpv(&cpv, rec, node, bg_omega, fg_omega, lo);
-    cache.cpv[node] = Some(cpv);
-}
-
-/// [`child_block_into`] against cached child CPVs: identical arithmetic,
-/// but internal children are *read* from the unit cache instead of being
-/// consumed from worker-local slots.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) postorder recomputes dirty children before their parent and clean children are cached; indices bounded by block width
-fn child_block_cached<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    child: usize,
-    dest: &mut Mat,
-    col: &mut [f64],
-    cpvs: &[Option<Mat>],
-    scratch: &mut CpvScratch,
-) {
-    let (n, bw) = (dest.rows(), dest.cols());
-    let w = if problem.is_foreground[child] {
-        fg_omega
-    } else {
-        bg_omega
-    };
-    let op = ops.op(child, w);
-    if let Some(taxon) = problem.leaf_taxon[child] {
-        for q in 0..bw {
-            let codon = problem.patterns.pattern(lo + q)[taxon];
-            if codon == slim_bio::patterns::MISSING {
-                for i in 0..n {
-                    dest[(i, q)] = 1.0;
-                }
-                continue;
-            }
-            op.column(codon, col);
-            for i in 0..n {
-                dest[(i, q)] = col[i];
-            }
-        }
-    } else {
-        let child_cpv = cpvs[child]
-            .as_ref()
-            // check: allow(rob-unwrap) child CPV cached (clean) or recomputed earlier in postorder (dirty)
-            .expect("child CPV cached or recomputed in postorder");
-        op.apply_dense(config.cpv, child_cpv, dest, scratch);
-    }
+    out
 }
 
 /// Sanitize tripwire: recompute one *clean* node's CPV and rescale record
@@ -764,6 +572,7 @@ fn child_block_cached<O: OpSource + ?Sized>(
 /// cached copy — catching invalidation bugs the moment a stale value
 /// would be served.
 #[cfg(feature = "sanitize")]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sanitize_recheck_node<O: OpSource + ?Sized>(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
@@ -773,62 +582,26 @@ pub(crate) fn sanitize_recheck_node<O: OpSource + ?Sized>(
     lo: usize,
     node: usize,
     cache: &UnitCache,
-    ws: &mut ReuseScratch,
+    ws: &mut PruneScratch,
 ) {
     let n = problem.pi.len();
     let bw = cache.dims.1;
     ws.ensure(n, bw);
-    let (&first, rest) = problem.children[node]
-        .split_first()
-        // check: allow(rob-unwrap) sanitize spot-check targets only cached internal nodes
-        .expect("recheck target is internal");
     let mut fresh = Mat::zeros_padded(n, bw);
-    child_block_cached(
+    let mut fresh_rec = Vec::new();
+    node_cpv(
         problem,
         config,
         ops,
         bg_omega,
         fg_omega,
         lo,
-        first,
-        &mut fresh,
-        &mut ws.col,
+        node,
         &cache.cpv,
-        &mut ws.scratch,
+        &mut fresh,
+        &mut fresh_rec,
+        ws,
     );
-    for &child in rest {
-        child_block_cached(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            child,
-            &mut ws.tmp,
-            &mut ws.col,
-            &cache.cpv,
-            &mut ws.scratch,
-        );
-        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), fresh.as_mut_slice());
-    }
-    let mut fresh_rec = vec![0.0f64; bw];
-    for q in 0..bw {
-        let mut m = 0.0f64;
-        for i in 0..n {
-            let v = fresh[(i, q)];
-            if v > m {
-                m = v;
-            }
-        }
-        if m > 0.0 && m < config.scale_threshold {
-            let inv = 1.0 / m;
-            for i in 0..n {
-                fresh[(i, q)] *= inv;
-            }
-            fresh_rec[q] = m.ln();
-        }
-    }
     let cached = cache.cpv[node]
         .as_ref()
         // check: allow(rob-unwrap) sanitize spot-check picks its target from filled cache slots

@@ -1,12 +1,11 @@
-//! Dirty-path partial-likelihood reuse across optimizer evaluations.
+//! The branch-site evaluator: dirty-path partial-likelihood reuse across
+//! evaluations.
 //!
 //! A derivative-based fit evaluates the likelihood hundreds of times, and
 //! most evaluations change *one* parameter (a finite-difference probe) or
-//! a handful (a line-search step along a sparse direction). The stateless
-//! engine in [`crate::par`] recomputes every transition operator and every
-//! conditional probability vector (CPV) each time; this module keeps the
-//! previous evaluation's intermediates and recomputes only what the
-//! parameter delta actually touches:
+//! a handful (a line-search step along a sparse direction). The evaluator
+//! keeps the previous evaluation's intermediates and recomputes only what
+//! the parameter change actually touches:
 //!
 //! * a changed **branch length** invalidates that branch's `P(t)`
 //!   operators and the CPVs of the nodes on the path from the branch's
@@ -18,52 +17,36 @@
 //!
 //! ## The invalidation contract
 //!
-//! The optimizer's `ParamDelta` (crate `slim-opt`) is a *hint*: an
-//! upper bound on which coordinates changed. The evaluator does not trust
-//! it — it diffs the incoming parameters **bitwise** against the previous
-//! evaluation's and derives the dirty set from that ground truth. The hint
-//! is only cross-checked; a hint that failed to cover an observed change
-//! increments `lik.reuse.hint_violations` (and panics under the `sanitize`
-//! feature) but cannot produce a wrong likelihood.
+//! The evaluator diffs the incoming parameters **bitwise** against the
+//! previous evaluation's and derives the dirty set from that alone; no
+//! caller says what changed. Empty state — a fresh evaluator, or one whose
+//! state was [cleared](ReuseEvaluator::clear) — marks every unit dirty,
+//! which is exactly a stateless evaluation:
+//! [`site_class_log_likelihoods`](crate::site_class_log_likelihoods) is
+//! one call on a fresh evaluator.
 //!
 //! ## Why reuse is bit-identical
 //!
 //! Every cached object is keyed on the exact bits of its inputs
-//! ([`PtKey`] for operators; the bitwise parameter diff for CPVs), and
-//! recomputation runs the byte-same kernels on the byte-same inputs as the
-//! stateless engine (see [`crate::pruning::prune_block_cached`] for the
-//! per-unit argument, including the rescale bookkeeping). The final
-//! reduction is the same serial fixed-order compensated sum. So reuse-on
-//! and reuse-off agree to the last bit — which the identity test layer
-//! replays optimizer-like update sequences to enforce.
+//! ([`PtKey`] for operators; the bitwise parameter diff for CPVs), and a
+//! recompute runs the byte-same kernels on the byte-same inputs as a full
+//! pass (see [`crate::pruning::prune_block`] for the per-unit argument,
+//! including the rescale bookkeeping). The final reduction is the same
+//! serial fixed-order compensated sum. So kept state and cleared state
+//! agree to the last bit — which the identity test layer replays
+//! optimizer-like update sequences to enforce.
 
 use crate::engine::EngineConfig;
 use crate::par::{build_eigensystems, build_op, mix_and_reduce, PhaseTiming};
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{
-    prune_block_cached, LikelihoodValue, OpSource, ReuseScratch, TransOp, UnitCache, N_OMEGA,
+    prune_block, LikelihoodValue, OpSource, PruneScratch, TransOp, UnitCache, N_OMEGA,
 };
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError};
 use slim_model::BranchSiteModel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What the caller believes changed since the previous evaluation —
-/// translated from the optimizer's coordinate delta by the analysis
-/// layer. Advisory only: see the module docs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReuseHint {
-    /// Anything may have changed (first call, restart, unknown caller).
-    Full,
-    /// Only the listed pieces may have changed.
-    Sparse {
-        /// Whether any global (κ, ω0, ω2, p0, p1) may have changed.
-        globals: bool,
-        /// Branch indices whose lengths may have changed.
-        branches: Vec<usize>,
-    },
-}
 
 /// The previous evaluation's reusable intermediates.
 struct EvalState {
@@ -76,11 +59,6 @@ struct EvalState {
     /// Per-(node × ω) transition operators, validity-keyed on
     /// (decomposition id, branch-length bits).
     ops: PtCache<TransOp>,
-    /// (class index, block start, block width) of each pruning unit — a
-    /// geometry fingerprint; any change drops every unit cache.
-    unit_shape: Vec<(usize, usize, usize)>,
-    /// Cached CPVs + rescale records, one per unit in `unit_shape` order.
-    units: Vec<UnitCache>,
     /// The full previous result, for the nothing-changed shortcut.
     value: LikelihoodValue,
 }
@@ -100,7 +78,7 @@ impl OpSource for CachedOps<'_> {
     }
 }
 
-/// A stateful likelihood evaluator that reuses the previous evaluation's
+/// The branch-site likelihood evaluator: reuses the previous evaluation's
 /// operators and CPVs along clean paths. One per fit (per hypothesis);
 /// owns its caches, no sharing, no locking.
 pub struct ReuseEvaluator<'p> {
@@ -110,7 +88,16 @@ pub struct ReuseEvaluator<'p> {
     branch_node: Vec<usize>,
     /// Number of internal (non-leaf) nodes — the per-unit CPV count.
     n_internal: usize,
+    /// What the previous evaluation computed; `None` marks every unit
+    /// dirty.
     state: Option<EvalState>,
+    /// (class index, block start, block width) of each pruning unit — a
+    /// geometry fingerprint for `units`; any change reallocates them.
+    unit_shape: Vec<(usize, usize, usize)>,
+    /// CPV + rescale-record buffers, one per unit in `unit_shape` order.
+    /// They outlive a full invalidation and [`clear`](Self::clear): which
+    /// CPVs are valid is decided by `state` and the dirty set alone.
+    units: Vec<UnitCache>,
     #[cfg(feature = "sanitize")]
     rng_state: u64,
 }
@@ -131,31 +118,45 @@ impl<'p> ReuseEvaluator<'p> {
             branch_node,
             n_internal,
             state: None,
+            unit_shape: Vec::new(),
+            units: Vec::new(),
             #[cfg(feature = "sanitize")]
             rng_state: 0x9e3779b97f4a7c15,
         }
     }
 
     /// Evaluate the branch-site likelihood, reusing whatever the bitwise
-    /// parameter diff against the previous call proves unchanged.
+    /// parameter diff against the previous call proves unchanged, and
+    /// accumulating per-phase wall-clock time into `timing` when given.
     ///
     /// # Errors
     /// Propagates eigensolver failures.
+    ///
+    /// # Panics
+    /// Panics if `branch_lengths.len()` mismatches the problem.
     pub fn evaluate(
         &mut self,
         model: &BranchSiteModel,
         branch_lengths: &[f64],
-        hint: &ReuseHint,
         timing: Option<&mut PhaseTiming>,
     ) -> Result<LikelihoodValue, LinalgError> {
         // The SIMD dispatch override is thread-local; this call covers the
         // calling thread, and each spawned worker re-installs it.
         simd::with_forced(self.config.simd, || {
-            self.evaluate_inner(model, branch_lengths, hint, timing)
+            self.evaluate_inner(model, branch_lengths, timing)
         })
     }
 
-    /// (hits, misses) of the per-branch operator cache since construction.
+    /// Forget the kept state, so the next evaluation recomputes everything
+    /// — eigensystems, operators and every CPV, into the buffers the
+    /// evaluator already holds (the `reuse = off` setting calls this
+    /// before every evaluation).
+    pub fn clear(&mut self) {
+        self.state = None;
+    }
+
+    /// (hits, misses) of the per-branch operator cache since construction
+    /// or the last [`clear`](Self::clear).
     pub fn op_cache_stats(&self) -> (u64, u64) {
         self.state.as_ref().map_or((0, 0), |s| s.ops.stats())
     }
@@ -164,7 +165,6 @@ impl<'p> ReuseEvaluator<'p> {
         &mut self,
         model: &BranchSiteModel,
         branch_lengths: &[f64],
-        hint: &ReuseHint,
         mut timing: Option<&mut PhaseTiming>,
     ) -> Result<LikelihoodValue, LinalgError> {
         let problem = self.problem;
@@ -180,15 +180,14 @@ impl<'p> ReuseEvaluator<'p> {
         let simd_mode = config.simd;
         let obs = crate::obsm::metrics();
         obs.evaluations.inc();
-        obs.reuse_evaluations.inc();
         obs.threads.set(threads as f64);
         obs.simd_lanes.set(simd::resolve(simd_mode).lanes() as f64);
         let mut eval_span = slim_trace::span("lik.evaluate", "lik");
         eval_span.arg_u64("threads", threads as u64);
         eval_span.arg_u64("patterns", n_pat as u64);
 
-        // --- Bitwise diff against the previous evaluation: the ground
-        // truth the dirty set is derived from. ---
+        // --- Bitwise diff against the previous evaluation: the dirty set
+        // is derived from this alone. ---
         let prev = self.state.take();
         let (globals_changed, dirty_branches): (bool, Vec<usize>) = match &prev {
             None => (true, Vec::new()),
@@ -213,36 +212,16 @@ impl<'p> ReuseEvaluator<'p> {
             }
         };
 
-        // Cross-check the optimizer's hint against the observed diff. A
-        // violation is an optimizer bug, not a correctness problem here —
-        // the bitwise diff above is what drives invalidation.
-        if prev.is_some() {
-            let violated = match hint {
-                ReuseHint::Full => false,
-                ReuseHint::Sparse { globals, branches } => {
-                    (globals_changed && !globals)
-                        || dirty_branches.iter().any(|b| !branches.contains(b))
-                }
-            };
-            if violated {
-                obs.reuse_hint_violations.inc();
-                #[cfg(feature = "sanitize")]
-                // check: allow(rob-unwrap) sanitize tripwire: a hint that failed to cover the observed change must abort
-                panic!(
-                    "sanitize: reuse hint {hint:?} failed to cover the observed parameter \
-                     change (globals_changed {globals_changed}, dirty branches \
-                     {dirty_branches:?})"
-                );
-            }
-        }
-
         // --- Nothing changed: serve the previous result outright. ---
         if let Some(s) = &prev {
             if !globals_changed && dirty_branches.is_empty() {
                 obs.reuse_units_reused
-                    .add((s.unit_shape.len() * self.n_internal) as u64);
+                    .add((self.unit_shape.len() * self.n_internal) as u64);
                 slim_trace::instant_with("lik.reuse.hit", "lik", || {
-                    vec![("units", slim_trace::Value::U64(s.unit_shape.len() as u64))]
+                    vec![(
+                        "units",
+                        slim_trace::Value::U64(self.unit_shape.len() as u64),
+                    )]
                 });
                 let value = s.value.clone();
                 self.state = prev;
@@ -256,8 +235,8 @@ impl<'p> ReuseEvaluator<'p> {
         let start = Instant::now();
         let phase_span = slim_trace::span("lik.eigen", "lik");
         let omegas = model.omegas();
-        let (mut ops, mut units, prev_shape, eigensystems) = match prev {
-            Some(s) if !globals_changed => (s.ops, s.units, s.unit_shape, s.eigensystems),
+        let (mut ops, eigensystems) = match prev {
+            Some(s) if !globals_changed => (s.ops, s.eigensystems),
             other => {
                 // First call or globals changed: new decompositions, and
                 // no CPV survives (the mixture itself moved). The operator
@@ -269,6 +248,9 @@ impl<'p> ReuseEvaluator<'p> {
                     Some(s) => s.ops,
                     None => PtCache::new(0),
                 };
+                // All classes share one rate scale (the background mixture
+                // average), so ω2 > 1 genuinely accelerates foreground
+                // evolution — see BranchSiteModel::shared_scale.
                 let (syn_flux, nonsyn_flux) = slim_model::codon_model::rate_components(
                     &problem.code,
                     model.kappa,
@@ -277,7 +259,7 @@ impl<'p> ReuseEvaluator<'p> {
                 let scale = model.shared_scale(syn_flux, nonsyn_flux);
                 let es =
                     build_eigensystems(problem, &config, model.kappa, &omegas, scale, threads)?;
-                (ops, Vec::new(), Vec::new(), es)
+                (ops, es)
             }
         };
         drop(phase_span);
@@ -371,14 +353,18 @@ impl<'p> ReuseEvaluator<'p> {
         // Full invalidation when the globals moved (no prior state counts
         // as that) or the cached units are addressed under a different
         // geometry (e.g. a proportion hit exactly 0 and dropped a class).
-        let full = globals_changed || prev_shape != unit_shape;
+        // Only a new geometry needs new buffers: a full invalidation
+        // recomputes every node into the ones already held.
+        let full = globals_changed || self.unit_shape != unit_shape;
         if full {
             obs.reuse_full_invalidations.inc();
         }
         obs.reuse_dirty_branches.add(dirty_branches.len() as u64);
-        if units.len() != unit_shape.len() || full {
-            units = unit_shape.iter().map(|_| UnitCache::new()).collect();
+        if self.unit_shape != unit_shape {
+            self.units = unit_shape.iter().map(|_| UnitCache::new()).collect();
+            self.unit_shape = unit_shape;
         }
+        let unit_shape = &self.unit_shape;
 
         let mut dirty = vec![false; n_nodes];
         let mut n_dirty_internal = 0usize;
@@ -457,13 +443,13 @@ impl<'p> ReuseEvaluator<'p> {
         }
         let mut runits: Vec<RUnit> = Vec::with_capacity(n_units);
         {
-            let mut cache_iter = units.iter_mut();
+            let mut cache_iter = self.units.iter_mut();
             let mut chunkers: Vec<Option<std::slice::ChunksMut<f64>>> = per_class
                 .iter_mut()
                 .zip(classes.iter())
                 .map(|(buf, class)| (class.proportion > 0.0).then(|| buf.chunks_mut(block)))
                 .collect();
-            for &(ci, lo, _bw) in &unit_shape {
+            for &(ci, lo, _bw) in unit_shape {
                 let chunk = chunkers[ci]
                     .as_mut()
                     .and_then(|c| c.next())
@@ -501,7 +487,7 @@ impl<'p> ReuseEvaluator<'p> {
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
                             let worker_span = slim_trace::span("lik.worker", "lik");
-                            let mut ws = ReuseScratch::new();
+                            let mut ws = PruneScratch::new();
                             let mut busy = Duration::ZERO;
                             while let Ok(unit) = rx.recv() {
                                 // check: allow(det-wallclock) feeds the obs worker-busy gauge only
@@ -510,7 +496,7 @@ impl<'p> ReuseEvaluator<'p> {
                                 block_span.arg_u64("bg", unit.bg as u64);
                                 block_span.arg_u64("fg", unit.fg as u64);
                                 block_span.arg_u64("lo", unit.lo as u64);
-                                prune_block_cached(
+                                prune_block(
                                     problem, config_ref, view, unit.bg, unit.fg, unit.lo,
                                     dirty_ref, unit.out, unit.cache, &mut ws,
                                 );
@@ -533,11 +519,11 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("pruning scope");
         } else {
-            let mut ws = ReuseScratch::new();
+            let mut ws = PruneScratch::new();
             // check: allow(det-wallclock) feeds the obs worker-busy gauge only
             let t0 = obs_on.then(Instant::now);
             for unit in runits {
-                prune_block_cached(
+                prune_block(
                     problem, &config, &view, unit.bg, unit.fg, unit.lo, dirty_ref, unit.out,
                     unit.cache, &mut ws,
                 );
@@ -565,7 +551,7 @@ impl<'p> ReuseEvaluator<'p> {
             let node = clean[next() % clean.len()];
             let ui = next() % unit_shape.len();
             let (ci, lo, _) = unit_shape[ui];
-            let mut ws = ReuseScratch::new();
+            let mut ws = PruneScratch::new();
             crate::pruning::sanitize_recheck_node(
                 problem,
                 &config,
@@ -574,7 +560,7 @@ impl<'p> ReuseEvaluator<'p> {
                 classes[ci].foreground_omega,
                 lo,
                 node,
-                &units[ui],
+                &self.units[ui],
                 &mut ws,
             );
         }
@@ -616,8 +602,6 @@ impl<'p> ReuseEvaluator<'p> {
             branch_lengths: branch_lengths.to_vec(),
             eigensystems,
             ops,
-            unit_shape,
-            units,
             value: value.clone(),
         });
         Ok(value)
@@ -668,9 +652,9 @@ mod tests {
     }
 
     /// An optimizer-shaped update script: finite-difference probes on
-    /// single branches, a sparse line-search move, a global bump, and an
-    /// exact repeat — each step checked bit-for-bit against a fresh
-    /// stateless evaluation.
+    /// single branches, a sparse line-search move, a global bump, an exact
+    /// repeat and a cleared state — each step checked bit-for-bit against
+    /// a stateless evaluation (a fresh evaluator).
     fn run_script(config: EngineConfig) {
         let problem = toy_problem();
         let mut ev = ReuseEvaluator::new(&problem, config.clone());
@@ -681,75 +665,43 @@ mod tests {
         let n_br = bl.len();
 
         let mut step = 0usize;
-        let mut check =
-            |ev: &mut ReuseEvaluator, model: &BranchSiteModel, bl: &[f64], hint: &ReuseHint| {
-                let reuse = ev.evaluate(model, bl, hint, None).unwrap();
-                let fresh = site_class_log_likelihoods(&problem, &config, model, bl).unwrap();
-                assert_bits_equal(&reuse, &fresh, step);
-                step += 1;
-            };
+        let mut check = |ev: &mut ReuseEvaluator, model: &BranchSiteModel, bl: &[f64]| {
+            let reuse = ev.evaluate(model, bl, None).unwrap();
+            let fresh = site_class_log_likelihoods(&problem, &config, model, bl).unwrap();
+            assert_bits_equal(&reuse, &fresh, step);
+            step += 1;
+        };
 
-        check(&mut ev, &model, &bl, &ReuseHint::Full);
+        check(&mut ev, &model, &bl);
         // Single-branch finite-difference probes (the numgrad pattern).
         for i in 0..n_br {
             let saved = bl[i];
             bl[i] += 1e-6;
-            let hint = ReuseHint::Sparse {
-                globals: false,
-                branches: vec![i],
-            };
-            check(&mut ev, &model, &bl, &hint);
+            check(&mut ev, &model, &bl);
             bl[i] = saved;
-            check(&mut ev, &model, &bl, &hint);
+            check(&mut ev, &model, &bl);
         }
         // Exact repeat: the nothing-changed shortcut.
-        check(
-            &mut ev,
-            &model,
-            &bl,
-            &ReuseHint::Sparse {
-                globals: false,
-                branches: Vec::new(),
-            },
-        );
+        check(&mut ev, &model, &bl);
         // Sparse line-search step over two branches.
         bl[0] *= 1.25;
         bl[n_br - 1] *= 0.75;
-        check(
-            &mut ev,
-            &model,
-            &bl,
-            &ReuseHint::Sparse {
-                globals: false,
-                branches: vec![0, n_br - 1],
-            },
-        );
+        check(&mut ev, &model, &bl);
         // Global move: everything invalidates.
         model.kappa += 0.125;
-        check(
-            &mut ev,
-            &model,
-            &bl,
-            &ReuseHint::Sparse {
-                globals: true,
-                branches: Vec::new(),
-            },
-        );
+        check(&mut ev, &model, &bl);
         // Mixed move after the full invalidation.
         model.p0 -= 0.0625;
         bl[1] += 0.01;
-        check(
-            &mut ev,
-            &model,
-            &bl,
-            &ReuseHint::Sparse {
-                globals: true,
-                branches: vec![1],
-            },
-        );
+        check(&mut ev, &model, &bl);
         let (hits, misses) = ev.op_cache_stats();
         assert!(hits > 0, "the script must exercise operator reuse");
         assert!(misses > 0, "the script must exercise operator rebuilds");
+        // Cleared state: the next evaluation starts from nothing.
+        ev.clear();
+        assert_eq!(ev.op_cache_stats(), (0, 0));
+        bl[2] += 0.02;
+        check(&mut ev, &model, &bl);
     }
 
     #[test]
@@ -767,27 +719,5 @@ mod tests {
     #[test]
     fn reuse_matches_stateless_with_eigen_cache_profile() {
         run_script(EngineConfig::slim_plus().with_pattern_block(3));
-    }
-
-    // Under `sanitize` a deliberately wrong hint panics instead.
-    #[cfg(not(feature = "sanitize"))]
-    #[test]
-    fn too_narrow_hint_cannot_corrupt_the_likelihood() {
-        let problem = toy_problem();
-        let config = EngineConfig::slim().with_pattern_block(2);
-        let mut ev = ReuseEvaluator::new(&problem, config.clone());
-        let model = BranchSiteModel::default_start(Hypothesis::H0);
-        let mut bl = vec![0.1; problem.n_branches()];
-        ev.evaluate(&model, &bl, &ReuseHint::Full, None).unwrap();
-        // Change branch 2 but claim nothing changed: the bitwise self-diff
-        // must still invalidate the right paths.
-        bl[2] = 0.17;
-        let lying_hint = ReuseHint::Sparse {
-            globals: false,
-            branches: Vec::new(),
-        };
-        let reuse = ev.evaluate(&model, &bl, &lying_hint, None).unwrap();
-        let fresh = site_class_log_likelihoods(&problem, &config, &model, &bl).unwrap();
-        assert_bits_equal(&reuse, &fresh, 1);
     }
 }

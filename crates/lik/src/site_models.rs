@@ -2,10 +2,11 @@
 //! branches) — the §V-B "further models" extension, sharing the expm and
 //! pruning machinery with the branch-site engine.
 
-use crate::engine::{EngineConfig, ExpmPath};
+use crate::engine::EngineConfig;
+use crate::par::build_op;
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::{CpvStrategy, EigenSystem};
+use slim_expm::EigenSystem;
 use slim_linalg::LinalgError;
 use slim_model::{build_rate_matrix, rate_components, ScalePolicy, SiteModel, SitesHypothesis};
 use std::sync::Arc;
@@ -83,15 +84,7 @@ pub fn site_model_log_likelihood(
             let Some(bi) = problem.branch_index[node] else {
                 continue;
             };
-            let t = branch_lengths[bi];
-            slot[0] = Some(match config.cpv {
-                CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),
-                _ => TransOp::Dense(match config.expm {
-                    ExpmPath::Eq9Naive => es.transition_matrix_eq9_naive(t),
-                    ExpmPath::Eq9Tuned => es.transition_matrix_eq9(t),
-                    ExpmPath::Eq10Syrk => es.transition_matrix_eq10(t),
-                }),
-            });
+            slot[0] = Some(build_op(es, config, branch_lengths[bi]));
         }
         per_class.push(prune_one_class(problem, config, &ops, 0, 0));
     }

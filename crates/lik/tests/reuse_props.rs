@@ -1,24 +1,22 @@
-//! Property tests on the cross-evaluation reuse engine's bit-identity
+//! Property tests on the evaluator's cross-evaluation reuse bit-identity
 //! contract.
 //!
-//! The reuse engine ([`slim_lik::ReuseEvaluator`]) promises that for
-//! *any* sequence of parameter updates — the optimizer-shaped mix of
+//! The evaluator ([`slim_lik::ReuseEvaluator`]) promises that for *any*
+//! sequence of parameter updates — the optimizer-shaped mix of
 //! single-coordinate finite-difference probes, multi-branch line-search
 //! moves, global model steps, and exact repeats — every evaluation
-//! returns the same log-likelihood **bits** as a fresh stateless
-//! evaluation of the same point, regardless of how much of the previous
-//! evaluation it reused. Proptest drives that promise over random
+//! returns the same log-likelihood **bits** as a stateless evaluation (a
+//! fresh evaluator, empty state) of the same point, regardless of how
+//! much of the previous evaluation it reused. Nobody tells the evaluator
+//! what changed: its bitwise diff against the previous call is the only
+//! source of the dirty set. Proptest drives that promise over random
 //! sequences on every Table II dataset analog, at 1 and 4 threads, with
-//! SIMD forced scalar and forced native, and with deliberately *sloppy*
-//! hints (the evaluator's bitwise self-diff, not the caller's hint, is
-//! the ground truth; a hint that is too narrow must be caught, never
-//! believed).
+//! SIMD forced scalar and forced native.
 
 use proptest::prelude::*;
 use slim_bio::{FreqModel, GeneticCode};
 use slim_lik::{
-    site_class_log_likelihoods, EngineConfig, LikelihoodProblem, ReuseEvaluator, ReuseHint,
-    SimdMode,
+    site_class_log_likelihoods, EngineConfig, LikelihoodProblem, ReuseEvaluator, SimdMode,
 };
 use slim_model::BranchSiteModel;
 use slim_sim::{dataset, DatasetId};
@@ -67,8 +65,8 @@ fn step_strategy(n_branches: usize) -> impl Strategy<Value = Step> {
     })
 }
 
-/// Apply `step` to the point, returning the honest hint for it.
-fn apply(step: &Step, model: &mut BranchSiteModel, bl: &mut [f64]) -> ReuseHint {
+/// Apply `step` to the point.
+fn apply(step: &Step, model: &mut BranchSiteModel, bl: &mut [f64]) {
     let global = |m: &mut BranchSiteModel, which: usize, delta: f64| match which {
         0 => m.kappa = (m.kappa + delta).max(0.5),
         1 => m.omega0 = (m.omega0 + delta).clamp(0.01, 0.9),
@@ -77,50 +75,24 @@ fn apply(step: &Step, model: &mut BranchSiteModel, bl: &mut [f64]) -> ReuseHint 
         _ => m.p1 = (m.p1 + delta).clamp(0.05, 0.3),
     };
     match step {
-        Step::BranchProbe { branch, eps } => {
-            bl[*branch] = (bl[*branch] + eps).max(1e-7);
-            ReuseHint::Sparse {
-                globals: false,
-                branches: vec![*branch],
-            }
-        }
+        Step::BranchProbe { branch, eps } => bl[*branch] = (bl[*branch] + eps).max(1e-7),
         Step::BranchMove { branches } => {
-            let mut touched: Vec<usize> = Vec::new();
             for &(b, factor) in branches {
                 bl[b] *= factor;
-                touched.push(b);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            ReuseHint::Sparse {
-                globals: false,
-                branches: touched,
             }
         }
-        Step::Global { which, delta } => {
-            global(model, *which, *delta);
-            ReuseHint::Sparse {
-                globals: true,
-                branches: Vec::new(),
-            }
-        }
+        Step::Global { which, delta } => global(model, *which, *delta),
         Step::Mixed { which, branch } => {
             global(model, *which, 0.015625);
             bl[*branch] = (bl[*branch] * 1.0625).max(1e-7);
-            ReuseHint::Sparse {
-                globals: true,
-                branches: vec![*branch],
-            }
         }
-        Step::Repeat => ReuseHint::Sparse {
-            globals: false,
-            branches: Vec::new(),
-        },
+        Step::Repeat => {}
     }
 }
 
-/// Run a random update sequence through the reuse evaluator and a fresh
-/// stateless evaluation per step, asserting bit identity throughout.
+/// Run a random update sequence through one evaluator that keeps its
+/// state and a stateless evaluation per step, asserting bit identity
+/// throughout.
 fn check_sequence(
     id: DatasetId,
     config: &EngineConfig,
@@ -138,16 +110,15 @@ fn check_sequence(
     let mut bl = d.tree.branch_lengths();
 
     let mut evaluator = ReuseEvaluator::new(&problem, config.clone());
-    let mut hint = ReuseHint::Full;
     for (i, step) in std::iter::once(None)
         .chain(steps.iter().map(Some))
         .enumerate()
     {
         if let Some(step) = step {
-            hint = apply(step, &mut model, &mut bl);
+            apply(step, &mut model, &mut bl);
         }
         let reused = evaluator
-            .evaluate(&model, &bl, &hint, None)
+            .evaluate(&model, &bl, None)
             .expect("reuse evaluation");
         let fresh =
             site_class_log_likelihoods(&problem, config, &model, &bl).expect("fresh evaluation");

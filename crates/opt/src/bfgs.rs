@@ -13,7 +13,7 @@
 //!   the paper reports iteration counts and both engines must report them
 //!   identically.
 
-use crate::numgrad::{central_gradient_delta, forward_gradient_delta, GradMode, ParamDelta};
+use crate::numgrad::{central_gradient, forward_gradient, GradMode};
 
 /// Knobs for [`minimize`].
 #[derive(Debug, Clone)]
@@ -86,21 +86,7 @@ fn inf_norm(a: &[f64]) -> f64 {
 /// The objective must return a finite value for any input reachable from
 /// `x0` (callers use [`crate::transform`] to keep model parameters in
 /// their domains); non-finite values are treated as +∞ by the line search.
-pub fn minimize(mut f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
-    minimize_delta(move |x, _| f(x), x0, opts)
-}
-
-/// [`minimize`] with change reporting: every objective evaluation receives
-/// a [`ParamDelta`] naming the coordinates that may differ from the point
-/// of the immediately preceding evaluation, letting a caching evaluator
-/// (the likelihood engine's dirty-path reuse layer) skip clean work. The
-/// delta is an upper bound and carries no numeric content — the iterate
-/// sequence is identical to [`minimize`]'s.
-pub fn minimize_delta(
-    f: impl FnMut(&[f64], &ParamDelta) -> f64,
-    x0: &[f64],
-    opts: &BfgsOptions,
-) -> BfgsResult {
+pub fn minimize(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
     // check: allow(det-wallclock) feeds the obs fit-duration histogram only
     let fit_start = std::time::Instant::now();
     let mut fit_span = slim_trace::span("opt.fit", "opt");
@@ -110,34 +96,28 @@ pub fn minimize_delta(
     let evals_cell = std::cell::Cell::new(0usize);
     let grads_cell = std::cell::Cell::new(0usize);
     let ls_cell = std::cell::Cell::new(0usize);
-    let eval = |x: &[f64], delta: &ParamDelta| -> f64 {
+    let eval = |x: &[f64]| -> f64 {
         evals_cell.set(evals_cell.get() + 1);
-        let v = (f_cell.borrow_mut())(x, delta);
+        let v = (f_cell.borrow_mut())(x);
         if v.is_finite() {
             v
         } else {
             f64::INFINITY
         }
     };
-    // `base_delta` = coordinates where `x` may differ from the point the
-    // objective saw immediately before this gradient call.
-    let gradient = |x: &[f64], fx: f64, base_delta: &[usize]| -> Vec<f64> {
+    let gradient = |x: &[f64], fx: f64| -> Vec<f64> {
         grads_cell.set(grads_cell.get() + 1);
         match opts.grad_mode {
-            GradMode::Central => central_gradient_delta(|p, d| eval(p, d), x, base_delta),
-            GradMode::Forward => forward_gradient_delta(|p, d| eval(p, d), x, fx, base_delta),
+            GradMode::Central => central_gradient(eval, x),
+            GradMode::Forward => forward_gradient(eval, x, fx),
         }
     };
 
     let mut x = x0.to_vec();
-    let mut fx = eval(&x, &ParamDelta::Full);
+    let mut fx = eval(&x);
     assert!(fx.is_finite(), "objective not finite at the starting point");
 
-    let mut g = gradient(&x, fx, &[]);
-    // Coordinates where the objective's most recent evaluation point may
-    // still differ from the current iterate `x`: the gradient's trailing
-    // probe perturbs the last coordinate and restores it unobserved.
-    let mut divergence: Vec<usize> = if n > 0 { vec![n - 1] } else { Vec::new() };
+    let mut g = gradient(&x, fx);
 
     // Inverse Hessian approximation, row-major n×n, initialized to I.
     let mut h = vec![0.0f64; n * n];
@@ -187,28 +167,17 @@ pub fn minimize_delta(
         }
 
         // Backtracking Armijo line search with quadratic interpolation.
-        // Every trial moves x along the support of d; the first trial
-        // additionally carries whatever divergence the last gradient left.
-        // check: allow(det-float-cmp) exact-zero support test — any nonzero direction component may move its coordinate
-        let supp: Vec<usize> = (0..n).filter(|&i| d[i] != 0.0).collect();
         const C1: f64 = 1e-4;
         let mut alpha = 1.0f64;
         let mut trial = vec![0.0f64; n];
         let mut accepted = false;
         let mut f_new = fx;
-        let mut first_trial = true;
         for _ in 0..opts.max_backtracks {
             ls_cell.set(ls_cell.get() + 1);
             for i in 0..n {
                 trial[i] = x[i] + alpha * d[i];
             }
-            let delta = if first_trial {
-                first_trial = false;
-                ParamDelta::union_of(&divergence, &supp)
-            } else {
-                ParamDelta::Coords(supp.clone())
-            };
-            f_new = eval(&trial, &delta);
+            f_new = eval(&trial);
             if f_new <= fx + C1 * alpha * dg {
                 accepted = true;
                 break;
@@ -227,10 +196,7 @@ pub fn minimize_delta(
             break;
         }
 
-        // The accepted trial was itself the most recent evaluation, so
-        // the gradient's base point starts with no divergence.
-        let g_new = gradient(&trial, f_new, &[]);
-        divergence = if n > 0 { vec![n - 1] } else { Vec::new() };
+        let g_new = gradient(&trial, f_new);
 
         // BFGS update with curvature guard.
         let s: Vec<f64> = (0..n).map(|i| trial[i] - x[i]).collect();
@@ -397,34 +363,5 @@ mod tests {
     fn non_finite_start_panics() {
         let f = |_: &[f64]| f64::NAN;
         let _ = minimize(f, &[0.0], &BfgsOptions::default());
-    }
-
-    #[test]
-    fn delta_variant_identical_and_honest() {
-        let f = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-        let plain = minimize(f, &[-1.2, 1.0], &BfgsOptions::default());
-        let mut last: Option<Vec<f64>> = None;
-        let audited = minimize_delta(
-            |x, d| {
-                if let (Some(prev), ParamDelta::Coords(declared)) = (&last, d) {
-                    for (i, (&a, &b)) in prev.iter().zip(x).enumerate() {
-                        if a.to_bits() != b.to_bits() {
-                            assert!(
-                                declared.contains(&i),
-                                "coordinate {i} changed but delta {declared:?} omits it"
-                            );
-                        }
-                    }
-                }
-                last = Some(x.to_vec());
-                f(x)
-            },
-            &[-1.2, 1.0],
-            &BfgsOptions::default(),
-        );
-        assert_eq!(plain.f.to_bits(), audited.f.to_bits());
-        assert_eq!(plain.x, audited.x);
-        assert_eq!(plain.f_evals, audited.f_evals);
-        assert_eq!(plain.iterations, audited.iterations);
     }
 }

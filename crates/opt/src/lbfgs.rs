@@ -9,7 +9,7 @@
 //! direction of genome-scale trees.
 
 use crate::bfgs::{BfgsOptions, BfgsResult, TerminationReason};
-use crate::numgrad::{central_gradient_delta, forward_gradient_delta, GradMode, ParamDelta};
+use crate::numgrad::{central_gradient, forward_gradient, GradMode};
 use std::collections::VecDeque;
 
 /// Number of stored curvature pairs.
@@ -25,24 +25,7 @@ fn inf_norm(a: &[f64]) -> f64 {
 
 /// Minimize `f` from `x0` with L-BFGS, reusing [`BfgsOptions`] (the
 /// `max_backtracks`, tolerance and gradient-mode knobs mean the same).
-pub fn minimize_lbfgs(
-    mut f: impl FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    opts: &BfgsOptions,
-) -> BfgsResult {
-    minimize_lbfgs_delta(move |x, _| f(x), x0, opts)
-}
-
-/// [`minimize_lbfgs`] with change reporting: every objective evaluation
-/// receives a [`ParamDelta`] naming the coordinates that may differ from
-/// the immediately preceding evaluation's point (same contract as
-/// [`crate::bfgs::minimize_delta`]). The iterate sequence is identical to
-/// [`minimize_lbfgs`]'s.
-pub fn minimize_lbfgs_delta(
-    f: impl FnMut(&[f64], &ParamDelta) -> f64,
-    x0: &[f64],
-    opts: &BfgsOptions,
-) -> BfgsResult {
+pub fn minimize_lbfgs(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
     // check: allow(det-wallclock) feeds the obs fit-duration histogram only
     let fit_start = std::time::Instant::now();
     let mut fit_span = slim_trace::span("opt.fit", "opt");
@@ -52,33 +35,27 @@ pub fn minimize_lbfgs_delta(
     let evals_cell = std::cell::Cell::new(0usize);
     let grads_cell = std::cell::Cell::new(0usize);
     let ls_cell = std::cell::Cell::new(0usize);
-    let eval = |x: &[f64], delta: &ParamDelta| -> f64 {
+    let eval = |x: &[f64]| -> f64 {
         evals_cell.set(evals_cell.get() + 1);
-        let v = (f_cell.borrow_mut())(x, delta);
+        let v = (f_cell.borrow_mut())(x);
         if v.is_finite() {
             v
         } else {
             f64::INFINITY
         }
     };
-    // `base_delta` = coordinates where `x` may differ from the point the
-    // objective saw immediately before this gradient call.
-    let gradient = |x: &[f64], fx: f64, base_delta: &[usize]| -> Vec<f64> {
+    let gradient = |x: &[f64], fx: f64| -> Vec<f64> {
         grads_cell.set(grads_cell.get() + 1);
         match opts.grad_mode {
-            GradMode::Central => central_gradient_delta(|p, d| eval(p, d), x, base_delta),
-            GradMode::Forward => forward_gradient_delta(|p, d| eval(p, d), x, fx, base_delta),
+            GradMode::Central => central_gradient(eval, x),
+            GradMode::Forward => forward_gradient(eval, x, fx),
         }
     };
 
     let mut x = x0.to_vec();
-    let mut fx = eval(&x, &ParamDelta::Full);
+    let mut fx = eval(&x);
     assert!(fx.is_finite(), "objective not finite at the starting point");
-    let mut g = gradient(&x, fx, &[]);
-    // Coordinates where the objective's most recent evaluation point may
-    // still differ from the current iterate `x` (the gradient's trailing
-    // probe perturbs the last coordinate and restores it unobserved).
-    let mut divergence: Vec<usize> = if n > 0 { vec![n - 1] } else { Vec::new() };
+    let mut g = gradient(&x, fx);
 
     // Curvature history: (s, y, ρ = 1/yᵀs).
     let mut history: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::with_capacity(MEMORY);
@@ -135,26 +112,17 @@ pub fn minimize_lbfgs_delta(
         }
 
         // Backtracking Armijo line search (same scheme as dense BFGS).
-        // check: allow(det-float-cmp) exact-zero support test — any nonzero direction component may move its coordinate
-        let supp: Vec<usize> = (0..n).filter(|&i| d[i] != 0.0).collect();
         const C1: f64 = 1e-4;
         let mut alpha = 1.0f64;
         let mut trial = vec![0.0f64; n];
         let mut accepted = false;
         let mut f_new = fx;
-        let mut first_trial = true;
         for _ in 0..opts.max_backtracks {
             ls_cell.set(ls_cell.get() + 1);
             for i in 0..n {
                 trial[i] = x[i] + alpha * d[i];
             }
-            let delta = if first_trial {
-                first_trial = false;
-                ParamDelta::union_of(&divergence, &supp)
-            } else {
-                ParamDelta::Coords(supp.clone())
-            };
-            f_new = eval(&trial, &delta);
+            f_new = eval(&trial);
             if f_new <= fx + C1 * alpha * dg {
                 accepted = true;
                 break;
@@ -172,10 +140,7 @@ pub fn minimize_lbfgs_delta(
             break;
         }
 
-        // The accepted trial was itself the most recent evaluation, so
-        // the gradient's base point starts with no divergence.
-        let g_new = gradient(&trial, f_new, &[]);
-        divergence = if n > 0 { vec![n - 1] } else { Vec::new() };
+        let g_new = gradient(&trial, f_new);
         let s: Vec<f64> = (0..n).map(|i| trial[i] - x[i]).collect();
         let y: Vec<f64> = (0..n).map(|i| g_new[i] - g[i]).collect();
         let sy = dot(&s, &y);
@@ -283,35 +248,5 @@ mod tests {
     #[should_panic(expected = "starting point")]
     fn non_finite_start_panics() {
         let _ = minimize_lbfgs(|_| f64::INFINITY, &[0.0], &BfgsOptions::default());
-    }
-
-    #[test]
-    fn delta_variant_identical_and_honest() {
-        let f = |x: &[f64]| {
-            (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2) + 0.5 * (x[0] * x[1] - 1.0).powi(2)
-        };
-        let plain = minimize_lbfgs(f, &[0.0, 0.0], &BfgsOptions::default());
-        let mut last: Option<Vec<f64>> = None;
-        let audited = minimize_lbfgs_delta(
-            |x, d| {
-                if let (Some(prev), ParamDelta::Coords(declared)) = (&last, d) {
-                    for (i, (&a, &b)) in prev.iter().zip(x).enumerate() {
-                        if a.to_bits() != b.to_bits() {
-                            assert!(
-                                declared.contains(&i),
-                                "coordinate {i} changed but delta {declared:?} omits it"
-                            );
-                        }
-                    }
-                }
-                last = Some(x.to_vec());
-                f(x)
-            },
-            &[0.0, 0.0],
-            &BfgsOptions::default(),
-        );
-        assert_eq!(plain.f.to_bits(), audited.f.to_bits());
-        assert_eq!(plain.x, audited.x);
-        assert_eq!(plain.f_evals, audited.f_evals);
     }
 }

@@ -20,12 +20,9 @@ pub mod numgrad;
 mod obsm;
 pub mod transform;
 
-pub use bfgs::{minimize, minimize_delta, BfgsOptions, BfgsResult, TerminationReason};
+pub use bfgs::{minimize, BfgsOptions, BfgsResult, TerminationReason};
 pub use brent::brent_min;
-pub use lbfgs::{minimize_lbfgs, minimize_lbfgs_delta};
-pub use numgrad::{
-    central_gradient, central_gradient_delta, forward_gradient, forward_gradient_delta, GradMode,
-    ParamDelta,
-};
+pub use lbfgs::minimize_lbfgs;
+pub use numgrad::{central_gradient, forward_gradient, GradMode};
 pub use obsm::register_metrics;
 pub use transform::{Block, BlockTransform};

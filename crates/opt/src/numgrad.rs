@@ -16,43 +16,6 @@ pub enum GradMode {
     Forward,
 }
 
-/// Which coordinates of the evaluation point may differ from the point of
-/// the **immediately preceding** evaluation of the same objective.
-///
-/// This is a declaration the optimizer makes to the objective so that a
-/// caching evaluator (the likelihood engine's dirty-path reuse layer) can
-/// skip revalidating coordinates that provably did not move. It is always
-/// an *upper bound*: listing a coordinate that did not actually change is
-/// harmless, omitting one that did is a reporting bug (the reuse engine
-/// cross-checks the declaration against the observed parameter bits).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ParamDelta {
-    /// No claim: any coordinate may have changed (also the right value
-    /// for the first evaluation, which has no predecessor).
-    #[default]
-    Full,
-    /// Only the listed coordinates (sorted, deduplicated) may differ.
-    Coords(Vec<usize>),
-}
-
-impl ParamDelta {
-    /// A sparse delta from an arbitrary coordinate list (sorted and
-    /// deduplicated here so consumers can rely on canonical form).
-    pub fn coords(mut c: Vec<usize>) -> ParamDelta {
-        c.sort_unstable();
-        c.dedup();
-        ParamDelta::Coords(c)
-    }
-
-    /// The union of two coordinate lists as a canonical sparse delta.
-    pub fn union_of(a: &[usize], b: &[usize]) -> ParamDelta {
-        let mut c = Vec::with_capacity(a.len() + b.len());
-        c.extend_from_slice(a);
-        c.extend_from_slice(b);
-        ParamDelta::coords(c)
-    }
-}
-
 /// Relative step size: cube root of machine epsilon is the classic
 /// optimum for central differences on smooth functions.
 fn step(x: f64) -> f64 {
@@ -87,70 +50,6 @@ pub fn forward_gradient(mut f: impl FnMut(&[f64]) -> f64, x: &[f64], fx: f64) ->
         work[i] = x[i] + h;
         let fp = f(&work);
         work[i] = x[i];
-        g[i] = (fp - fx) / h;
-    }
-    g
-}
-
-/// The delta describing probe `i`, given the coordinate the previous
-/// evaluation perturbed (`prev`) and, for the very first probe, the
-/// divergence of the base point from the previous evaluation
-/// (`base_delta`).
-fn probe_delta(prev: Option<usize>, base_delta: &[usize], i: usize) -> ParamDelta {
-    match prev {
-        None => ParamDelta::union_of(base_delta, &[i]),
-        Some(p) if p == i => ParamDelta::Coords(vec![i]),
-        Some(p) => ParamDelta::coords(vec![p, i]),
-    }
-}
-
-/// Central-difference gradient of `f` at `x`, reporting a [`ParamDelta`]
-/// to every probe evaluation.
-///
-/// `base_delta` lists the coordinates where `x` may differ from the point
-/// `f` evaluated *immediately before this call* (empty when `f(x)` itself
-/// was the last evaluation). On return, the last point `f` saw differs
-/// from `x` only in the final coordinate — callers tracking divergence
-/// should record `{x.len() - 1}`.
-pub fn central_gradient_delta(
-    mut f: impl FnMut(&[f64], &ParamDelta) -> f64,
-    x: &[f64],
-    base_delta: &[usize],
-) -> Vec<f64> {
-    let mut g = vec![0.0; x.len()];
-    let mut work = x.to_vec();
-    let mut prev: Option<usize> = None;
-    for i in 0..x.len() {
-        let h = step(x[i]);
-        work[i] = x[i] + h;
-        let fp = f(&work, &probe_delta(prev, base_delta, i));
-        work[i] = x[i] - h;
-        let fm = f(&work, &ParamDelta::Coords(vec![i]));
-        work[i] = x[i];
-        prev = Some(i);
-        g[i] = (fp - fm) / (2.0 * h);
-    }
-    g
-}
-
-/// Forward-difference gradient of `f` at `x` given `fx = f(x)`, reporting
-/// a [`ParamDelta`] to every probe evaluation. Same `base_delta` /
-/// trailing-divergence contract as [`central_gradient_delta`].
-pub fn forward_gradient_delta(
-    mut f: impl FnMut(&[f64], &ParamDelta) -> f64,
-    x: &[f64],
-    fx: f64,
-    base_delta: &[usize],
-) -> Vec<f64> {
-    let mut g = vec![0.0; x.len()];
-    let mut work = x.to_vec();
-    let mut prev: Option<usize> = None;
-    for i in 0..x.len() {
-        let h = step(x[i]);
-        work[i] = x[i] + h;
-        let fp = f(&work, &probe_delta(prev, base_delta, i));
-        work[i] = x[i];
-        prev = Some(i);
         g[i] = (fp - fx) / h;
     }
     g
@@ -234,79 +133,5 @@ mod tests {
         let f = |x: &[f64]| x[0] * x[0];
         let g = central_gradient(f, &[1e8]);
         assert!((g[0] - 2e8).abs() / 2e8 < 1e-7);
-    }
-
-    /// Objective wrapper that panics if a declared delta omits a
-    /// coordinate that actually changed since the previous evaluation.
-    struct DeltaAudit {
-        last: Option<Vec<f64>>,
-    }
-
-    impl DeltaAudit {
-        fn observe(&mut self, x: &[f64], delta: &ParamDelta) {
-            if let (Some(last), ParamDelta::Coords(declared)) = (&self.last, delta) {
-                for (i, (&a, &b)) in last.iter().zip(x).enumerate() {
-                    if a.to_bits() != b.to_bits() {
-                        assert!(
-                            declared.contains(&i),
-                            "coordinate {i} changed but delta {declared:?} omits it"
-                        );
-                    }
-                }
-            }
-            self.last = Some(x.to_vec());
-        }
-    }
-
-    #[test]
-    fn central_delta_matches_plain_and_declares_honestly() {
-        let x = [1.0, -2.0, 0.5];
-        let mut audit = DeltaAudit { last: None };
-        // Pretend the previous evaluation diverged from x in coordinate 1.
-        let mut before = x.to_vec();
-        before[1] += 0.25;
-        audit.last = Some(before);
-        let g = central_gradient_delta(
-            |p, d| {
-                audit.observe(p, d);
-                quadratic(p)
-            },
-            &x,
-            &[1],
-        );
-        let plain = central_gradient(quadratic, &x);
-        assert_eq!(g, plain, "delta variant must not change the arithmetic");
-    }
-
-    #[test]
-    fn forward_delta_matches_plain_and_declares_honestly() {
-        let x = [1.0, -2.0, 0.5];
-        let fx = quadratic(&x);
-        let mut audit = DeltaAudit {
-            last: Some(x.to_vec()),
-        };
-        let g = forward_gradient_delta(
-            |p, d| {
-                audit.observe(p, d);
-                quadratic(p)
-            },
-            &x,
-            fx,
-            &[],
-        );
-        let plain = forward_gradient(quadratic, &x, fx);
-        assert_eq!(g, plain);
-    }
-
-    #[test]
-    fn delta_canonical_form() {
-        assert_eq!(
-            ParamDelta::coords(vec![3, 1, 3, 0]),
-            ParamDelta::Coords(vec![0, 1, 3])
-        );
-        assert_eq!(
-            ParamDelta::union_of(&[2, 0], &[1, 2]),
-            ParamDelta::Coords(vec![0, 1, 2])
-        );
     }
 }

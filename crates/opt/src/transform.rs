@@ -224,39 +224,6 @@ impl BlockTransform {
         }
         x
     }
-
-    /// The range of constrained indices that unconstrained coordinate
-    /// `z_index` feeds.
-    ///
-    /// Coordinate-wise blocks map one-to-one; [`Block::SimplexWithRest`]
-    /// returns its whole constrained range because the softmax couples
-    /// every output to every input. [`Block::Fixed`] consumes no
-    /// unconstrained coordinate, so under the H0 layout unconstrained and
-    /// constrained indices differ — this is the only correct way to map a
-    /// [`crate::ParamDelta`] coordinate back to model parameters.
-    ///
-    /// # Panics
-    /// Panics if `z_index >= unconstrained_len()`.
-    pub fn touched_constrained(&self, z_index: usize) -> std::ops::Range<usize> {
-        let mut zi = 0usize;
-        let mut xi = 0usize;
-        for block in &self.blocks {
-            let zl = block.unconstrained_len();
-            if z_index < zi + zl {
-                return match block {
-                    Block::SimplexWithRest { .. } => xi..xi + block.constrained_len(),
-                    _ => {
-                        let off = z_index - zi;
-                        xi + off..xi + off + 1
-                    }
-                };
-            }
-            zi += zl;
-            xi += block.constrained_len();
-        }
-        // check: allow(rob-unwrap) unreachable: z_index comes from this transform's own coordinate map, always in range
-        panic!("touched_constrained: index {z_index} out of range ({zi} unconstrained coordinates)")
-    }
 }
 
 #[cfg(test)]
@@ -383,43 +350,5 @@ mod tests {
     fn wrong_length_panics() {
         let t = BlockTransform::new(vec![Block::Free]);
         let _ = t.to_constrained(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn touched_constrained_maps_through_fixed_blocks() {
-        // H0-style layout: κ, ω0, Fixed ω2, (p0,p1), 3 branch lengths.
-        let t = BlockTransform::new(vec![
-            Block::LowerBounded { lo: 0.0 },
-            Block::BoxBounded {
-                lo: 1e-6,
-                hi: 1.0 - 1e-6,
-            },
-            Block::Fixed { value: 1.0 },
-            Block::SimplexWithRest { dim: 2 },
-            Block::BoxBoundedVec {
-                lo: 1e-6,
-                hi: 50.0,
-                count: 3,
-            },
-        ]);
-        assert_eq!(t.unconstrained_len(), 7);
-        assert_eq!(t.constrained_len(), 8);
-        assert_eq!(t.touched_constrained(0), 0..1); // κ
-        assert_eq!(t.touched_constrained(1), 1..2); // ω0
-
-        // Simplex coordinates each touch the whole (p0, p1) range; the
-        // Fixed ω2 at constrained index 2 shifts everything by one.
-        assert_eq!(t.touched_constrained(2), 3..5);
-        assert_eq!(t.touched_constrained(3), 3..5);
-        // Branch lengths map one-to-one, offset past the fixed slot.
-        assert_eq!(t.touched_constrained(4), 5..6);
-        assert_eq!(t.touched_constrained(6), 7..8);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn touched_constrained_out_of_range_panics() {
-        let t = BlockTransform::new(vec![Block::Free]);
-        let _ = t.touched_constrained(1);
     }
 }

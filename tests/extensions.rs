@@ -191,7 +191,11 @@ fn parallel_backend_end_to_end() {
         .unwrap()
         .fit(Hypothesis::H0)
         .unwrap();
-    let parallel = Analysis::new(&tree, &aln, quick(Backend::SlimParallel))
+    let auto_threads = AnalysisOptions {
+        threads: Some(0),
+        ..quick(Backend::Slim)
+    };
+    let parallel = Analysis::new(&tree, &aln, auto_threads)
         .unwrap()
         .fit(Hypothesis::H0)
         .unwrap();
