@@ -128,7 +128,7 @@ pub fn run_batch_with<F>(
 where
     F: FnMut(&BatchRecord),
 {
-    // check: allow(det-wallclock) feeds the obs run-duration histogram only
+    // check: allow(det-wallclock) feeds the BatchSummary::wall_seconds report field only
     let started = Instant::now();
     let text = std::fs::read_to_string(manifest_path).map_err(|e| {
         BatchError::Io(format!(

@@ -1,7 +1,11 @@
-//! slim-obs handles for the batch worker pool.
+//! slim-obs handles and span sites for the batch worker pool.
 
-use slim_obs::{Counter, Gauge, Histogram};
+use slim_obs::{Counter, Gauge, Histogram, Site};
 use std::sync::{Arc, OnceLock};
+
+/// `batch.job` — one job across all its attempts; its end event carries
+/// the job id, key, queue wait, attempts and status.
+pub(crate) static JOB: Site = Site::new("batch.job", "batch");
 
 #[derive(Debug)]
 pub(crate) struct BatchMetrics {
@@ -11,8 +15,6 @@ pub(crate) struct BatchMetrics {
     pub failed: Arc<Counter>,
     /// `batch.jobs.retries` — extra attempts beyond each job's first.
     pub retries: Arc<Counter>,
-    /// `batch.job_seconds` — per-job wall time across attempts.
-    pub job_seconds: Arc<Histogram>,
     /// `batch.queue_wait_seconds` — time from pool start to job pickup.
     pub queue_wait: Arc<Histogram>,
     /// `batch.worker_busy_seconds` — per-worker time inside jobs (one
@@ -32,7 +34,6 @@ pub(crate) fn metrics() -> &'static BatchMetrics {
         completed: slim_obs::counter("batch.jobs.completed"),
         failed: slim_obs::counter("batch.jobs.failed"),
         retries: slim_obs::counter("batch.jobs.retries"),
-        job_seconds: slim_obs::histogram("batch.job_seconds"),
         queue_wait: slim_obs::histogram("batch.queue_wait_seconds"),
         worker_busy: slim_obs::histogram("batch.worker_busy_seconds"),
         workers: slim_obs::gauge("batch.pool.workers"),
@@ -44,4 +45,5 @@ pub(crate) fn metrics() -> &'static BatchMetrics {
 /// schema-stable even before the first pool run.
 pub fn register_metrics() {
     let _ = metrics();
+    JOB.histogram();
 }

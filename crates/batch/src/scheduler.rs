@@ -14,6 +14,7 @@
 //! result vector is sorted by job id, so downstream aggregation is
 //! deterministic regardless of worker count or scheduling.
 
+use slim_obs::trace::{self, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -212,7 +213,7 @@ where
                     if obs_on {
                         obs.queue_wait.observe(queue_wait);
                     }
-                    let mut job_span = slim_trace::span("batch.job", "batch");
+                    let mut job_span = crate::obsm::JOB.span();
                     job_span.arg_u64("id", job.id as u64);
                     job_span.arg_str("key", &job.key);
                     job_span.arg_u64(
@@ -232,7 +233,6 @@ where
                     drop(job_span);
                     let spent = Duration::from_secs_f64(record.seconds.max(0.0));
                     busy += spent;
-                    obs.job_seconds.observe(spent);
                     match &record.outcome {
                         Ok(_) => obs.completed.inc(),
                         Err(_) => obs.failed.inc(),
@@ -248,8 +248,8 @@ where
                 busy_total.fetch_add(busy_ns, Ordering::Relaxed);
                 // Scoped threads must drain their event buffer before the
                 // scope unblocks (TLS destructors may run too late).
-                if slim_trace::enabled() {
-                    slim_trace::flush_thread();
+                if trace::enabled() {
+                    trace::flush_thread();
                 }
             });
         }
@@ -288,7 +288,7 @@ fn run_one<J, O, R>(job: &PoolJob<J>, config: &SchedulerConfig, runner: &R) -> P
 where
     R: Fn(&PoolJob<J>, usize) -> Result<O, JobError>,
 {
-    // check: allow(det-wallclock) feeds the per-job timeout + obs histogram only
+    // check: allow(det-wallclock) feeds the per-job timeout and the record's seconds field only
     let started = Instant::now();
     let mut attempts = 0usize;
     let outcome = loop {
@@ -312,19 +312,19 @@ where
                     .is_some_and(|budget| started.elapsed() >= budget);
                 let out_of_attempts = attempts > config.retries;
                 if !e.recoverable || out_of_attempts || timed_out {
-                    slim_trace::instant_with("batch.quarantine", "batch", || {
+                    trace::instant_with("batch.quarantine", "batch", || {
                         vec![
-                            ("id", slim_trace::Value::U64(job.id as u64)),
-                            ("attempts", slim_trace::Value::U64(attempts as u64)),
-                            ("recoverable", slim_trace::Value::Bool(e.recoverable)),
-                            ("timed_out", slim_trace::Value::Bool(timed_out)),
+                            ("id", Value::U64(job.id as u64)),
+                            ("attempts", Value::U64(attempts as u64)),
+                            ("recoverable", Value::Bool(e.recoverable)),
+                            ("timed_out", Value::Bool(timed_out)),
                         ]
                     });
                     // Flight-recorder dump: flush this worker's buffer so
                     // the tail includes the events leading up to failure.
-                    let trace_tail = if slim_trace::enabled() {
-                        slim_trace::flush_thread();
-                        slim_trace::dump_lines(TRACE_TAIL_EVENTS)
+                    let trace_tail = if trace::enabled() {
+                        trace::flush_thread();
+                        trace::dump_lines(TRACE_TAIL_EVENTS)
                     } else {
                         Vec::new()
                     };
@@ -335,10 +335,10 @@ where
                         trace_tail,
                     });
                 }
-                slim_trace::instant_with("batch.retry", "batch", || {
+                trace::instant_with("batch.retry", "batch", || {
                     vec![
-                        ("id", slim_trace::Value::U64(job.id as u64)),
-                        ("attempt", slim_trace::Value::U64(attempts as u64)),
+                        ("id", Value::U64(job.id as u64)),
+                        ("attempt", Value::U64(attempts as u64)),
                     ]
                 });
                 if !config.backoff.is_zero() {
@@ -528,8 +528,8 @@ mod tests {
     fn quarantined_jobs_carry_flight_recorder_dump() {
         // With tracing enabled, a terminal failure must attach the last
         // flight-recorder events to its quarantine record.
-        slim_trace::set_enabled(true);
-        slim_trace::clear();
+        trace::set_enabled(true);
+        trace::clear();
         let recs = run_pool(
             jobs(2),
             &quick(1, 1),
@@ -542,7 +542,7 @@ mod tests {
             },
             |_| {},
         );
-        slim_trace::set_enabled(false);
+        trace::set_enabled(false);
         let f = recs[1].outcome.as_ref().unwrap_err();
         assert!(!f.trace_tail.is_empty(), "dump must not be empty");
         assert!(

@@ -1,7 +1,8 @@
 //! Intra-gene scaling of the `slim-par` likelihood engine: evaluate the
 //! branch-site likelihood of all four Table II dataset analogs at
 //! 1/2/4/8 threads and emit `BENCH_par.json` with wall time, per-phase
-//! breakdown, and speedup per thread count. Each dataset also gets a
+//! breakdown (read back as `lik.phase.*_seconds` registry deltas), and
+//! speedup per thread count. Each dataset also gets a
 //! short cached H1 fit whose optimizer-iteration and eigen-cache
 //! counters (read back through the `slim-obs` registry) land in the
 //! JSON, and the final registry snapshot is written to
@@ -21,11 +22,21 @@
 
 use slim_bio::FreqModel;
 use slim_core::{Analysis, AnalysisOptions, Backend, Hypothesis};
-use slim_lik::{site_class_log_likelihoods_timed, EngineConfig, LikelihoodProblem, PhaseTiming};
+use slim_lik::{site_class_log_likelihoods, EngineConfig, LikelihoodProblem};
 use slim_sim::{dataset, DatasetId};
 use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Seconds the `lik.phase.{eigen,expm,pruning,reduction}_seconds`
+/// histograms have accumulated so far.
+fn phase_seconds() -> [f64; 4] {
+    let snap = slim_obs::snapshot();
+    ["eigen", "expm", "pruning", "reduction"].map(|p| {
+        let name = format!("lik.phase.{p}_seconds");
+        snap.histogram(&name).map_or(0.0, |h| h.sum_seconds)
+    })
+}
 
 /// A short cached H1 fit; returns the JSON fragment with optimizer and
 /// eigen-cache counters, read back as `slim-obs` registry deltas (the
@@ -107,8 +118,7 @@ fn main() {
         for &threads in &THREAD_COUNTS {
             let config = EngineConfig::slim().with_threads(threads);
             // Warmup: touch every allocation and code path once.
-            let mut warm = PhaseTiming::default();
-            let value = site_class_log_likelihoods_timed(&problem, &config, &model, &bl, &mut warm)
+            let value = site_class_log_likelihoods(&problem, &config, &model, &bl)
                 .expect("likelihood evaluation");
             match baseline_bits {
                 None => baseline_bits = Some(value.lnl.to_bits()),
@@ -122,14 +132,15 @@ fn main() {
 
             // Best-of-reps wall time with per-phase breakdown.
             let mut best = f64::INFINITY;
-            let mut best_timing = PhaseTiming::default();
+            let mut best_timing = [0.0f64; 4];
             for _ in 0..reps {
-                let mut timing = PhaseTiming::default();
+                let before = phase_seconds();
                 let started = Instant::now();
-                let v =
-                    site_class_log_likelihoods_timed(&problem, &config, &model, &bl, &mut timing)
-                        .expect("likelihood evaluation");
+                let v = site_class_log_likelihoods(&problem, &config, &model, &bl)
+                    .expect("likelihood evaluation");
                 let wall = started.elapsed().as_secs_f64();
+                let after = phase_seconds();
+                let timing: [f64; 4] = std::array::from_fn(|i| after[i] - before[i]);
                 assert_eq!(
                     v.lnl.to_bits(),
                     baseline_bits.expect("baseline recorded"),
@@ -150,17 +161,17 @@ fn main() {
                 threads,
                 best,
                 speedup,
-                best_timing.eigen.as_secs_f64(),
-                best_timing.expm.as_secs_f64(),
-                best_timing.pruning.as_secs_f64(),
-                best_timing.reduction.as_secs_f64(),
+                best_timing[0],
+                best_timing[1],
+                best_timing[2],
+                best_timing[3],
             );
             rows.push(format!(
                 r#"{{"threads":{threads},"wall_seconds":{best:.6},"speedup":{speedup:.4},"eigen_seconds":{:.6},"expm_seconds":{:.6},"pruning_seconds":{:.6},"reduction_seconds":{:.6}}}"#,
-                best_timing.eigen.as_secs_f64(),
-                best_timing.expm.as_secs_f64(),
-                best_timing.pruning.as_secs_f64(),
-                best_timing.reduction.as_secs_f64(),
+                best_timing[0],
+                best_timing[1],
+                best_timing[2],
+                best_timing[3],
             ));
         }
         let fit = fit_counters(&d, quick);

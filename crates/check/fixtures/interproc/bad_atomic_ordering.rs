@@ -1,6 +1,6 @@
 //@ path: crates/batch/src/atomics.rs
-// Bad: SeqCst without a waiver, Relaxed outside the obs/trace counter
-// crates, and a Release store with no Acquire load anywhere in the
+// Bad: SeqCst without a waiver, Relaxed outside the obs counter
+// crate, and a Release store with no Acquire load anywhere in the
 // file (a hand-off that synchronizes nothing).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,6 +1,6 @@
 //@ path: crates/obs/src/counters_fixture.rs
-// OK: Relaxed is the blessed ordering for the metrics counter crates
-// (obs, trace) — monotonic counters carry no synchronization role.
+// OK: Relaxed is the blessed ordering for the observability crate
+// (obs) — monotonic counters carry no synchronization role.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -329,7 +329,7 @@ fn atomic_rule(ws: &Workspace, waivers: &mut BTreeMap<String, FileWaivers>) -> V
         let Some(fw) = waivers.get_mut(file) else {
             continue;
         };
-        let relaxed_ok = file.starts_with("crates/obs/") || file.starts_with("crates/trace/");
+        let relaxed_ok = file.starts_with("crates/obs/");
         let mut release_side: Option<usize> = None;
         let mut acquire_side = false;
         let mut release_seen = false;
@@ -353,7 +353,7 @@ fn atomic_rule(ws: &Workspace, waivers: &mut BTreeMap<String, FileWaivers>) -> V
             }
             let finding = match s.ord {
                 "Relaxed" if !relaxed_ok => {
-                    Some("`Ordering::Relaxed` outside the obs/trace counter crates".to_string())
+                    Some("`Ordering::Relaxed` outside the obs counter crate".to_string())
                 }
                 "SeqCst" => Some("`Ordering::SeqCst` (name the protocol or weaken)".to_string()),
                 _ => None,
@@ -508,7 +508,7 @@ mod tests {
     fn relaxed_ok_in_trace_not_elsewhere() {
         let src =
             "pub fn bump(c: &std::sync::atomic::AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }";
-        let d = analyze(&[("crates/trace/src/lib.rs", src)]);
+        let d = analyze(&[("crates/obs/src/trace/mod.rs", src)]);
         assert!(d.iter().all(|d| d.rule != RuleId::AtomicOrdering), "{d:?}");
         let d = analyze(&[("crates/batch/src/lib.rs", src)]);
         assert!(

@@ -98,7 +98,7 @@ fn usage() -> &'static str {
      \x20 det-hash-iter        no HashMap/HashSet in report/journal/aggregation paths\n\
      \x20 det-float-accum      no raw f64 accumulation in lik/linalg outside blessed kernels\n\
      \x20 det-float-cmp        no ==/!= against float literals in non-test code\n\
-     \x20 det-wallclock        no Instant::now/SystemTime outside obs/trace/bench crates\n\
+     \x20 det-wallclock        no Instant::now/SystemTime outside obs/bench crates\n\
      \x20 rob-unwrap           no unwrap/expect/panic in library non-test code\n\
      \x20 rob-safety           every `unsafe` needs a // SAFETY: comment\n\
      interprocedural rules (AST + workspace call graph):\n\

@@ -1033,7 +1033,7 @@ mod tests {
 
     #[test]
     fn use_trees_flatten() {
-        let f = file("use crate::par::{evaluate, PhaseTiming as PT};\nuse slim_linalg::*;\n");
+        let f = file("use crate::par::{evaluate, LikelihoodValue as LV};\nuse slim_linalg::*;\n");
         let imports: Vec<_> = f
             .items
             .iter()
@@ -1048,7 +1048,7 @@ mod tests {
             .any(|u| u.alias == "evaluate" && u.path == ["crate", "par", "evaluate"]));
         assert!(imports
             .iter()
-            .any(|u| u.alias == "PT" && u.path.last().unwrap() == "PhaseTiming"));
+            .any(|u| u.alias == "LV" && u.path.last().unwrap() == "LikelihoodValue"));
         assert!(imports.iter().any(|u| u.glob && u.path == ["slim_linalg"]));
     }
 

@@ -25,7 +25,7 @@ pub enum RuleId {
     /// Interprocedural: needs the call graph.
     PanicFreeHotPath,
     /// An `Ordering::*` use outside the site policy (`Relaxed` only in
-    /// obs/trace counters, `SeqCst` only with a waiver, `Release`
+    /// obs counters, `SeqCst` only with a waiver, `Release`
     /// stores paired with `Acquire` loads). Interprocedural.
     AtomicOrdering,
     /// An allocating call (`Vec::new`, `push`, `clone`, `format!`,
@@ -103,9 +103,9 @@ impl RuleId {
                  tolerance, or waive with the reason the exact compare is intended"
             }
             RuleId::DetWallclock => {
-                "wall-clock read (Instant::now / SystemTime) outside the obs/trace/bench \
+                "wall-clock read (Instant::now / SystemTime) outside the obs/bench \
                  crates; timestamps must never feed deterministic outputs — route timing \
-                 through slim-obs/slim-trace, or waive with where the value goes"
+                 through a slim-obs span, or waive with where the value goes"
             }
             RuleId::RobUnwrap => {
                 "unwrap/expect/panic in library non-test code; return a typed error, \
@@ -118,7 +118,7 @@ impl RuleId {
                  invariant and waive, or restructure so the panic is unreachable"
             }
             RuleId::AtomicOrdering => {
-                "atomic ordering outside the site policy: Relaxed is for obs/trace \
+                "atomic ordering outside the site policy: Relaxed is for obs \
                  counters only, SeqCst needs a waiver naming why weaker orders fail, \
                  and Release stores must pair with Acquire loads in the same file"
             }
@@ -168,9 +168,10 @@ impl RuleId {
             RuleId::DetWallclock => {
                 "Wall-clock reads (Instant::now, SystemTime) in compute code leak \
                  nondeterminism into outputs and make runs unreproducible. Timing \
-                 belongs to the observability layer: route it through slim-obs / \
-                 slim-trace, which stamp events outside the deterministic \
-                 core.\n\nScope: everything except obs, trace, bench, and vendor."
+                 belongs to the observability layer: route it through a slim-obs \
+                 span, which reads the clock outside the deterministic core and \
+                 only while a sink is on.\n\nScope: everything except obs, \
+                 bench, and vendor."
             }
             RuleId::RobUnwrap => {
                 "unwrap/expect/panic in library code turns a recoverable condition \
@@ -205,7 +206,7 @@ impl RuleId {
             }
             RuleId::AtomicOrdering => {
                 "Site policy for every `Ordering::*` mention: Relaxed is legal \
-                 only under crates/obs and crates/trace (statistical counters \
+                 only under crates/obs (statistical counters and sink switches \
                  where staleness is fine); SeqCst is a smell everywhere (it hides \
                  the real protocol — name the reason in a waiver if truly \
                  needed); Acquire/Release/AcqRel are the blessed hand-off orders, \
@@ -277,7 +278,6 @@ impl RuleId {
             // dependencies are not first-party code.
             RuleId::DetWallclock => {
                 !(path.starts_with("crates/obs/")
-                    || path.starts_with("crates/trace/")
                     || path.starts_with("crates/bench/")
                     || path.starts_with("vendor/"))
             }
@@ -830,7 +830,6 @@ mod tests {
         assert_eq!(diags("crates/opt/src/bfgs.rs", src).len(), 1);
         // The observability crates' whole job is wall-clock time.
         assert!(diags("crates/obs/src/timing.rs", src).is_empty());
-        assert!(diags("crates/trace/src/lib.rs", src).is_empty());
         assert!(diags("crates/bench/src/bin/tool.rs", src).is_empty());
         let sys = "fn g() { let t = SystemTime::now(); stamp(t); }\n";
         assert_eq!(diags("crates/batch/src/journal.rs", sys).len(), 1);

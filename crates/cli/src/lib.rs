@@ -15,19 +15,21 @@
 //! slimcodeml trace-report out.trace.json
 //! ```
 //!
-//! Observability: `--timing` prints a per-phase wall-clock breakdown
-//! accumulated over the whole fit, and `--metrics <path>` writes a
-//! `slim-obs` registry snapshot (JSON by default, Prometheus text with
-//! `--metrics-format prom`) covering the optimizer, likelihood engine,
-//! expm cache, and batch runner. Setting `SLIMCODEML_METRICS` to a
-//! truthy value enables collection without any flag.
+//! Observability: every instrumented span feeds two `slim-obs` sinks.
+//! `--timing` prints a per-phase wall-clock breakdown accumulated over
+//! the whole fit, and `--metrics <path>` writes a registry snapshot (JSON
+//! by default, Prometheus text with `--metrics-format prom`) covering the
+//! optimizer, likelihood engine, expm cache, analysis layer and batch
+//! runner. Setting `SLIMCODEML_METRICS` to a truthy value enables
+//! collection without any flag.
 //!
-//! Tracing: `--trace <path>` records ordered `slim-trace` events through
-//! the whole pipeline and writes a Chrome Trace Event Format JSON
-//! document for Perfetto (<https://ui.perfetto.dev>) or
+//! Tracing: `--trace <path>` records ordered `slim_obs::trace` events
+//! through the whole pipeline and writes a Chrome Trace Event Format
+//! JSON document for Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`; `trace-report <file>` summarizes such a file
-//! into a per-iteration convergence table and a critical-path
-//! breakdown. Both `--metrics` and `--trace` accept `-` for stdout.
+//! into a per-iteration convergence table, why each fit stopped, which
+//! H1 each test kept, and a critical-path breakdown. Both `--metrics`
+//! and `--trace` accept `-` for stdout.
 //!
 //! The `batch` subcommand drives `slim-batch`: a manifest of gene
 //! families is expanded into jobs, fanned across a worker pool with
@@ -40,6 +42,7 @@ use ctl::CtlMode;
 use slim_bio::{parse_newick, CodonAlignment, FreqModel, Tree};
 use slim_core::{sites_test, Analysis, AnalysisOptions, Backend};
 use slim_lik::SimdMode;
+use slim_obs::trace::report::{render_report, RecordedEvent};
 use slim_obs::Snapshot;
 use slim_opt::GradMode;
 use std::path::PathBuf;
@@ -334,14 +337,15 @@ fn parse_batch_args(args: &[String]) -> Result<BatchCliConfig, String> {
     })
 }
 
-/// Eagerly register every metric of the four instrumented layers
-/// (optimizer, likelihood engine, expm cache, batch runner), so a
-/// `--metrics` snapshot always lists the full schema even for metrics
+/// Eagerly register every metric of the five instrumented layers
+/// (optimizer, likelihood engine, expm cache, analysis, batch runner), so
+/// a `--metrics` snapshot always lists the full schema even for metrics
 /// that never fired during the run.
 pub fn register_all_metrics() {
     slim_opt::register_metrics();
     slim_lik::register_metrics();
     slim_expm::register_metrics();
+    slim_core::register_metrics();
     slim_batch::register_metrics();
 }
 
@@ -389,8 +393,8 @@ fn write_metrics_file(path: &str, format: MetricsFormat) -> Result<(), String> {
 /// trace covers exactly this run.
 fn trace_setup(trace_path: Option<&String>) {
     if trace_path.is_some() {
-        slim_trace::set_enabled(true);
-        slim_trace::clear();
+        slim_obs::trace::set_enabled(true);
+        slim_obs::trace::clear();
     }
 }
 
@@ -398,8 +402,8 @@ fn trace_setup(trace_path: Option<&String>) {
 /// document to `path` (`-` = stdout). Load it in Perfetto
 /// (<https://ui.perfetto.dev>) or `chrome://tracing`.
 fn write_trace_file(path: &str) -> Result<(), String> {
-    let (events, dropped) = slim_trace::take_events();
-    let json = slim_trace::chrome_trace_json(&events, dropped);
+    let (events, dropped) = slim_obs::trace::take_events();
+    let json = slim_obs::trace::chrome_trace_json(&events, dropped);
     write_output(path, &json, "trace")
 }
 
@@ -498,7 +502,7 @@ pub fn run_trace_report(path: &str) -> Result<String, String> {
         if !matches!(ph, "B" | "E" | "i") {
             continue;
         }
-        let mut rec = slim_trace::report::RecordedEvent {
+        let mut rec = RecordedEvent {
             name: ev
                 .get("name")
                 .and_then(serde_json::Value::as_str)
@@ -537,7 +541,7 @@ pub fn run_trace_report(path: &str) -> Result<String, String> {
     if recorded.is_empty() {
         return Err(format!("{path}: trace contains no events"));
     }
-    Ok(slim_trace::report::render_report(&recorded))
+    Ok(render_report(&recorded))
 }
 
 /// Render the per-phase wall-clock breakdown (`--timing`): the delta
@@ -1316,7 +1320,7 @@ mod tests {
             "((A:0.2,B:0.2)#1:0.1,C:0.3);",
         )
         .unwrap();
-        slim_trace::set_enabled(false);
+        slim_obs::trace::set_enabled(false);
         let text = std::fs::read_to_string(&path).unwrap();
         // Structurally valid Trace Event Format: the document parses and
         // every event carries the required fields.
@@ -1342,6 +1346,8 @@ mod tests {
         assert!(report.contains("Convergence trace"), "{report}");
         assert!(report.contains("lnL"), "{report}");
         assert!(report.contains("Critical path"), "{report}");
+        assert!(report.contains("fit 1 (bfgs): stopped on "), "{report}");
+        assert!(report.contains("test 1: H1 from "), "{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

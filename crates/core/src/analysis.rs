@@ -1,6 +1,7 @@
 //! The analysis driver: wiring model, likelihood engine, transforms and
 //! optimizer into the H0/H1 fits and the LRT.
 
+use crate::obsm::{self, H1Outcome};
 use crate::{Backend, CoreError, Fit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -379,7 +380,7 @@ impl Analysis {
             if !reuse {
                 evaluator.clear();
             }
-            match evaluator.evaluate(&model, &bl, None) {
+            match evaluator.evaluate(&model, &bl) {
                 Ok(v) if v.lnl.is_finite() => -v.lnl,
                 _ => f64::INFINITY,
             }
@@ -436,8 +437,10 @@ impl Analysis {
     /// # Errors
     /// Propagates fit errors.
     pub fn test_positive_selection(&self) -> Result<TestResult, CoreError> {
+        let mut test_span = obsm::TEST.span();
         let h0 = self.fit(Hypothesis::H0)?;
         let mut h1 = self.fit(Hypothesis::H1)?;
+        let mut outcome = H1Outcome::Jitter;
         if h1.lnl < h0.lnl {
             // H0 is a boundary point of H1 (ω2 = 1), so lnL1 ≥ lnL0 at
             // the true optima; landing below means the jittered H1 start
@@ -457,8 +460,14 @@ impl Analysis {
             if polished.lnl > h1.lnl {
                 h1 = polished;
             }
+            outcome = if h1.lnl < h0.lnl {
+                H1Outcome::H0
+            } else {
+                H1Outcome::Polished
+            };
             h1 = nest_h0(h1, &h0);
         }
+        obsm::record_h1(&mut test_span, outcome);
         let lrt = lrt_pvalue(h0.lnl, h1.lnl);
 
         let value = site_class_log_likelihoods(

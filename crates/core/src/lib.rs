@@ -26,6 +26,7 @@ mod beb;
 mod bootstrap;
 mod error;
 mod fit;
+mod obsm;
 mod scan;
 mod sites;
 mod stderr;
@@ -36,6 +37,7 @@ pub use beb::BebOptions;
 pub use bootstrap::{parametric_bootstrap_lrt, BootstrapOptions, BootstrapResult};
 pub use error::CoreError;
 pub use fit::Fit;
+pub use obsm::register_metrics;
 pub use scan::{scan_all_branches, BranchScanEntry};
 pub use sites::{sites_test, SitesFit, SitesTestResult};
 pub use stderr::StandardErrors;

@@ -11,6 +11,7 @@ use crate::EigenSystem;
 use parking_lot::Mutex;
 use slim_linalg::EigenMethod;
 use slim_model::RateMatrix;
+use slim_obs::trace::{self, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,22 +99,16 @@ impl EigenCache {
             // check: allow(atomic-ordering) monotonic hit counter, no synchronization role
             self.hits.fetch_add(1, Ordering::Relaxed);
             crate::obsm::metrics().hits.inc();
-            slim_trace::instant_with("expm.cache.hit", "expm", || {
-                vec![
-                    ("kappa", slim_trace::Value::F64(kappa)),
-                    ("omega", slim_trace::Value::F64(omega)),
-                ]
+            trace::instant_with("expm.cache.hit", "expm", || {
+                vec![("kappa", Value::F64(kappa)), ("omega", Value::F64(omega))]
             });
             return Ok(found);
         }
         // check: allow(atomic-ordering) monotonic miss counter, no synchronization role
         self.misses.fetch_add(1, Ordering::Relaxed);
         crate::obsm::metrics().misses.inc();
-        slim_trace::instant_with("expm.cache.miss", "expm", || {
-            vec![
-                ("kappa", slim_trace::Value::F64(kappa)),
-                ("omega", slim_trace::Value::F64(omega)),
-            ]
+        trace::instant_with("expm.cache.miss", "expm", || {
+            vec![("kappa", Value::F64(kappa)), ("omega", Value::F64(omega))]
         });
         let es = Arc::new(EigenSystem::from_rate_matrix(rm, method)?);
         let mut map = self.map.lock();
@@ -122,8 +117,8 @@ impl EigenCache {
             // check: allow(atomic-ordering) monotonic eviction counter, no synchronization role
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             crate::obsm::metrics().evictions.add(map.len() as u64);
-            slim_trace::instant_with("expm.cache.evict", "expm", || {
-                vec![("entries", slim_trace::Value::U64(map.len() as u64))]
+            trace::instant_with("expm.cache.evict", "expm", || {
+                vec![("entries", Value::U64(map.len() as u64))]
             });
             map.clear();
         }

@@ -77,7 +77,9 @@ impl<V> PtCache<V> {
     /// Check whether `slot` currently holds a value produced under `key`,
     /// recording a hit or miss. A `true` return guarantees
     /// [`PtCache::value`] for the same slot is the bit-identical result of
-    /// recomputing under `key`.
+    /// recomputing under `key`. A miss drops the slot's stale value at
+    /// once: the caller rebuilds every missed slot, so keeping it would
+    /// only hold the old and the new operator in memory together.
     // check: hot reuse-engine per-operator validity probe
     pub fn probe(&mut self, slot: usize, key: PtKey) -> bool {
         let current = matches!(self.slots.get(slot), Some(Some((k, _))) if *k == key);
@@ -85,6 +87,9 @@ impl<V> PtCache<V> {
             self.hits += 1;
         } else {
             self.misses += 1;
+            if let Some(stale) = self.slots.get_mut(slot) {
+                *stale = None;
+            }
         }
         current
     }
@@ -161,8 +166,8 @@ mod tests {
         assert!(!c.probe(0, key(1, 0.5 + 1e-16)));
         // Different decomposition identity.
         assert!(!c.probe(0, key(2, 0.5)));
-        // Exact match still hits.
-        assert!(c.probe(0, key(1, 0.5)));
+        // A miss drops the stale value.
+        assert_eq!(c.value(0), None);
     }
 
     #[test]

@@ -47,11 +47,8 @@ pub mod site_models;
 
 pub use engine::{EngineConfig, ExpmPath, DEFAULT_PATTERN_BLOCK};
 pub use obsm::register_metrics;
-pub use par::PhaseTiming;
 pub use problem::LikelihoodProblem;
-pub use pruning::{
-    log_likelihood, site_class_log_likelihoods, site_class_log_likelihoods_timed, LikelihoodValue,
-};
+pub use pruning::{log_likelihood, site_class_log_likelihoods, LikelihoodValue};
 pub use reuse::ReuseEvaluator;
 pub use slim_linalg::simd;
 pub use slim_linalg::{SimdBackend, SimdMode};

@@ -1,10 +1,28 @@
-//! slim-obs handles for the likelihood engine.
+//! slim-obs handles and span sites for the likelihood engine.
 //!
 //! One `OnceLock`-cached struct of `Arc` handles: the evaluation hot path
 //! records through relaxed atomics and never touches the registry lock.
+//! Each span site times its region into `<name>_seconds` and the trace.
 
-use slim_obs::{Counter, Gauge, Histogram};
+use slim_obs::{Counter, Gauge, Site};
 use std::sync::{Arc, OnceLock};
+
+/// `lik.evaluate` — one whole evaluation.
+pub(crate) static EVALUATE: Site = Site::new("lik.evaluate", "lik");
+/// `lik.phase.eigen` — §III-A steps 1–2 per evaluation.
+pub(crate) static PHASE_EIGEN: Site = Site::new("lik.phase.eigen", "lik");
+/// `lik.phase.expm` — transition-operator reconstruction.
+pub(crate) static PHASE_EXPM: Site = Site::new("lik.phase.expm", "lik");
+/// `lik.phase.pruning` — Felsenstein pruning (wall clock).
+pub(crate) static PHASE_PRUNING: Site = Site::new("lik.phase.pruning", "lik");
+/// `lik.phase.reduction` — serial class mixing + total.
+pub(crate) static PHASE_REDUCTION: Site = Site::new("lik.phase.reduction", "lik");
+/// `lik.pruning.worker_busy` — one pruning worker's loop over its units
+/// (one span per worker per evaluation, serial path included), so the
+/// spread shows pruning load balance.
+pub(crate) static WORKER_BUSY: Site = Site::new("lik.pruning.worker_busy", "lik");
+/// `lik.block` — one (site class × pattern block) pruning unit.
+pub(crate) static BLOCK: Site = Site::new("lik.block", "lik");
 
 #[derive(Debug)]
 pub(crate) struct LikMetrics {
@@ -12,18 +30,6 @@ pub(crate) struct LikMetrics {
     pub evaluations: Arc<Counter>,
     /// `lik.pruning.units` — (site class × pattern block) units pruned.
     pub units: Arc<Counter>,
-    /// `lik.phase.eigen_seconds` — §III-A steps 1–2 per evaluation.
-    pub eigen: Arc<Histogram>,
-    /// `lik.phase.expm_seconds` — transition-operator reconstruction.
-    pub expm: Arc<Histogram>,
-    /// `lik.phase.pruning_seconds` — Felsenstein pruning (wall clock).
-    pub pruning: Arc<Histogram>,
-    /// `lik.phase.reduction_seconds` — serial class mixing + total.
-    pub reduction: Arc<Histogram>,
-    /// `lik.pruning.worker_busy_seconds` — per-worker time inside
-    /// `prune_block` (one observation per worker per evaluation), so the
-    /// spread shows pruning load balance.
-    pub worker_busy: Arc<Histogram>,
     /// `lik.threads` — resolved thread count of the last evaluation.
     pub threads: Arc<Gauge>,
     /// `lik.simd.lanes` — vector lanes of the SIMD backend the last
@@ -49,11 +55,6 @@ pub(crate) fn metrics() -> &'static LikMetrics {
     M.get_or_init(|| LikMetrics {
         evaluations: slim_obs::counter("lik.evaluations"),
         units: slim_obs::counter("lik.pruning.units"),
-        eigen: slim_obs::histogram("lik.phase.eigen_seconds"),
-        expm: slim_obs::histogram("lik.phase.expm_seconds"),
-        pruning: slim_obs::histogram("lik.phase.pruning_seconds"),
-        reduction: slim_obs::histogram("lik.phase.reduction_seconds"),
-        worker_busy: slim_obs::histogram("lik.pruning.worker_busy_seconds"),
         threads: slim_obs::gauge("lik.threads"),
         simd_lanes: slim_obs::gauge("lik.simd.lanes"),
         reuse_full_invalidations: slim_obs::counter("lik.reuse.full_invalidations"),
@@ -67,4 +68,15 @@ pub(crate) fn metrics() -> &'static LikMetrics {
 /// schema-stable even before the first evaluation.
 pub fn register_metrics() {
     let _ = metrics();
+    for site in [
+        &EVALUATE,
+        &PHASE_EIGEN,
+        &PHASE_EXPM,
+        &PHASE_PRUNING,
+        &PHASE_REDUCTION,
+        &WORKER_BUSY,
+        &BLOCK,
+    ] {
+        site.histogram();
+    }
 }

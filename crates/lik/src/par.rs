@@ -33,36 +33,6 @@ use slim_expm::{CpvStrategy, EigenSystem};
 use slim_linalg::{simd, LinalgError, NeumaierSum};
 use slim_model::{build_rate_matrix, ScalePolicy, N_SITE_CLASSES};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Wall-clock time spent in each phase of one (or more, when accumulated)
-/// likelihood evaluations — the `--timing` breakdown.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTiming {
-    /// Rate-matrix construction + eigendecomposition (§III-A steps 1–2).
-    pub eigen: Duration,
-    /// Transition-operator reconstruction `P(t) = e^{Qt}` per branch × ω.
-    pub expm: Duration,
-    /// Felsenstein pruning over (site class × pattern block) units.
-    pub pruning: Duration,
-    /// Class mixing + fixed-order compensated total.
-    pub reduction: Duration,
-}
-
-impl PhaseTiming {
-    /// Sum of all phases.
-    pub fn total(&self) -> Duration {
-        self.eigen + self.expm + self.pruning + self.reduction
-    }
-
-    /// Accumulate another breakdown (e.g. across evaluations of a fit).
-    pub fn accumulate(&mut self, other: &PhaseTiming) {
-        self.eigen += other.eigen;
-        self.expm += other.expm;
-        self.pruning += other.pruning;
-        self.reduction += other.reduction;
-    }
-}
 
 /// Phase 1: build and decompose the three ω rate matrices (one-per-spawn
 /// when `threads >= 2`); the evaluator reruns it when globals change.
@@ -85,9 +55,9 @@ pub(crate) fn build_eigensystems(
                         *slot = Some(eigen_for(problem, config, kappa, omega, scale));
                     });
                     // Scoped thread: flush cache-probe instants before
-                    // the scope unblocks (see slim_trace::flush_thread).
-                    if slim_trace::enabled() {
-                        slim_trace::flush_thread();
+                    // the scope unblocks (see slim_obs::trace::flush_thread).
+                    if slim_obs::trace::enabled() {
+                        slim_obs::trace::flush_thread();
                     }
                 });
             }

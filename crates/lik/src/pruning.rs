@@ -22,7 +22,6 @@
 //! which block, cannot change any per-pattern value.
 
 use crate::engine::EngineConfig;
-use crate::par::PhaseTiming;
 use crate::problem::LikelihoodProblem;
 use crate::reuse::ReuseEvaluator;
 use slim_expm::{cpv, CpvScratch, CpvStrategy, SymTransition};
@@ -139,24 +138,7 @@ pub fn site_class_log_likelihoods(
     model: &BranchSiteModel,
     branch_lengths: &[f64],
 ) -> Result<LikelihoodValue, LinalgError> {
-    ReuseEvaluator::new(problem, config.clone()).evaluate(model, branch_lengths, None)
-}
-
-/// Like [`site_class_log_likelihoods`], additionally accumulating
-/// wall-clock time per engine phase (eigen / expm / pruning / reduction)
-/// into `timing` — the `--timing` CLI breakdown and the scaling bench
-/// read these.
-///
-/// # Errors
-/// Propagates eigensolver failures.
-pub fn site_class_log_likelihoods_timed(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    model: &BranchSiteModel,
-    branch_lengths: &[f64],
-    timing: &mut PhaseTiming,
-) -> Result<LikelihoodValue, LinalgError> {
-    ReuseEvaluator::new(problem, config.clone()).evaluate(model, branch_lengths, Some(timing))
+    ReuseEvaluator::new(problem, config.clone()).evaluate(model, branch_lengths)
 }
 
 /// Cross-evaluation cache for one (site class × pattern block) unit: the
@@ -784,25 +766,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn timed_evaluation_matches_and_fills_phases() {
-        let problem = toy_problem();
-        let model = default_model();
-        let bl = vec![0.1; problem.n_branches()];
-        let plain = log_likelihood(&problem, &EngineConfig::slim(), &model, &bl).unwrap();
-        let mut timing = PhaseTiming::default();
-        let timed = site_class_log_likelihoods_timed(
-            &problem,
-            &EngineConfig::slim(),
-            &model,
-            &bl,
-            &mut timing,
-        )
-        .unwrap();
-        assert_eq!(plain.to_bits(), timed.lnl.to_bits());
-        assert!(timing.total() > std::time::Duration::ZERO);
     }
 
     #[test]

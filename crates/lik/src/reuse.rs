@@ -37,7 +37,8 @@
 //! optimizer-like update sequences to enforce.
 
 use crate::engine::EngineConfig;
-use crate::par::{build_eigensystems, build_op, mix_and_reduce, PhaseTiming};
+use crate::obsm;
+use crate::par::{build_eigensystems, build_op, mix_and_reduce};
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{
     prune_block, LikelihoodValue, OpSource, PruneScratch, TransOp, UnitCache, N_OMEGA,
@@ -45,8 +46,8 @@ use crate::pruning::{
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError};
 use slim_model::BranchSiteModel;
+use slim_obs::trace::{self, Value};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The previous evaluation's reusable intermediates.
 struct EvalState {
@@ -126,8 +127,8 @@ impl<'p> ReuseEvaluator<'p> {
     }
 
     /// Evaluate the branch-site likelihood, reusing whatever the bitwise
-    /// parameter diff against the previous call proves unchanged, and
-    /// accumulating per-phase wall-clock time into `timing` when given.
+    /// parameter diff against the previous call proves unchanged. Each
+    /// phase runs inside its `lik.phase.*` span.
     ///
     /// # Errors
     /// Propagates eigensolver failures.
@@ -138,12 +139,11 @@ impl<'p> ReuseEvaluator<'p> {
         &mut self,
         model: &BranchSiteModel,
         branch_lengths: &[f64],
-        timing: Option<&mut PhaseTiming>,
     ) -> Result<LikelihoodValue, LinalgError> {
         // The SIMD dispatch override is thread-local; this call covers the
         // calling thread, and each spawned worker re-installs it.
         simd::with_forced(self.config.simd, || {
-            self.evaluate_inner(model, branch_lengths, timing)
+            self.evaluate_inner(model, branch_lengths)
         })
     }
 
@@ -165,7 +165,6 @@ impl<'p> ReuseEvaluator<'p> {
         &mut self,
         model: &BranchSiteModel,
         branch_lengths: &[f64],
-        mut timing: Option<&mut PhaseTiming>,
     ) -> Result<LikelihoodValue, LinalgError> {
         let problem = self.problem;
         let config = self.config.clone();
@@ -178,11 +177,11 @@ impl<'p> ReuseEvaluator<'p> {
         let n_nodes = problem.children.len();
         let threads = config.resolved_threads().max(1);
         let simd_mode = config.simd;
-        let obs = crate::obsm::metrics();
+        let obs = obsm::metrics();
         obs.evaluations.inc();
         obs.threads.set(threads as f64);
         obs.simd_lanes.set(simd::resolve(simd_mode).lanes() as f64);
-        let mut eval_span = slim_trace::span("lik.evaluate", "lik");
+        let mut eval_span = obsm::EVALUATE.span();
         eval_span.arg_u64("threads", threads as u64);
         eval_span.arg_u64("patterns", n_pat as u64);
 
@@ -217,11 +216,8 @@ impl<'p> ReuseEvaluator<'p> {
             if !globals_changed && dirty_branches.is_empty() {
                 obs.reuse_units_reused
                     .add((self.unit_shape.len() * self.n_internal) as u64);
-                slim_trace::instant_with("lik.reuse.hit", "lik", || {
-                    vec![(
-                        "units",
-                        slim_trace::Value::U64(self.unit_shape.len() as u64),
-                    )]
+                trace::instant_with("lik.reuse.hit", "lik", || {
+                    vec![("units", Value::U64(self.unit_shape.len() as u64))]
                 });
                 let value = s.value.clone();
                 self.state = prev;
@@ -231,9 +227,7 @@ impl<'p> ReuseEvaluator<'p> {
 
         // --- Phase 1: eigendecompositions — reused wholesale unless a
         // global changed. ---
-        // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-        let start = Instant::now();
-        let phase_span = slim_trace::span("lik.eigen", "lik");
+        let phase_span = obsm::PHASE_EIGEN.span();
         let omegas = model.omegas();
         let (mut ops, eigensystems) = match prev {
             Some(s) if !globals_changed => (s.ops, s.eigensystems),
@@ -263,18 +257,10 @@ impl<'p> ReuseEvaluator<'p> {
             }
         };
         drop(phase_span);
-        let elapsed = start.elapsed();
-        obs.eigen.observe(elapsed);
-        if let Some(t) = timing.as_deref_mut() {
-            // check: allow(det-float-accum) Duration phase-timing accumulation, not an f64 reduction
-            t.eigen += elapsed;
-        }
 
         // --- Phase 2: transition operators — probe every (branch, needed
         // ω) slot, rebuild only the key misses. ---
-        // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-        let start = Instant::now();
-        let phase_span = slim_trace::span("lik.expm", "lik");
+        let phase_span = obsm::PHASE_EXPM.span();
         ops.resize(n_nodes * N_OMEGA);
         let mut stale: Vec<(usize, usize, f64)> = Vec::new();
         for node in 0..n_nodes {
@@ -327,12 +313,6 @@ impl<'p> ReuseEvaluator<'p> {
             );
         }
         drop(phase_span);
-        let elapsed = start.elapsed();
-        obs.expm.observe(elapsed);
-        if let Some(t) = timing.as_deref_mut() {
-            // check: allow(det-float-accum) Duration phase-timing accumulation, not an f64 reduction
-            t.expm += elapsed;
-        }
 
         // --- Unit geometry + dirty set. ---
         let classes = model.site_classes();
@@ -399,29 +379,27 @@ impl<'p> ReuseEvaluator<'p> {
         obs.reuse_units_reused
             .add((n_units * (self.n_internal - n_dirty_internal)) as u64);
         if n_dirty_internal < self.n_internal {
-            slim_trace::instant_with("lik.reuse.hit", "lik", || {
+            trace::instant_with("lik.reuse.hit", "lik", || {
                 vec![(
                     "cpv_blocks",
-                    slim_trace::Value::U64((n_units * (self.n_internal - n_dirty_internal)) as u64),
+                    Value::U64((n_units * (self.n_internal - n_dirty_internal)) as u64),
                 )]
             });
         }
         if n_dirty_internal > 0 {
-            slim_trace::instant_with("lik.reuse.miss", "lik", || {
+            trace::instant_with("lik.reuse.miss", "lik", || {
                 vec![
                     (
                         "cpv_blocks",
-                        slim_trace::Value::U64((n_units * n_dirty_internal) as u64),
+                        Value::U64((n_units * n_dirty_internal) as u64),
                     ),
-                    ("full", slim_trace::Value::U64(full as u64)),
+                    ("full", Value::U64(full as u64)),
                 ]
             });
         }
 
         // --- Phase 3: dirty-path pruning over cached units. ---
-        // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-        let start = Instant::now();
-        let phase_span = slim_trace::span("lik.pruning", "lik");
+        let phase_span = obsm::PHASE_PRUNING.span();
         let mut per_class: Vec<Vec<f64>> = classes
             .iter()
             .map(|class| {
@@ -434,13 +412,6 @@ impl<'p> ReuseEvaluator<'p> {
             .collect();
         // Carve the per-class buffers into per-unit output slices in
         // `unit_shape` order, pairing each with its cache.
-        struct RUnit<'a> {
-            bg: usize,
-            fg: usize,
-            lo: usize,
-            out: &'a mut [f64],
-            cache: &'a mut UnitCache,
-        }
         let mut runits: Vec<RUnit> = Vec::with_capacity(n_units);
         {
             let mut cache_iter = self.units.iter_mut();
@@ -469,9 +440,6 @@ impl<'p> ReuseEvaluator<'p> {
         let view = CachedOps(&ops);
         let dirty_ref: &[bool] = &dirty;
         let prune_threads = threads.min(runits.len()).max(1);
-        // Per-worker busy time is only clocked while collection is on, so
-        // the disabled path takes no Instant reads per unit.
-        let obs_on = slim_obs::enabled();
         if prune_threads >= 2 {
             let (tx, rx) = crossbeam::channel::unbounded::<RUnit>();
             for unit in runits {
@@ -486,32 +454,11 @@ impl<'p> ReuseEvaluator<'p> {
                     let rx = rx.clone();
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
-                            let worker_span = slim_trace::span("lik.worker", "lik");
-                            let mut ws = PruneScratch::new();
-                            let mut busy = Duration::ZERO;
-                            while let Ok(unit) = rx.recv() {
-                                // check: allow(det-wallclock) feeds the obs worker-busy gauge only
-                                let t0 = obs_on.then(Instant::now);
-                                let mut block_span = slim_trace::span("lik.block", "lik");
-                                block_span.arg_u64("bg", unit.bg as u64);
-                                block_span.arg_u64("fg", unit.fg as u64);
-                                block_span.arg_u64("lo", unit.lo as u64);
-                                prune_block(
-                                    problem, config_ref, view, unit.bg, unit.fg, unit.lo,
-                                    dirty_ref, unit.out, unit.cache, &mut ws,
-                                );
-                                drop(block_span);
-                                if let Some(t0) = t0 {
-                                    // check: allow(det-float-accum) Duration worker-busy accumulation, not an f64 reduction
-                                    busy += t0.elapsed();
-                                }
-                            }
-                            obs.worker_busy.observe(busy);
-                            drop(worker_span);
+                            prune_worker(rx.iter(), problem, config_ref, view, dirty_ref);
                         });
                         // Scoped thread: flush before the scope unblocks.
-                        if slim_trace::enabled() {
-                            slim_trace::flush_thread();
+                        if trace::enabled() {
+                            trace::flush_thread();
                         }
                     });
                 }
@@ -519,18 +466,7 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("pruning scope");
         } else {
-            let mut ws = PruneScratch::new();
-            // check: allow(det-wallclock) feeds the obs worker-busy gauge only
-            let t0 = obs_on.then(Instant::now);
-            for unit in runits {
-                prune_block(
-                    problem, &config, &view, unit.bg, unit.fg, unit.lo, dirty_ref, unit.out,
-                    unit.cache, &mut ws,
-                );
-            }
-            if let Some(t0) = t0 {
-                obs.worker_busy.observe(t0.elapsed());
-            }
+            prune_worker(runits.into_iter(), problem, &config, &view, dirty_ref);
         }
 
         // Sanitize tripwire: recompute one randomly chosen *reused* CPV
@@ -565,17 +501,9 @@ impl<'p> ReuseEvaluator<'p> {
             );
         }
         drop(phase_span);
-        let elapsed = start.elapsed();
-        obs.pruning.observe(elapsed);
-        if let Some(t) = timing.as_deref_mut() {
-            // check: allow(det-float-accum) Duration phase-timing accumulation, not an f64 reduction
-            t.pruning += elapsed;
-        }
 
         // --- Phase 4: the shared serial fixed-order reduction. ---
-        // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-        let start = Instant::now();
-        let phase_span = slim_trace::span("lik.reduction", "lik");
+        let phase_span = obsm::PHASE_REDUCTION.span();
         let props = [
             classes[0].proportion,
             classes[1].proportion,
@@ -584,12 +512,6 @@ impl<'p> ReuseEvaluator<'p> {
         ];
         let (lnl, per_pattern) = mix_and_reduce(problem, props, &per_class, threads);
         drop(phase_span);
-        let elapsed = start.elapsed();
-        obs.reduction.observe(elapsed);
-        if let Some(t) = timing {
-            // check: allow(det-float-accum) Duration phase-timing accumulation, not an f64 reduction
-            t.reduction += elapsed;
-        }
 
         let value = LikelihoodValue {
             lnl,
@@ -605,6 +527,39 @@ impl<'p> ReuseEvaluator<'p> {
             value: value.clone(),
         });
         Ok(value)
+    }
+}
+
+/// One pruning unit's work order: its ω pair, first pattern, output
+/// slice and cache.
+struct RUnit<'a> {
+    bg: usize,
+    fg: usize,
+    lo: usize,
+    out: &'a mut [f64],
+    cache: &'a mut UnitCache,
+}
+
+/// The pruning worker loop, shared by the threaded and serial paths: one
+/// scratch workspace, one `lik.block` span per unit, the whole loop inside
+/// a `lik.pruning.worker_busy` span.
+fn prune_worker<'a>(
+    units: impl Iterator<Item = RUnit<'a>>,
+    problem: &LikelihoodProblem,
+    config: &EngineConfig,
+    view: &CachedOps,
+    dirty: &[bool],
+) {
+    let _busy = obsm::WORKER_BUSY.span();
+    let mut ws = PruneScratch::new();
+    for unit in units {
+        let mut block_span = obsm::BLOCK.span();
+        block_span.arg_u64("bg", unit.bg as u64);
+        block_span.arg_u64("fg", unit.fg as u64);
+        block_span.arg_u64("lo", unit.lo as u64);
+        prune_block(
+            problem, config, view, unit.bg, unit.fg, unit.lo, dirty, unit.out, unit.cache, &mut ws,
+        );
     }
 }
 
@@ -666,7 +621,7 @@ mod tests {
 
         let mut step = 0usize;
         let mut check = |ev: &mut ReuseEvaluator, model: &BranchSiteModel, bl: &[f64]| {
-            let reuse = ev.evaluate(model, bl, None).unwrap();
+            let reuse = ev.evaluate(model, bl).unwrap();
             let fresh = site_class_log_likelihoods(&problem, &config, model, bl).unwrap();
             assert_bits_equal(&reuse, &fresh, step);
             step += 1;

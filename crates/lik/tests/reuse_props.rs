@@ -117,9 +117,7 @@ fn check_sequence(
         if let Some(step) = step {
             apply(step, &mut model, &mut bl);
         }
-        let reused = evaluator
-            .evaluate(&model, &bl, None)
-            .expect("reuse evaluation");
+        let reused = evaluator.evaluate(&model, &bl).expect("reuse evaluation");
         let fresh =
             site_class_log_likelihoods(&problem, config, &model, &bl).expect("fresh evaluation");
         prop_assert_eq!(

@@ -1,10 +1,10 @@
-//! The metric primitives: monotonic counters, gauges, duration
-//! histograms and RAII span guards. All state is relaxed atomics, so
+//! The metric primitives: monotonic counters, gauges and duration
+//! histograms (which [`crate::Span`]s feed). All state is relaxed atomics, so
 //! concurrent recording from worker threads merges without locks and a
 //! snapshot is a plain load of every cell.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of log2 histogram buckets: bucket `i` counts observations
 /// shorter than `2^i` nanoseconds (the last bucket is open-ended). 40
@@ -119,17 +119,6 @@ impl Histogram {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Start an RAII span: the guard records the elapsed wall time into
-    /// this histogram when dropped. While collection is disabled the
-    /// guard is inert — no clock is read.
-    #[inline]
-    pub fn span(&self) -> SpanGuard<'_> {
-        SpanGuard {
-            hist: self,
-            start: crate::enabled().then(Instant::now),
-        }
-    }
-
     /// A point-in-time copy of every cell.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
@@ -176,22 +165,6 @@ impl HistogramSnapshot {
             0.0
         } else {
             self.sum_seconds / self.count as f64
-        }
-    }
-}
-
-/// RAII timer returned by [`Histogram::span`]; records on drop.
-#[derive(Debug)]
-#[must_use = "a span guard measures until it is dropped"]
-pub struct SpanGuard<'a> {
-    hist: &'a Histogram,
-    start: Option<Instant>,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist.observe(start.elapsed());
         }
     }
 }

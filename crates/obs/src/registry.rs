@@ -1,14 +1,17 @@
 //! The metric registry and its snapshot/rendering layer.
 //!
 //! Registration (name → handle) is the cold path, behind a mutex over
-//! sorted maps; recording touches only the returned `Arc` handles.
+//! sorted maps; recording touches only the returned `Arc` handles. A
+//! poisoned map lock is recovered, as in the trace recorder: every update
+//! is one insert, so the map is valid at every step.
 //! Snapshots iterate the maps in name order, so two snapshots of the
 //! same registry always list metrics identically — the schema-stability
 //! contract the CLI's `--metrics` output relies on.
 
+use crate::escape_json;
 use crate::metrics::{bucket_upper_seconds, Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A set of named metrics. Most code uses the process-wide [`global`]
 /// registry through the free functions; separate instances exist for
@@ -29,7 +32,7 @@ impl Registry {
     /// Get or create the counter named `name`. Registering is idempotent:
     /// every caller receives a handle to the same cell.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("obs counter map poisoned");
+        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
         map.entry(name.to_string())
             .or_insert_with(|| Arc::new(Counter::new()))
             .clone()
@@ -37,7 +40,7 @@ impl Registry {
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("obs gauge map poisoned");
+        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
         map.entry(name.to_string())
             .or_insert_with(|| Arc::new(Gauge::new()))
             .clone()
@@ -45,7 +48,10 @@ impl Registry {
 
     /// Get or create the duration histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("obs histogram map poisoned");
+        let mut map = self
+            .histograms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         map.entry(name.to_string())
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
@@ -58,14 +64,14 @@ impl Registry {
         let counters: Vec<(String, u64)> = self
             .counters
             .lock()
-            .expect("obs counter map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         let mut gauges: Vec<(String, f64)> = self
             .gauges
             .lock()
-            .expect("obs gauge map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
@@ -76,7 +82,7 @@ impl Registry {
             histograms: self
                 .histograms
                 .lock()
-                .expect("obs histogram map poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -89,18 +95,23 @@ impl Registry {
         for c in self
             .counters
             .lock()
-            .expect("obs counter map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .values()
         {
             c.reset();
         }
-        for g in self.gauges.lock().expect("obs gauge map poisoned").values() {
+        for g in self
+            .gauges
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+        {
             g.reset();
         }
         for h in self
             .histograms
             .lock()
-            .expect("obs histogram map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .values()
         {
             h.reset();
@@ -168,11 +179,6 @@ pub fn snapshot() -> Snapshot {
     global().snapshot()
 }
 
-/// Zero the [`global`] registry (registrations survive).
-pub fn reset() {
-    global().reset()
-}
-
 /// A frozen, name-sorted view of a registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -218,14 +224,14 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{v}", json_str(name)));
+            out.push_str(&format!("\"{}\":{v}", escape_json(name)));
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_str(name), json_f64(*v)));
+            out.push_str(&format!("\"{}\":{}", escape_json(name), json_f64(*v)));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -233,8 +239,8 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum_seconds\":{},\"min_seconds\":{},\"max_seconds\":{},\"mean_seconds\":{}}}",
-                json_str(name),
+                "\"{}\":{{\"count\":{},\"sum_seconds\":{},\"min_seconds\":{},\"max_seconds\":{},\"mean_seconds\":{}}}",
+                escape_json(name),
                 h.count,
                 json_f64(h.sum_seconds),
                 json_f64(h.min_seconds),
@@ -286,22 +292,6 @@ impl Snapshot {
     }
 }
 
-/// JSON string literal with the escapes the metric-name charset needs.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Shortest-roundtrip JSON number; non-finite becomes `null`.
 fn json_f64(v: f64) -> String {
     if !v.is_finite() {
@@ -346,18 +336,15 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// Tests below toggle the process-wide enabled flag; serialize them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     fn locked_enabled() -> std::sync::MutexGuard<'static, ()> {
-        let guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = crate::tests::test_lock();
         crate::set_enabled(true);
         guard
     }
 
     #[test]
     fn disabled_recording_is_a_noop() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::tests::test_lock();
         crate::set_enabled(false);
         let r = Registry::new();
         let c = r.counter("x.count");
@@ -366,9 +353,6 @@ mod tests {
         c.add(5);
         g.set(3.5);
         h.observe(Duration::from_millis(1));
-        {
-            let _span = h.span();
-        }
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0.0);
         assert_eq!(h.snapshot().count, 0);
@@ -423,21 +407,6 @@ mod tests {
         assert!((h.min_seconds - 1e-6).abs() < 1e-15);
         assert!((h.max_seconds - 4e-6).abs() < 1e-15);
         assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop() {
-        let _g = locked_enabled();
-        let r = Registry::new();
-        let h = r.histogram("span.hist");
-        {
-            let _span = h.span();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert!(snap.sum_seconds >= 0.002, "{}", snap.sum_seconds);
         crate::set_enabled(false);
     }
 

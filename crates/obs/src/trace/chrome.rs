@@ -8,14 +8,15 @@
 //! global sequence number as tie-break, so per-thread begin/end pairs
 //! arrive in nesting order.
 
-use crate::event::{escape_json, Event};
+use super::event::Event;
+use crate::escape_json;
 
 /// The constant pid we emit: traces describe one process, and a fixed
 /// id keeps the output reproducible run-to-run.
 const PID: u64 = 1;
 
 /// Serialize events as a Chrome Trace Event Format JSON document.
-/// `dropped` (from [`crate::take_events`]) is recorded in `otherData`
+/// `dropped` (from [`super::take_events`]) is recorded in `otherData`
 /// so truncated rings are visible in the artifact, not silent.
 pub fn chrome_trace_json(events: &[Event], dropped: u64) -> String {
     let mut order: Vec<&Event> = events.iter().collect();
@@ -66,7 +67,7 @@ fn push_event(out: &mut String, e: &Event) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Phase, Value};
+    use crate::trace::{Phase, Value};
 
     fn ev(seq: u64, ts_us: u64, tid: u64, phase: Phase, name: &'static str) -> Event {
         Event {

@@ -56,7 +56,7 @@ impl Value {
                 }
             }
             Value::Bool(v) => v.to_string(),
-            Value::Str(s) => format!("\"{}\"", escape_json(s)),
+            Value::Str(s) => format!("\"{}\"", crate::escape_json(s)),
         }
     }
 
@@ -69,23 +69,6 @@ impl Value {
             Value::Str(s) => s.clone(),
         }
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One recorded trace event.
@@ -147,11 +130,6 @@ mod tests {
         assert_eq!(Value::Bool(true).to_json(), "true");
         assert_eq!(Value::F64(f64::NAN).to_json(), "null");
         assert_eq!(Value::Str("a\"b".to_string()).to_json(), "\"a\\\"b\"");
-    }
-
-    #[test]
-    fn escape_handles_controls() {
-        assert_eq!(escape_json("a\nb\t\u{1}"), "a\\nb\\t\\u0001");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! keeps the most recent `capacity` events and counts what it had to
 //! drop, so exports can report truncation instead of hiding it.
 
-use crate::event::{Event, Phase, Value};
+use super::event::{Event, Phase, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,16 +98,18 @@ thread_local! {
     });
 }
 
-/// Record one event from the current thread. Callers have already
-/// checked [`crate::enabled`]; this reads the clock, stamps the
-/// sequence number, and appends to the thread-local buffer.
+/// Record one event from the current thread, stamped at `at`. Callers
+/// have already checked [`super::enabled`] and read the clock; this
+/// stamps the sequence number and appends to the thread-local buffer.
 pub(crate) fn record(
+    at: Instant,
     phase: Phase,
     name: &'static str,
     cat: &'static str,
     args: Vec<(&'static str, Value)>,
 ) {
-    let ts_us = u64::try_from(epoch().elapsed().as_micros()).unwrap_or(u64::MAX);
+    let ts_us =
+        u64::try_from(at.saturating_duration_since(epoch()).as_micros()).unwrap_or(u64::MAX);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     TLBUF.with(|b| {
         // `with` + `borrow_mut` cannot re-enter: record() is the only
@@ -172,38 +174,12 @@ pub fn take_events() -> (Vec<Event>, u64) {
     (events, dropped)
 }
 
-/// The most recent `n` events, oldest first, without draining — the
-/// flight-recorder view used when a failure needs its history attached.
-pub fn last_events(n: usize) -> Vec<Event> {
+/// The most recent `n` events rendered as compact one-line strings,
+/// without draining — the flight-recorder view a journal or quarantine
+/// record embeds when a failure needs its history attached.
+pub fn dump_lines(n: usize) -> Vec<String> {
     flush_thread();
     let ring = ring().lock().unwrap_or_else(|e| e.into_inner());
     let skip = ring.events.len().saturating_sub(n);
-    ring.events.iter().skip(skip).cloned().collect()
-}
-
-/// The most recent `n` events rendered as compact one-line strings,
-/// ready to embed in a journal or quarantine record.
-pub fn dump_lines(n: usize) -> Vec<String> {
-    last_events(n).iter().map(Event::to_line).collect()
-}
-
-/// Recorder occupancy counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecorderStats {
-    /// Events currently retained in the global ring.
-    pub len: usize,
-    /// Ring capacity.
-    pub capacity: usize,
-    /// Events dropped (oldest-first) since the last clear/drain.
-    pub dropped: u64,
-}
-
-/// Current recorder occupancy (does not flush thread buffers).
-pub fn stats() -> RecorderStats {
-    let ring = ring().lock().unwrap_or_else(|e| e.into_inner());
-    RecorderStats {
-        len: ring.events.len(),
-        capacity: ring.capacity,
-        dropped: ring.dropped,
-    }
+    ring.events.iter().skip(skip).map(Event::to_line).collect()
 }

@@ -1,12 +1,12 @@
 //! `trace-report` summarization: turn an event stream back into the
-//! two things a human asks a trace first — how did each fit converge,
-//! and where did the time go.
+//! things a human asks a trace first — how did each fit converge, why
+//! did it stop, which H1 estimate each test kept, and where did the time
+//! go.
 //!
 //! The functions here work on [`RecordedEvent`], a parser-neutral
-//! mirror of [`crate::Event`]: the CLI builds them from a Chrome Trace
-//! Event Format file, tests build them straight from live events.
+//! mirror of [`super::Event`] that the CLI builds from a Chrome Trace
+//! Event Format file.
 
-use crate::event::{Event, Value};
 use std::collections::BTreeMap;
 
 /// One event as read back from a trace file. `ph` is the Chrome phase
@@ -31,29 +31,6 @@ pub struct RecordedEvent {
 }
 
 impl RecordedEvent {
-    /// Mirror a live event (used by tests and by in-process reports).
-    pub fn from_event(e: &Event) -> RecordedEvent {
-        let mut num_args = Vec::new();
-        let mut str_args = Vec::new();
-        for (k, v) in &e.args {
-            match v {
-                Value::U64(n) => num_args.push((k.to_string(), *n as f64)),
-                Value::F64(x) => num_args.push((k.to_string(), *x)),
-                Value::Bool(b) => num_args.push((k.to_string(), f64::from(u8::from(*b)))),
-                Value::Str(s) => str_args.push((k.to_string(), s.clone())),
-            }
-        }
-        RecordedEvent {
-            name: e.name.to_string(),
-            cat: e.cat.to_string(),
-            ph: e.phase.letter(),
-            ts_us: e.ts_us,
-            tid: e.tid,
-            num_args,
-            str_args,
-        }
-    }
-
     fn num(&self, key: &str) -> Option<f64> {
         self.num_args
             .iter()
@@ -92,6 +69,12 @@ pub struct ConvergenceRow {
 /// ends, attributing each to the enclosing `opt.fit` span on the same
 /// thread (fits are numbered in begin order across the whole trace).
 pub fn convergence_rows(events: &[RecordedEvent]) -> Vec<ConvergenceRow> {
+    fits(events).0
+}
+
+/// Convergence rows plus, per completed `opt.fit` span in end order,
+/// (fit ordinal, algo, termination) from its end event.
+fn fits(events: &[RecordedEvent]) -> (Vec<ConvergenceRow>, Vec<(usize, &str, &str)>) {
     let mut order: Vec<&RecordedEvent> = events.iter().collect();
     order.sort_by_key(|e| e.ts_us);
 
@@ -99,6 +82,7 @@ pub fn convergence_rows(events: &[RecordedEvent]) -> Vec<ConvergenceRow> {
     // Per-tid stack of (fit ordinal, algo) for nested safety.
     let mut open: BTreeMap<u64, Vec<(usize, String)>> = BTreeMap::new();
     let mut rows = Vec::new();
+    let mut ends = Vec::new();
     for e in order {
         if e.name == "opt.fit" {
             match e.ph {
@@ -109,17 +93,17 @@ pub fn convergence_rows(events: &[RecordedEvent]) -> Vec<ConvergenceRow> {
                         .push((next_fit, String::new()));
                 }
                 'E' => {
-                    // The algo arg rides on the end event; patch rows
-                    // already attributed to this fit.
+                    // The algo and termination args ride on the end
+                    // event; patch rows already attributed to this fit.
                     if let Some((fit, _)) = open.entry(e.tid).or_default().pop() {
-                        if let Some(algo) = e.str_arg("algo") {
-                            for r in rows
-                                .iter_mut()
-                                .filter(|r: &&mut ConvergenceRow| r.fit == fit)
-                            {
-                                r.algo = algo.to_string();
-                            }
+                        let algo = e.str_arg("algo").unwrap_or("?");
+                        for r in rows
+                            .iter_mut()
+                            .filter(|r: &&mut ConvergenceRow| r.fit == fit)
+                        {
+                            r.algo = algo.to_string();
                         }
+                        ends.push((fit, algo, e.str_arg("termination").unwrap_or("?")));
                     }
                 }
                 _ => {}
@@ -141,7 +125,21 @@ pub fn convergence_rows(events: &[RecordedEvent]) -> Vec<ConvergenceRow> {
             });
         }
     }
-    rows
+    (rows, ends)
+}
+
+/// Which H1 estimate each positive-selection test kept (`jitter`,
+/// `polished` or `h0`), from the `h1` arg of its `core.test` end event,
+/// in end order.
+pub fn h1_outcomes(events: &[RecordedEvent]) -> Vec<String> {
+    let mut ends: Vec<&RecordedEvent> = events
+        .iter()
+        .filter(|e| e.name == "core.test" && e.ph == 'E')
+        .collect();
+    ends.sort_by_key(|e| e.ts_us);
+    ends.iter()
+        .map(|e| e.str_arg("h1").unwrap_or("?").to_string())
+        .collect()
 }
 
 /// Aggregate wall time per span name.
@@ -222,11 +220,12 @@ fn fmt_ms(us: u64) -> String {
     format!("{:.3}", us as f64 / 1e3)
 }
 
-/// Render the full `trace-report` text: the per-fit convergence table
-/// followed by the critical-path (self-time) breakdown.
+/// Render the full `trace-report` text: the per-fit convergence table,
+/// why each fit stopped and which H1 each test kept, then the
+/// critical-path (self-time) breakdown.
 pub fn render_report(events: &[RecordedEvent]) -> String {
     let mut out = String::new();
-    let rows = convergence_rows(events);
+    let (rows, ends) = fits(events);
     out.push_str("Convergence trace\n");
     if rows.is_empty() {
         out.push_str("  (no opt.iteration spans in trace)\n");
@@ -247,6 +246,17 @@ pub fn render_report(events: &[RecordedEvent]) -> String {
                 r.ls_evals
             ));
         }
+    }
+    out.push('\n');
+    out.push_str("Fit outcomes\n");
+    if ends.is_empty() {
+        out.push_str("  (no opt.fit spans in trace)\n");
+    }
+    for (fit, algo, termination) in &ends {
+        out.push_str(&format!("  fit {fit} ({algo}): stopped on {termination}\n"));
+    }
+    for (i, h1) in h1_outcomes(events).iter().enumerate() {
+        out.push_str(&format!("  test {}: H1 from {h1}\n", i + 1));
     }
     out.push('\n');
     out.push_str("Critical path (self time)\n");
@@ -328,6 +338,30 @@ mod tests {
         assert_eq!(rows[0].algo, "bfgs");
         assert_eq!(rows[0].iter, 1);
         assert!((rows[0].lnl + 12.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn report_prints_fit_termination_and_h1_outcome() {
+        let mut fit_end = rec("opt.fit", "opt", 'E', 30, 0);
+        fit_end.str_args = vec![
+            ("algo".to_string(), "lbfgs".to_string()),
+            ("termination".to_string(), "max_iterations".to_string()),
+        ];
+        let mut test_end = rec("core.test", "core", 'E', 40, 0);
+        test_end.str_args = vec![("h1".to_string(), "polished".to_string())];
+        let events = vec![
+            rec("core.test", "core", 'B', 0, 0),
+            rec("opt.fit", "opt", 'B', 5, 0),
+            fit_end,
+            test_end,
+        ];
+        assert_eq!(h1_outcomes(&events), vec!["polished".to_string()]);
+        let text = render_report(&events);
+        assert!(
+            text.contains("fit 1 (lbfgs): stopped on max_iterations"),
+            "{text}"
+        );
+        assert!(text.contains("test 1: H1 from polished"), "{text}");
     }
 
     #[test]

@@ -26,9 +26,7 @@ fn inf_norm(a: &[f64]) -> f64 {
 /// Minimize `f` from `x0` with L-BFGS, reusing [`BfgsOptions`] (the
 /// `max_backtracks`, tolerance and gradient-mode knobs mean the same).
 pub fn minimize_lbfgs(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
-    // check: allow(det-wallclock) feeds the obs fit-duration histogram only
-    let fit_start = std::time::Instant::now();
-    let mut fit_span = slim_trace::span("opt.fit", "opt");
+    let mut fit_span = crate::obsm::FIT.span();
     fit_span.arg_str("algo", "lbfgs");
     let n = x0.len();
     let f_cell = std::cell::RefCell::new(f);
@@ -70,7 +68,7 @@ pub fn minimize_lbfgs(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptio
         }
         iterations += 1;
         // Convergence-trace span, same shape as dense BFGS.
-        let mut it_span = slim_trace::span("opt.iteration", "opt");
+        let mut it_span = crate::obsm::ITERATION.span();
         it_span.arg_u64("iter", iterations as u64);
         let ls_before = ls_cell.get();
 
@@ -168,22 +166,16 @@ pub fn minimize_lbfgs(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptio
         }
     }
 
-    let m = crate::obsm::metrics();
-    m.fits.inc();
-    m.iterations.add(iterations as u64);
-    m.f_evals.add(evals_cell.get() as u64);
-    m.grad_evals.add(grads_cell.get() as u64);
-    m.line_search_steps.add(ls_cell.get() as u64);
-    m.fit_seconds.observe(fit_start.elapsed());
-
-    BfgsResult {
+    let result = BfgsResult {
         x,
         f: fx,
         grad: g,
         iterations,
         f_evals: evals_cell.get(),
         reason,
-    }
+    };
+    crate::obsm::record_fit(&mut fit_span, &result, grads_cell.get(), ls_cell.get());
+    result
 }
 
 #[cfg(test)]

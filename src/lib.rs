@@ -20,8 +20,8 @@
 //! | [`sim`] | `slim-sim` | Yule trees, BSM sequence simulation, Table II presets |
 //! | [`core`] | `slim-core` | the public `Analysis` API |
 //! | [`batch`] | `slim-batch` | multi-gene batch runs: manifest, worker pool, checkpoint/resume |
-//! | [`obs`] | `slim-obs` | metrics registry: counters, gauges, histograms, span timers |
-//! | [`trace`] | `slim-trace` | structured event tracing: flight recorder, Chrome trace export |
+//! | [`obs`] | `slim-obs` | spans from static sites feeding a metrics registry (counters, gauges, histograms) and a trace flight recorder |
+//! | [`trace`] | `slim-obs` (`slim_obs::trace`) | the trace sink: flight recorder, Chrome trace export, `trace-report` |
 //!
 //! ## Quickstart
 //!
@@ -45,7 +45,7 @@ pub use slim_lik as lik;
 pub use slim_linalg as linalg;
 pub use slim_model as model;
 pub use slim_obs as obs;
+pub use slim_obs::trace;
 pub use slim_opt as opt;
 pub use slim_sim as sim;
 pub use slim_stat as stat;
-pub use slim_trace as trace;

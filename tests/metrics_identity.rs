@@ -153,4 +153,76 @@ fn fit_bits_are_unchanged_by_metrics_and_registry_records() {
         delta("expm.cache.hits") + delta("expm.cache.misses") > 0,
         "expm cache layer did not record"
     );
+    // The fit fed the span histograms `--timing` reads.
+    let observations = |name: &str| {
+        let count = |s: &slimcodeml::obs::Snapshot| s.histogram(name).map_or(0, |h| h.count);
+        count(&after).saturating_sub(count(&before))
+    };
+    for name in [
+        "lik.phase.eigen_seconds",
+        "lik.phase.expm_seconds",
+        "lik.phase.pruning_seconds",
+        "lik.phase.reduction_seconds",
+        "opt.fit_seconds",
+    ] {
+        assert!(observations(name) > 0, "{name} did not record");
+    }
+}
+
+/// Whole positive-selection tests: lnL bits unchanged by metrics, every
+/// fit counted under exactly one `opt.termination.*` reason, and every
+/// test under exactly one `core.h1.*` outcome.
+#[test]
+fn tests_count_termination_reasons_and_h1_outcomes() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = slimcodeml::bio::parse_newick("((A:0.1,B:0.2)#1:0.05,C:0.3);").unwrap();
+    let aln = slimcodeml::bio::CodonAlignment::from_fasta(
+        ">A\nATGCCCAAATGGTTT\n>B\nATGCCAAAATGGTTC\n>C\nATGCCCAAATGGTTT\n",
+    )
+    .unwrap();
+    let seeds = [7u64, 8];
+    let run = |seed: u64| {
+        let options = AnalysisOptions {
+            max_iterations: 12,
+            seed,
+            ..AnalysisOptions::default()
+        };
+        Analysis::new(&tree, &aln, options)
+            .unwrap()
+            .test_positive_selection()
+            .expect("positive-selection test")
+    };
+
+    slimcodeml::obs::set_enabled(false);
+    let off: Vec<_> = seeds.iter().map(|&s| run(s)).collect();
+
+    slimcodeml::obs::set_enabled(true);
+    slimcodeml::opt::register_metrics();
+    slimcodeml::core::register_metrics();
+    let before = slimcodeml::obs::snapshot();
+    let on: Vec<_> = seeds.iter().map(|&s| run(s)).collect();
+    let after = slimcodeml::obs::snapshot();
+    slimcodeml::obs::set_enabled(false);
+
+    for (a, b) in off.iter().zip(&on) {
+        assert_eq!(a.h0.lnl.to_bits(), b.h0.lnl.to_bits(), "H0 lnL changed");
+        assert_eq!(a.h1.lnl.to_bits(), b.h1.lnl.to_bits(), "H1 lnL changed");
+    }
+    let delta = |name: &str| {
+        after
+            .counter(name)
+            .unwrap_or(0)
+            .saturating_sub(before.counter(name).unwrap_or(0))
+    };
+    let sum = |prefix: &str| -> u64 {
+        after
+            .counters
+            .iter()
+            .filter(|(n, _)| n.starts_with(prefix))
+            .map(|(n, _)| delta(n))
+            .sum()
+    };
+    assert!(delta("opt.fits") >= 2 * seeds.len() as u64);
+    assert_eq!(sum("opt.termination."), delta("opt.fits"));
+    assert_eq!(sum("core.h1."), seeds.len() as u64);
 }

@@ -1,6 +1,6 @@
 //! Tracing must never perturb numerics.
 //!
-//! The `slim-trace` layer makes the same promise as `slim-obs`:
+//! The trace sink of `slim-obs` makes the same promise as its metrics:
 //! turning the flight recorder on or off changes *no* computed value —
 //! span begin/end capture happens strictly outside the arithmetic.
 //! These tests pin that contract at two levels (the raw parallel
@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use slimcodeml::bio::FreqModel;
 use slimcodeml::core::{Analysis, AnalysisOptions, Backend, Hypothesis};
 use slimcodeml::lik::{site_class_log_likelihoods, EngineConfig, LikelihoodProblem};
+use slimcodeml::obs::Site;
 use slimcodeml::sim::{dataset, DatasetId};
 use slimcodeml::trace::Phase;
 use std::sync::Mutex;
@@ -148,14 +149,24 @@ fn fit_bits_are_unchanged_by_tracing_and_recorder_records() {
     assert!(has("opt.fit"), "optimizer fit span missing");
     assert!(has("opt.iteration"), "optimizer iteration spans missing");
     assert!(has("lik.evaluate"), "likelihood evaluate spans missing");
+    assert!(
+        has("lik.phase.pruning"),
+        "likelihood pruning phase spans missing"
+    );
 }
 
-/// Nesting depth names, indexed by depth; spans need `&'static str`.
-const DEPTH_NAMES: [&str; 5] = ["prop.d0", "prop.d1", "prop.d2", "prop.d3", "prop.d4"];
+/// One span site per nesting depth, indexed by depth.
+static DEPTH_SITES: [Site; 5] = [
+    Site::new("prop.d0", "prop"),
+    Site::new("prop.d1", "prop"),
+    Site::new("prop.d2", "prop"),
+    Site::new("prop.d3", "prop"),
+    Site::new("prop.d4", "prop"),
+];
 
 /// Open `depth` nested spans and drop them in LIFO order.
 fn nested_spans(depth: usize) {
-    let _span = slimcodeml::trace::span(DEPTH_NAMES[depth], "prop");
+    let _span = DEPTH_SITES[depth].span();
     std::thread::yield_now();
     if depth > 0 {
         nested_spans(depth - 1);
