@@ -69,10 +69,8 @@ pub fn parse_ctl(text: &str) -> Result<CtlConfig, String> {
         };
         let key = key.trim();
         let value = value.trim();
-        let parse_int = |v: &str| -> Result<i64, String> {
-            v.parse()
-                .map_err(|_| format!("line {}: bad integer {v:?} for {key}", lineno + 1))
-        };
+        let bad_int = |v: &str| format!("line {}: bad integer {v:?} for {key}", lineno + 1);
+        let parse_int = |v: &str| -> Result<i64, String> { v.parse().map_err(|_| bad_int(v)) };
         match key {
             "seqfile" => seqfile = Some(value.to_string()),
             "treefile" => treefile = Some(value.to_string()),
@@ -98,7 +96,9 @@ pub fn parse_ctl(text: &str) -> Result<CtlConfig, String> {
                     }
                 };
             }
-            "seed" => options.seed = parse_int(value)? as u64,
+            // Counts parse as unsigned, so a negative value is a bad
+            // integer rather than a wrapped huge one.
+            "seed" => options.seed = value.parse().map_err(|_| bad_int(value))?,
             "icode" => {
                 options.genetic_code = match parse_int(value)? {
                     0 => slim_bio::GeneticCode::universal(),
@@ -111,7 +111,7 @@ pub fn parse_ctl(text: &str) -> Result<CtlConfig, String> {
                     }
                 };
             }
-            "maxiter" => options.max_iterations = parse_int(value)? as usize,
+            "maxiter" => options.max_iterations = value.parse().map_err(|_| bad_int(value))?,
             // Commonly present CodeML keys that this reproduction either
             // fixes implicitly (the H0/H1 pair is always run) or ignores.
             "noisy" | "verbose" | "runmode" | "seqtype" | "clock" | "getSE" | "RateAncestor"
@@ -202,5 +202,14 @@ mod tests {
             .contains("unsupported"));
         assert!(parse_ctl("seqfile = a\ntreefile = t\njust a line\n").is_err());
         assert!(parse_ctl("seqfile = a\ntreefile = t\nCodonFreq = 9\n").is_err());
+        for (text, key) in [
+            ("seqfile = a\ntreefile = t\nmaxiter = -1\n", "maxiter"),
+            ("seqfile = a\ntreefile = t\nseed = -1\n", "seed"),
+        ] {
+            assert_eq!(
+                parse_ctl(text).unwrap_err(),
+                format!("line 3: bad integer \"-1\" for {key}")
+            );
+        }
     }
 }

@@ -227,12 +227,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                     .ok_or_else(|| format!("unknown simd mode {v:?} (auto|scalar|avx2|neon)"))?;
             }
             "--timing" => timing = true,
-            // Cross-evaluation partial-likelihood reuse: on by default for
-            // the Slim backends (bit-identical by contract), off for the
-            // CodeML-style profile. The flags override both the backend
-            // default and SLIMCODEML_REUSE.
-            "--reuse" => options.reuse = Some(true),
-            "--no-reuse" => options.reuse = Some(false),
             "--metrics" => metrics_path = Some(take_value("--metrics")?),
             "--metrics-format" => {
                 let v = take_value("--metrics-format")?;
@@ -241,7 +235,18 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
             }
             "--trace" => trace_path = Some(take_value("--trace")?),
             "--sites" => mode = CtlMode::Sites,
-            "--ctl" => return Ok(Invocation::Ctl(take_value("--ctl")?)),
+            "--ctl" => {
+                // The control file sets every option; a flag beside it
+                // would be ignored, so refuse it.
+                let path = take_value("--ctl")?;
+                if args.len() != 2 {
+                    return Err(format!(
+                        "--ctl <path> takes no other arguments\n{}",
+                        usage()
+                    ));
+                }
+                return Ok(Invocation::Ctl(path));
+            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
@@ -601,11 +606,11 @@ fn timing_report(analysis: &Analysis, baseline: &Snapshot) -> String {
         }
         None => out.push_str("  eigen cache: off (backend runs without a cache)\n"),
     }
-    if analysis.options().reuse_enabled() {
+    if analysis.options().backend.reuses_likelihoods() {
         let reused = count("lik.reuse.units_reused");
         let recomputed = count("lik.reuse.units_recomputed");
         let total = reused + recomputed;
-        // 0/0 → 0.0: a reuse-enabled run with no CPV blocks at all (e.g.
+        // 0/0 → 0.0: a reusing run with no CPV blocks at all (e.g.
         // zero evaluations) must not print NaN.
         let rate = if total > 0 {
             reused as f64 / total as f64
@@ -641,7 +646,7 @@ pub fn usage() -> String {
     "usage: slimcodeml --seq <aln.fasta|aln.phy> --tree <tree.nwk> \
      [--backend codeml|slim|slim+|eq12] [--freq equal|f1x4|f3x4|f61] \
      [--seed N] [--max-iter N] [--forward-grad] [--threads N] \
-     [--simd auto|scalar|avx2|neon] [--reuse|--no-reuse] [--timing] \
+     [--simd auto|scalar|avx2|neon] [--timing] \
      [--metrics <path>] [--metrics-format json|prom] [--trace <path>] \
      [--scan] [--workers N] [--sites]\n\
        or: slimcodeml --ctl <codeml.ctl>\n\
@@ -1094,17 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_flags() {
-        let on = direct(parse_args(&args(&["--seq", "a", "--tree", "t", "--reuse"])).unwrap());
-        assert_eq!(on.options.reuse, Some(true));
-        let off = direct(parse_args(&args(&["--seq", "a", "--tree", "t", "--no-reuse"])).unwrap());
-        assert_eq!(off.options.reuse, Some(false));
-        let auto = direct(parse_args(&args(&["--seq", "a", "--tree", "t"])).unwrap());
-        assert_eq!(auto.options.reuse, None, "default defers to the backend");
-        assert!(usage().contains("--no-reuse"));
-    }
-
-    #[test]
     fn simd_flag() {
         let forced =
             direct(parse_args(&args(&["--seq", "a", "--tree", "t", "--simd", "scalar"])).unwrap());
@@ -1151,6 +1145,7 @@ mod tests {
         assert!(report.contains("likelihood evaluations"), "{report}");
         assert!(report.contains("eigen cache:"), "{report}");
         assert!(report.contains("reuse:"), "{report}");
+        assert!(!report.contains("reuse: off"), "slim fits reuse: {report}");
     }
 
     #[test]
@@ -1163,7 +1158,8 @@ mod tests {
                 "-",
                 "--max-iter",
                 "6",
-                "--no-reuse",
+                "--backend",
+                "codeml",
                 "--timing",
             ]))
             .unwrap(),
@@ -1356,6 +1352,13 @@ mod tests {
         match parse_args(&args(&["--ctl", "codeml.ctl"])).unwrap() {
             Invocation::Ctl(p) => assert_eq!(p, "codeml.ctl"),
             other => panic!("{other:?}"),
+        }
+        // Any other argument is an error, not silently dropped.
+        for bad in [
+            &["--threads", "4", "--ctl", "c.ctl"][..],
+            &["--ctl", "c.ctl", "--timing"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
         }
     }
 

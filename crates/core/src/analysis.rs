@@ -11,20 +11,9 @@ use slim_lik::{
     log_likelihood, site_class_log_likelihoods, LikelihoodProblem, ReuseEvaluator, SimdMode,
 };
 use slim_model::{BranchSiteModel, Hypothesis};
-use slim_opt::{minimize, minimize_lbfgs, BfgsOptions, Block, BlockTransform, GradMode};
+use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, GradMode};
 use slim_stat::{lrt_pvalue, positive_selection_posteriors, LrtResult};
 use std::time::Instant;
-
-/// Which quasi-Newton maximizer drives the fits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Optimizer {
-    /// Dense-inverse-Hessian BFGS (§II-B of the paper; default).
-    #[default]
-    DenseBfgs,
-    /// Limited-memory BFGS: linear-cost iterations for very large trees
-    /// (the FastCodeML scale).
-    LBfgs,
-}
 
 /// Options controlling an analysis run.
 #[derive(Debug, Clone)]
@@ -46,8 +35,6 @@ pub struct AnalysisOptions {
     pub initial_branch_length: Option<f64>,
     /// Relative jitter applied to the default parameter starting point.
     pub jitter: f64,
-    /// Quasi-Newton flavor.
-    pub optimizer: Optimizer,
     /// Genetic code (CodeML `icode`): universal by default; the
     /// vertebrate mitochondrial code is also supported (60 sense codons).
     pub genetic_code: GeneticCode,
@@ -61,15 +48,6 @@ pub struct AnalysisOptions {
     /// SIMD kernel dispatch ([`SimdMode::Auto`] honors `SLIMCODEML_SIMD`,
     /// else CPU detection). Every mode computes bit-identical likelihoods.
     pub simd: SimdMode,
-    /// Cross-evaluation partial-likelihood reuse during fits: whether the
-    /// fit's evaluator keeps its state between calls (on) or clears it
-    /// before each call (off). `None` = auto: on for the Slim backends,
-    /// off for [`Backend::CodeMlStyle`] so the paper-comparison profile
-    /// keeps its measured cost model; overridable via the
-    /// `SLIMCODEML_REUSE` environment variable and the `--reuse` /
-    /// `--no-reuse` CLI flags. Reuse-on and reuse-off fits are
-    /// bit-identical by the invalidation contract.
-    pub reuse: Option<bool>,
 }
 
 impl Default for AnalysisOptions {
@@ -82,11 +60,9 @@ impl Default for AnalysisOptions {
             grad_mode: GradMode::Central,
             initial_branch_length: None,
             jitter: 0.05,
-            optimizer: Optimizer::default(),
             genetic_code: GeneticCode::universal(),
             threads: threads_from_env(),
             simd: SimdMode::Auto,
-            reuse: None,
         }
     }
 }
@@ -109,24 +85,6 @@ impl AnalysisOptions {
         }
         config.simd = self.simd;
         config
-    }
-
-    /// Whether fits keep the evaluator's state between calls. Resolution
-    /// order: the explicit [`AnalysisOptions::reuse`] setting, then the
-    /// `SLIMCODEML_REUSE` environment variable (`0`/`off`/`false`/`no`
-    /// disable, any other non-empty value enables), then the backend
-    /// default (every backend except [`Backend::CodeMlStyle`]).
-    pub fn reuse_enabled(&self) -> bool {
-        if let Some(explicit) = self.reuse {
-            return explicit;
-        }
-        if let Ok(v) = std::env::var("SLIMCODEML_REUSE") {
-            let v = v.trim().to_ascii_lowercase();
-            if !v.is_empty() {
-                return !matches!(v.as_str(), "0" | "off" | "false" | "no");
-            }
-        }
-        !matches!(self.backend, Backend::CodeMlStyle)
     }
 }
 
@@ -370,9 +328,9 @@ impl Analysis {
 
         // One evaluator per fit. It diffs parameters bitwise against its
         // previous call, so kept and cleared state give the same bits
-        // (see slim-lik's reuse module docs); reuse off clears it before
-        // every call.
-        let reuse = self.options.reuse_enabled();
+        // (see slim-lik's reuse module docs); the codeml-style backend
+        // clears it before every call.
+        let reuse = self.options.backend.reuses_likelihoods();
         let mut evaluator = ReuseEvaluator::new(&self.problem, self.engine_config.clone());
         let mut objective = |z: &[f64]| -> f64 {
             let x = transform.to_constrained(z);
@@ -402,10 +360,7 @@ impl Analysis {
         };
         // check: allow(det-wallclock) feeds the report wall_time field only
         let started = Instant::now();
-        let result = match self.options.optimizer {
-            Optimizer::DenseBfgs => minimize(&mut objective, &z0, &opts),
-            Optimizer::LBfgs => minimize_lbfgs(&mut objective, &z0, &opts),
-        };
+        let result = minimize(&mut objective, &z0, &opts);
         let wall_time = started.elapsed();
 
         let x = transform.to_constrained(&result.x);
@@ -617,34 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn lbfgs_reaches_comparable_likelihood() {
-        let dense = small_analysis(Backend::Slim).fit(Hypothesis::H0).unwrap();
-        let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,(C:0.2,D:0.2):0.1);").unwrap();
-        let aln = CodonAlignment::from_fasta(
-            ">A\nATGCCCAAATTTGGGCGA\n>B\nATGCCAAAATTTGGACGA\n>C\nATGCCCAAGTTTGGGCGA\n>D\nATGCCCAAATTCGGGCGT\n",
-        )
-        .unwrap();
-        let a = Analysis::new(
-            &tree,
-            &aln,
-            AnalysisOptions {
-                backend: Backend::Slim,
-                max_iterations: 60,
-                optimizer: Optimizer::LBfgs,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let limited = a.fit(Hypothesis::H0).unwrap();
-        assert!(
-            (dense.lnl - limited.lnl).abs() < 0.01,
-            "dense {} vs l-bfgs {}",
-            dense.lnl,
-            limited.lnl
-        );
-    }
-
-    #[test]
     fn with_foreground_matches_marked_clone() {
         let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,(C:0.2,D:0.2):0.1);").unwrap();
         let aln = CodonAlignment::from_fasta(
@@ -690,71 +617,23 @@ mod tests {
     }
 
     #[test]
-    fn reuse_on_and_off_fits_are_bit_identical() {
-        let run = |reuse: bool| {
-            let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,(C:0.2,D:0.2):0.1);").unwrap();
-            let aln = CodonAlignment::from_fasta(
-                ">A\nATGCCCAAATTTGGGCGA\n>B\nATGCCAAAATTTGGACGA\n>C\nATGCCCAAGTTTGGGCGA\n>D\nATGCCCAAATTCGGGCGT\n",
-            )
-            .unwrap();
-            let a = Analysis::new(
-                &tree,
-                &aln,
-                AnalysisOptions {
-                    backend: Backend::Slim,
-                    max_iterations: 60,
-                    reuse: Some(reuse),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            a.test_positive_selection().unwrap()
-        };
-        let with = run(true);
-        let without = run(false);
-        for (a, b, what) in [
-            (with.h0.lnl, without.h0.lnl, "H0 lnL"),
-            (with.h1.lnl, without.h1.lnl, "H1 lnL"),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits(), "{what}: reuse {a} vs fresh {b}");
-        }
-        assert_eq!(with.h0.f_evals, without.h0.f_evals);
-        assert_eq!(with.h0.iterations, without.h0.iterations);
-        assert_eq!(with.h1.branch_lengths, without.h1.branch_lengths);
-        assert_eq!(with.h1.model, without.h1.model);
-        for (a, b) in with.site_posteriors.iter().zip(&without.site_posteriors) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn reuse_resolution_order() {
-        // Explicit beats backend default.
-        let opts = AnalysisOptions {
-            backend: Backend::Slim,
-            reuse: Some(false),
-            ..Default::default()
-        };
-        assert!(!opts.reuse_enabled());
-        let opts = AnalysisOptions {
-            backend: Backend::CodeMlStyle,
-            reuse: Some(true),
-            ..Default::default()
-        };
-        assert!(opts.reuse_enabled());
-        // Backend defaults (environment override is covered by the CLI
-        // suite, which controls the process environment).
-        if std::env::var("SLIMCODEML_REUSE").is_err() {
-            let opts = AnalysisOptions {
-                backend: Backend::Slim,
-                ..Default::default()
-            };
-            assert!(opts.reuse_enabled());
-            let opts = AnalysisOptions {
-                backend: Backend::CodeMlStyle,
-                ..Default::default()
-            };
-            assert!(!opts.reuse_enabled());
+    fn reported_lnls_replay_on_a_fresh_evaluator() {
+        // A fit's evaluator keeps its state between calls; the reported
+        // H0 and H1 lnL must still be exactly what an empty-state
+        // evaluation gives at the reported points.
+        for backend in [Backend::Slim, Backend::SlimPlus, Backend::SlimSymmetric] {
+            let a = small_analysis(backend);
+            let r = a.test_positive_selection().unwrap();
+            for fit in [&r.h0, &r.h1] {
+                let replay = a.log_likelihood(&fit.model, &fit.branch_lengths).unwrap();
+                assert_eq!(
+                    replay.to_bits(),
+                    fit.lnl.to_bits(),
+                    "{backend:?} {:?}: replay {replay} vs reported {}",
+                    fit.hypothesis,
+                    fit.lnl
+                );
+            }
         }
     }
 

@@ -52,6 +52,16 @@ impl Backend {
         }
     }
 
+    /// Whether a fit keeps its evaluator's state between calls, so each
+    /// evaluation recomputes only what the parameter change touched.
+    /// Every backend does except [`Backend::CodeMlStyle`]: its fits clear
+    /// the state before every call, because that backend models CodeML's
+    /// recompute-everything cost for Tables III/IV and Fig. 3. Both give
+    /// the same bits (see slim-lik's reuse module docs).
+    pub fn reuses_likelihoods(self) -> bool {
+        self != Backend::CodeMlStyle
+    }
+
     /// Display label matching the paper's terminology.
     pub fn label(self) -> &'static str {
         self.config().label

@@ -31,7 +31,7 @@ mod scan;
 mod sites;
 mod stderr;
 
-pub use analysis::{Analysis, AnalysisOptions, Optimizer, TestResult};
+pub use analysis::{Analysis, AnalysisOptions, TestResult};
 pub use backend::Backend;
 pub use beb::BebOptions;
 pub use bootstrap::{parametric_bootstrap_lrt, BootstrapOptions, BootstrapResult};

@@ -184,6 +184,14 @@ impl EigenSystem {
         // slices stay logical-width, so values are unchanged.
         let mut m = Mat::zeros_padded(self.order(), self.order());
         syrk(1.0, &y_hat, 0.0, &mut m);
+        // P = M·Π with π > 0, so M_ij < 0 exactly where P_ij < 0. Clamp
+        // the negative rounding noise `back_transform` clamps from P, so
+        // CPVs stay non-negative on this path too.
+        for v in m.as_mut_slice() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
         #[cfg(feature = "sanitize")]
         {
             // The implied transition matrix is P = M·Π, so row i of P sums
@@ -326,14 +334,18 @@ mod tests {
     #[test]
     fn symmetric_transition_matches_dense_apply() {
         let (_, es) = test_system(1.2);
-        let t = 0.4;
-        let p = es.transition_matrix_eq10(t);
-        let sym = es.symmetric_transition(t);
-        let w: Vec<f64> = (0..61).map(|i| ((i * 13 % 7) as f64 + 1.0) / 8.0).collect();
-        let dense = p.mul_vec(&w);
-        let via_sym = sym.apply(&w);
-        for i in 0..61 {
-            assert!((dense[i] - via_sym[i]).abs() < 1e-11, "i={i}");
+        // At t = 1e-6 rounding leaves hundreds of entries of M below
+        // zero unless they are clamped like P's.
+        for t in [0.4, 1e-6] {
+            let p = es.transition_matrix_eq10(t);
+            let sym = es.symmetric_transition(t);
+            assert!(sym.matrix().as_slice().iter().all(|&v| v >= 0.0), "t={t}");
+            let w: Vec<f64> = (0..61).map(|i| ((i * 13 % 7) as f64 + 1.0) / 8.0).collect();
+            let dense = p.mul_vec(&w);
+            let via_sym = sym.apply(&w);
+            for i in 0..61 {
+                assert!((dense[i] - via_sym[i]).abs() < 1e-11, "t={t} i={i}");
+            }
         }
     }
 }

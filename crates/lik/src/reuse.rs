@@ -149,8 +149,8 @@ impl<'p> ReuseEvaluator<'p> {
 
     /// Forget the kept state, so the next evaluation recomputes everything
     /// — eigensystems, operators and every CPV, into the buffers the
-    /// evaluator already holds (the `reuse = off` setting calls this
-    /// before every evaluation).
+    /// evaluator already holds (codeml-style fits call this before every
+    /// evaluation).
     pub fn clear(&mut self) {
         self.state = None;
     }

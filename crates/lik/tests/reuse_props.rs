@@ -11,7 +11,8 @@
 //! what changed: its bitwise diff against the previous call is the only
 //! source of the dirty set. Proptest drives that promise over random
 //! sequences on every Table II dataset analog, at 1 and 4 threads, with
-//! SIMD forced scalar and forced native.
+//! SIMD forced scalar and forced native; a fixed sequence also covers
+//! every other engine preset.
 
 use proptest::prelude::*;
 use slim_bio::{FreqModel, GeneticCode};
@@ -196,7 +197,10 @@ proptest! {
 /// Every Table II analog, both thread counts, both SIMD modes, on one
 /// fixed optimizer-shaped sequence — the coverage matrix the random test
 /// samples from, run deterministically so the big analogs (ii, iv) are
-/// exercised exactly once per mode.
+/// exercised exactly once per mode. The other presets (codeml-style
+/// kernels, the slim+ bundled products and eigen cache, the Eq. 12
+/// symmetric operators served from `PtCache`) run once per analog at one
+/// thread with auto SIMD.
 #[test]
 fn reuse_is_bit_identical_on_every_dataset_shape() {
     let steps = [
@@ -228,6 +232,15 @@ fn reuse_is_bit_identical_on_every_dataset_shape() {
                 check_sequence(id, &config, &steps)
                     .unwrap_or_else(|e| panic!("{} threads={threads} {simd:?}: {e}", id.label()));
             }
+        }
+        for config in [
+            EngineConfig::codeml_style(),
+            EngineConfig::slim_plus(),
+            EngineConfig::slim_symmetric(),
+        ] {
+            let config = config.with_threads(1).with_simd(SimdMode::Auto);
+            check_sequence(id, &config, &steps)
+                .unwrap_or_else(|e| panic!("{} {}: {e}", id.label(), config.label));
         }
     }
 }

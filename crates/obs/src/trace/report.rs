@@ -51,7 +51,7 @@ impl RecordedEvent {
 pub struct ConvergenceRow {
     /// 1-based fit ordinal (order of `opt.fit` spans in the trace).
     pub fit: usize,
-    /// Optimizer label (`bfgs` / `lbfgs`) if recorded.
+    /// Optimizer label (`bfgs`) if recorded.
     pub algo: String,
     /// Iteration number within the fit.
     pub iter: u64,
@@ -344,7 +344,7 @@ mod tests {
     fn report_prints_fit_termination_and_h1_outcome() {
         let mut fit_end = rec("opt.fit", "opt", 'E', 30, 0);
         fit_end.str_args = vec![
-            ("algo".to_string(), "lbfgs".to_string()),
+            ("algo".to_string(), "bfgs".to_string()),
             ("termination".to_string(), "max_iterations".to_string()),
         ];
         let mut test_end = rec("core.test", "core", 'E', 40, 0);
@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(h1_outcomes(&events), vec!["polished".to_string()]);
         let text = render_report(&events);
         assert!(
-            text.contains("fit 1 (lbfgs): stopped on max_iterations"),
+            text.contains("fit 1 (bfgs): stopped on max_iterations"),
             "{text}"
         );
         assert!(text.contains("test 1: H1 from polished"), "{text}");

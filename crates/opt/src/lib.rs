@@ -5,24 +5,20 @@
 //! the way CodeML maximizes the branch-site likelihood. This crate
 //! provides:
 //!
-//! * [`bfgs`]: dense BFGS with a strong-Wolfe line search and iteration
-//!   accounting (the "Iterations" column of the paper's Table III);
+//! * [`bfgs`]: dense BFGS with an Armijo backtracking line search
+//!   (quadratic interpolation) and iteration accounting (the
+//!   "Iterations" column of the paper's Table III);
 //! * [`transform`]: smooth bijections between bounded model parameters
 //!   (κ > 0, 0 < ω0 < 1, ω2 ≥ 1, simplex proportions, branch lengths) and
 //!   the unconstrained space BFGS works in;
-//! * [`numgrad`]: central/forward finite-difference gradients;
-//! * [`brent`]: bounded 1-D minimization for single-parameter refinement.
+//! * [`numgrad`]: central/forward finite-difference gradients.
 
 pub mod bfgs;
-pub mod brent;
-pub mod lbfgs;
 pub mod numgrad;
 mod obsm;
 pub mod transform;
 
 pub use bfgs::{minimize, BfgsOptions, BfgsResult, TerminationReason};
-pub use brent::brent_min;
-pub use lbfgs::minimize_lbfgs;
 pub use numgrad::{central_gradient, forward_gradient, GradMode};
 pub use obsm::register_metrics;
 pub use transform::{Block, BlockTransform};

@@ -1,9 +1,8 @@
-//! slim-obs handles and span sites for the optimizers.
+//! slim-obs handles and span sites for the optimizer.
 //!
-//! Both [`crate::minimize`] and [`crate::minimize_lbfgs`] record into the
-//! same `opt.*` family — the paper's Table III currency (iterations,
-//! evaluations), why each fit stopped, and per-fit / per-iteration wall
-//! time through their span sites.
+//! [`crate::minimize`] records into the `opt.*` family — the paper's
+//! Table III currency (iterations, evaluations), why each fit stopped,
+//! and per-fit / per-iteration wall time through its span sites.
 
 use crate::BfgsResult;
 use slim_obs::{Counter, Site, Span};
@@ -56,9 +55,8 @@ pub(crate) fn metrics() -> &'static OptMetrics {
     })
 }
 
-/// The shared BFGS/L-BFGS epilogue: bump the `opt.*` counters with what
-/// the fit spent, count why it stopped, and put the reason on the
-/// `opt.fit` end event.
+/// The fit epilogue: bump the `opt.*` counters with what the fit spent,
+/// count why it stopped, and put the reason on the `opt.fit` end event.
 pub(crate) fn record_fit(
     fit_span: &mut Span,
     fit: &BfgsResult,

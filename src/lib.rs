@@ -15,7 +15,7 @@
 //! | [`model`] | `slim-model` | Eq. 1 codon rate matrices, branch-site model A |
 //! | [`expm`] | `slim-expm` | `P(t) = e^{Qt}` via Eq. 9 / Eq. 10 / Eq. 12 |
 //! | [`lik`] | `slim-lik` | Felsenstein pruning engine with selectable backends |
-//! | [`opt`] | `slim-opt` | BFGS, transforms, numeric gradients, Brent |
+//! | [`opt`] | `slim-opt` | BFGS, transforms, numeric gradients |
 //! | [`stat`] | `slim-stat` | χ², LRT (boundary mixture null), NEB posteriors |
 //! | [`sim`] | `slim-sim` | Yule trees, BSM sequence simulation, Table II presets |
 //! | [`core`] | `slim-core` | the public `Analysis` API |

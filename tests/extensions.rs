@@ -5,7 +5,7 @@
 use slimcodeml::bio::{parse_newick, CodonAlignment, FreqModel, GeneticCode};
 use slimcodeml::core::{
     sites_test, Analysis, AnalysisOptions, Backend, BebOptions, BranchSiteModel, Hypothesis,
-    Optimizer, SitesHypothesis,
+    SitesHypothesis,
 };
 use slimcodeml::lik::ancestral::ancestral_reconstruction;
 use slimcodeml::lik::{branch_model, m0, EngineConfig, LikelihoodProblem};
@@ -216,29 +216,4 @@ fn missing_data_through_full_fit() {
     let analysis = Analysis::new(&tree, &aln, quick(Backend::Slim)).unwrap();
     let fit = analysis.fit(Hypothesis::H0).unwrap();
     assert!(fit.lnl.is_finite() && fit.lnl < 0.0);
-}
-
-#[test]
-fn lbfgs_and_dense_bfgs_agree_through_api() {
-    let tree = yule_tree(5, 0.2, 7);
-    let truth = BranchSiteModel::default_start(Hypothesis::H0);
-    let pi = vec![1.0 / 61.0; 61];
-    let aln = simulate_alignment(&tree, &truth, &pi, 100, 8);
-    let mut opts = quick(Backend::SlimPlus);
-    opts.max_iterations = 100;
-    let dense = Analysis::new(&tree, &aln, opts.clone())
-        .unwrap()
-        .fit(Hypothesis::H0)
-        .unwrap();
-    opts.optimizer = Optimizer::LBfgs;
-    let limited = Analysis::new(&tree, &aln, opts)
-        .unwrap()
-        .fit(Hypothesis::H0)
-        .unwrap();
-    assert!(
-        (dense.lnl - limited.lnl).abs() < 0.05,
-        "dense {} vs l-bfgs {}",
-        dense.lnl,
-        limited.lnl
-    );
 }
