@@ -158,6 +158,57 @@ mod tests {
         }
     }
 
+    /// BEB bits at a fixed H1 point of a three-taxon fixture (no fit, so
+    /// only the likelihood path can move them).
+    #[test]
+    fn beb_bits_are_pinned() {
+        let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,C:0.3);").unwrap();
+        let aln = CodonAlignment::from_fasta(
+            ">A\nATGCCCAAATTTGGGCGA\n>B\nATGCCAAAATTTGGACGA\n>C\nATGCCCAAGTTCGGGCGT\n",
+        )
+        .unwrap();
+        let options = AnalysisOptions {
+            backend: Backend::SlimPlus,
+            ..Default::default()
+        };
+        let analysis = Analysis::new(&tree, &aln, options).unwrap();
+        let fit = Fit {
+            hypothesis: Hypothesis::H1,
+            lnl: f64::NAN,
+            model: BranchSiteModel {
+                kappa: 2.1,
+                omega0: 0.3,
+                omega2: 2.5,
+                p0: 0.6,
+                p1: 0.25,
+            },
+            branch_lengths: vec![0.15, 0.2, 0.1, 0.3],
+            iterations: 0,
+            f_evals: 0,
+            wall_time: std::time::Duration::ZERO,
+            termination: slim_opt::TerminationReason::MaxIterations,
+        };
+        let opts = BebOptions {
+            n_omega0: 2,
+            n_omega2: 2,
+            n_props: 2,
+            omega2_max: 5.0,
+        };
+        let beb = analysis.beb_site_posteriors(&fit, &opts).unwrap();
+        let bits: Vec<u64> = beb.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3fb816a13c380f77,
+                0x3fc0a85468e64e9d,
+                0x3fbd21f4158c1ea2,
+                0x3fbff7ffec296319,
+                0x3fbd5c74f095c9a1,
+                0x3fc0b0d587b273dd
+            ]
+        );
+    }
+
     #[test]
     fn beb_shrinks_extreme_neb_calls() {
         // On weak data NEB can be overconfident; BEB averages over the

@@ -247,6 +247,39 @@ mod tests {
         assert!(r.m2a.model.is_valid(SitesHypothesis::M2a));
     }
 
+    /// M1a/M2a lnL bits of the end-to-end fixture's fits, kept state
+    /// (slim+) and cleared state (codeml) alike.
+    #[test]
+    fn sites_test_lnl_bits_are_pinned() {
+        let tree = parse_newick("((A:0.2,B:0.2):0.1,C:0.3);").unwrap();
+        let aln = CodonAlignment::from_fasta(
+            ">A\nATGCCCAAATTTGGG\n>B\nATGCCAAAATTTGGA\n>C\nATGCCCAAGTTCGGG\n",
+        )
+        .unwrap();
+        for (backend, want) in [
+            (Backend::SlimPlus, (0xc03a6e5aa7cdc308, 0xc03a6e5a573925c6)),
+            (
+                Backend::CodeMlStyle,
+                (0xc03a6e5aa7d56e4f, 0xc03a6e5a572cc384),
+            ),
+        ] {
+            let r = sites_test(
+                &tree,
+                &aln,
+                &AnalysisOptions {
+                    backend,
+                    ..options()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                (r.m1a.lnl.to_bits(), r.m2a.lnl.to_bits()),
+                want,
+                "{backend:?}"
+            );
+        }
+    }
+
     #[test]
     fn works_without_foreground_mark() {
         // The whole point: no #1 in the tree.

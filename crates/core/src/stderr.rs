@@ -186,6 +186,50 @@ mod tests {
         }
     }
 
+    /// SE bits at a fixed H1 point of the three-taxon fixture (no fit,
+    /// so only the likelihood path can move them).
+    #[test]
+    fn standard_error_bits_are_pinned() {
+        let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,C:0.3);").unwrap();
+        let aln = CodonAlignment::from_fasta(
+            ">A\nATGCCCAAATTTGGGCGA\n>B\nATGCCAAAATTTGGACGA\n>C\nATGCCCAAGTTCGGGCGT\n",
+        )
+        .unwrap();
+        let options = AnalysisOptions {
+            backend: Backend::SlimPlus,
+            ..Default::default()
+        };
+        let analysis = Analysis::new(&tree, &aln, options).unwrap();
+        let fit = Fit {
+            hypothesis: Hypothesis::H1,
+            lnl: f64::NAN,
+            model: BranchSiteModel {
+                kappa: 2.1,
+                omega0: 0.3,
+                omega2: 2.5,
+                p0: 0.6,
+                p1: 0.25,
+            },
+            branch_lengths: vec![0.15, 0.2, 0.1, 0.3],
+            iterations: 0,
+            f_evals: 0,
+            wall_time: std::time::Duration::ZERO,
+            termination: slim_opt::TerminationReason::MaxIterations,
+        };
+        let se = analysis.standard_errors(&fit).unwrap();
+        let bits = [se.kappa, se.omega0, se.omega2, se.p0, se.p1].map(|s| s.map(f64::to_bits));
+        assert_eq!(
+            bits,
+            [
+                Some(0x3ffa07376890e6ef),
+                None,
+                None,
+                Some(0x3fe3897d97c3f7af),
+                None
+            ]
+        );
+    }
+
     #[test]
     fn more_data_shrinks_kappa_se() {
         // Duplicate the alignment content 4x: information quadruples, SE

@@ -19,6 +19,12 @@
 //! pinned in the same file, through both the dense (`slim`) and the
 //! Eq. 12 symmetric (`eq12`) transition operators.
 //!
+//! The last rows run the bundled-`gemm` profile (`slim+`): the
+//! branch-site model at both points, the H0 point (ω2 = 1, so the ω1 and
+//! ω2 rate matrices coincide; also through `slim`), and M0, M1a, M2a and
+//! two-ratio. Dataset ii has more patterns than one pruning block, so
+//! these rows also compare blocked against full-width passes.
+//!
 //! Regenerate (only after an intentional numerical change, with the
 //! default feature set) via:
 //!
@@ -67,9 +73,12 @@ fn problem(id: DatasetId) -> LikelihoodProblem {
 }
 
 fn eval_bits(id: DatasetId, model: &BranchSiteModel, threads: usize) -> u64 {
+    config_bits(id, &EngineConfig::slim().with_threads(threads), model)
+}
+
+fn config_bits(id: DatasetId, config: &EngineConfig, model: &BranchSiteModel) -> u64 {
     let bl = dataset(id).tree.branch_lengths();
-    let config = EngineConfig::slim().with_threads(threads);
-    log_likelihood(&problem(id), &config, model, &bl)
+    log_likelihood(&problem(id), config, model, &bl)
         .expect("likelihood evaluation")
         .to_bits()
 }
@@ -102,7 +111,8 @@ fn aux_bits(id: DatasetId, config: &EngineConfig) -> [(&'static str, u64); 3] {
 
 /// One line per case: `<dataset> <model> <threads> <lnl bits as hex>`.
 /// Auxiliary-model rows follow the branch-site rows; their model label
-/// carries an `.eq12` suffix for the symmetric operator.
+/// carries an `.eq12` suffix for the symmetric operator and `.slim+` for
+/// the bundled-`gemm` profile.
 fn compute_lines() -> Vec<String> {
     let mut lines = Vec::new();
     for id in DatasetId::ALL {
@@ -124,7 +134,52 @@ fn compute_lines() -> Vec<String> {
             }
         }
     }
+    let plus = EngineConfig::slim_plus();
+    for id in DatasetId::ALL {
+        let truth = dataset(id).true_model;
+        let h0 = BranchSiteModel {
+            omega2: 1.0,
+            ..truth
+        };
+        let rows = [
+            ("true.slim+", config_bits(id, &plus, &truth)),
+            (
+                "perturbed.slim+",
+                config_bits(id, &plus, &perturbed(&truth)),
+            ),
+            ("h0", config_bits(id, &EngineConfig::slim(), &h0)),
+            ("h0.slim+", config_bits(id, &plus, &h0)),
+        ];
+        for (label, bits) in rows {
+            lines.push(format!("{} {label} 1 {bits:016x}", id.label()));
+        }
+        for (label, bits) in aux_bits(id, &plus) {
+            lines.push(format!("{} {label}.slim+ 1 {bits:016x}", id.label()));
+        }
+        lines.push(format!(
+            "{} m1a.slim+ 1 {:016x}",
+            id.label(),
+            m1a_bits(id, &plus)
+        ));
+    }
     lines
+}
+
+/// M1a lnL bits at the generating (κ, ω0, p0).
+fn m1a_bits(id: DatasetId, config: &EngineConfig) -> u64 {
+    let m = dataset(id).true_model;
+    let sites = SiteModel {
+        kappa: m.kappa,
+        omega0: m.omega0,
+        omega2: 1.0,
+        p0: m.p0,
+        p1: m.p1,
+    };
+    let bl = dataset(id).tree.branch_lengths();
+    site_model_log_likelihood(&problem(id), config, &sites, SitesHypothesis::M1a, &bl)
+        .expect("M1a evaluation")
+        .lnl
+        .to_bits()
 }
 
 #[test]
