@@ -131,23 +131,9 @@ impl BatchReport {
     /// Render the per-job table as TSV. Contains no timing, so output is
     /// byte-identical across worker counts and resumes.
     pub fn to_tsv(&self) -> String {
-        self.to_tsv_with(false)
-    }
-
-    /// TSV with optional per-gene eigendecomposition-cache columns
-    /// (`cache_hits`, `cache_misses`, `cache_hit_rate`) — the data the
-    /// adaptive-cache-sizing work starts from. Opt-in because concurrent
-    /// cache probes can split a hit into two misses depending on thread
-    /// timing, so these columns are not byte-deterministic and live
-    /// behind the same flag as the other timing output.
-    pub fn to_tsv_with(&self, include_cache: bool) -> String {
         let mut out = String::from(
-            "job_id\tkey\tlabel\tstatus\tattempts\tlnl0\tlnl1\tstat\tp\tkappa\tomega0\tomega2\tp0\tp1\tpos_sites\terror",
+            "job_id\tkey\tlabel\tstatus\tattempts\tlnl0\tlnl1\tstat\tp\tkappa\tomega0\tomega2\tp0\tp1\tpos_sites\terror\n",
         );
-        if include_cache {
-            out.push_str("\tcache_hits\tcache_misses\tcache_hit_rate");
-        }
-        out.push('\n');
         for rec in &self.records {
             out.push_str(&format!(
                 "{}\t{}\t{}\t{}\t{}",
@@ -165,23 +151,11 @@ impl BatchReport {
                         out.push_str(&format!("\t{v:.6}"));
                     }
                     out.push_str(&format!("\t{}\t", o.n_pos_sites));
-                    if include_cache {
-                        // 0/0 (no lookups) is defined as 0.0, never NaN.
-                        out.push_str(&format!(
-                            "\t{}\t{}\t{:.4}",
-                            o.cache_hits,
-                            o.cache_misses,
-                            o.cache_hit_rate()
-                        ));
-                    }
                 }
                 Err(f) => {
                     out.push_str(&"\tNA".repeat(10));
                     out.push('\t');
                     out.push_str(&sanitize(&f.error));
-                    if include_cache {
-                        out.push_str(&"\tNA".repeat(3));
-                    }
                 }
             }
             out.push('\n');
@@ -224,12 +198,6 @@ impl BatchReport {
                         .f64("p1", out.p1)
                         .u64("n_pos_sites", out.n_pos_sites as u64)
                         .u64("iterations", out.iterations as u64);
-                    if include_timing {
-                        // 0/0 (no lookups) is defined as 0.0, never NaN.
-                        r.u64("cache_hits", out.cache_hits)
-                            .u64("cache_misses", out.cache_misses)
-                            .f64("cache_hit_rate", out.cache_hit_rate());
-                    }
                     o.raw("result", r.finish());
                 }
                 Err(f) => {
@@ -296,8 +264,6 @@ mod tests {
                 p1: 0.2,
                 n_pos_sites: 2,
                 iterations: 40,
-                cache_hits: 30,
-                cache_misses: 10,
             }),
             from_journal: false,
         }
@@ -389,57 +355,5 @@ mod tests {
         );
         assert_eq!(jobs[1].get("status").unwrap().as_str().unwrap(), "failed");
         assert!(jobs[1].get("result").is_none());
-    }
-
-    #[test]
-    fn cache_columns_are_opt_in() {
-        // Job 1: an uncached backend — zero lookups must render as 0.0,
-        // never NaN (and never an unparsable token).
-        let mut uncached = ok_record(1);
-        if let Ok(o) = &mut uncached.outcome {
-            o.cache_hits = 0;
-            o.cache_misses = 0;
-        }
-        let report =
-            BatchReport::from_records(vec![ok_record(0), uncached, failed_record(2)], 3, 0.0);
-        let plain = report.to_tsv();
-        assert!(!plain.contains("cache_hits"), "default TSV is unchanged");
-        let with = report.to_tsv_with(true);
-        let lines: Vec<&str> = with.lines().collect();
-        assert!(lines[0].ends_with("cache_hits\tcache_misses\tcache_hit_rate"));
-        let header_cols = lines[0].split('\t').count();
-        for line in &lines[1..] {
-            assert_eq!(line.split('\t').count(), header_cols, "{line}");
-        }
-        assert!(lines[1].ends_with("\t30\t10\t0.7500"), "{}", lines[1]);
-        assert!(lines[2].ends_with("\t0\t0\t0.0000"), "{}", lines[2]);
-        assert!(!with.contains("NaN"), "{with}");
-        assert!(lines[3].ends_with("\tNA\tNA\tNA"), "{}", lines[3]);
-
-        let timed: serde_json::Value = serde_json::from_str(&report.to_json(true)).unwrap();
-        let jobs = timed.get("jobs").unwrap().as_array().unwrap();
-        let result = jobs[0].get("result").unwrap();
-        assert_eq!(result.get("cache_hits").unwrap().as_u64().unwrap(), 30);
-        assert_eq!(
-            result.get("cache_hit_rate").unwrap().as_f64().unwrap(),
-            0.75
-        );
-        assert_eq!(
-            jobs[1]
-                .get("result")
-                .unwrap()
-                .get("cache_hit_rate")
-                .unwrap()
-                .as_f64()
-                .unwrap(),
-            0.0,
-            "0/0 lookups renders as the number 0.0, not null/NaN"
-        );
-        let plain_json: serde_json::Value = serde_json::from_str(&report.to_json(false)).unwrap();
-        assert!(plain_json.get("jobs").unwrap().as_array().unwrap()[0]
-            .get("result")
-            .unwrap()
-            .get("cache_hits")
-            .is_none());
     }
 }

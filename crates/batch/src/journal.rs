@@ -111,9 +111,7 @@ fn encode_outcome(out: &JobOutcome) -> String {
         .f64("p0", out.p0)
         .f64("p1", out.p1)
         .u64("n_pos_sites", out.n_pos_sites as u64)
-        .u64("iterations", out.iterations as u64)
-        .u64("cache_hits", out.cache_hits)
-        .u64("cache_misses", out.cache_misses);
+        .u64("iterations", out.iterations as u64);
     o.finish()
 }
 
@@ -157,11 +155,10 @@ fn decode_record(v: &Value) -> Result<BatchRecord> {
                 p0: req_f64(out, "p0")?,
                 p1: req_f64(out, "p1")?,
                 n_pos_sites: req_u64(out, "n_pos_sites")? as usize,
+                // Journals from builds with per-job eigen-cache counts
+                // also carry `cache_hits`/`cache_misses`; they are
+                // ignored.
                 iterations: req_u64(out, "iterations")? as usize,
-                // Added in a later revision of journal v1: absent in
-                // journals written before cache accounting existed.
-                cache_hits: out.get("cache_hits").and_then(Value::as_u64).unwrap_or(0),
-                cache_misses: out.get("cache_misses").and_then(Value::as_u64).unwrap_or(0),
             })
         }
         "failed" => Err(JobFailure {
@@ -285,8 +282,6 @@ mod tests {
                     p1: 0.15,
                     n_pos_sites: 3,
                     iterations: 120,
-                    cache_hits: 55,
-                    cache_misses: 11,
                 })
             } else {
                 Err(JobFailure {
@@ -319,7 +314,6 @@ mod tests {
         let out = recs[0].outcome.as_ref().unwrap();
         assert_eq!(out.lnl0, -1234.567890123, "floats roundtrip exactly");
         assert_eq!(out.n_pos_sites, 3);
-        assert_eq!((out.cache_hits, out.cache_misses), (55, 11));
         let f = recs[1].outcome.as_ref().unwrap_err();
         assert!(f.error.contains("\"quotes\"\nand newline"));
         assert!(f.recoverable);
@@ -362,25 +356,62 @@ mod tests {
     }
 
     #[test]
-    fn pre_cache_journals_still_decode() {
-        // A record written before cache accounting existed (no
-        // cache_hits/cache_misses in "outcome") must decode with zeros.
-        let path = tmp("precache.jsonl");
-        let w = JournalWriter::create(&path, 3).unwrap();
-        drop(w);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str(
-            "{\"id\":0,\"key\":\"g:1\",\"label\":\"L0\",\"attempts\":1,\"seconds\":0.1,\
-             \"status\":\"done\",\"outcome\":{\"lnl0\":-10.0,\"lnl1\":-9.0,\"stat\":2.0,\
-             \"p_value\":0.1,\"kappa\":2.0,\"omega0\":0.1,\"omega2\":2.0,\"p0\":0.7,\
-             \"p1\":0.2,\"n_pos_sites\":0,\"iterations\":5}}\n",
-        );
-        std::fs::write(&path, &text).unwrap();
-        let recs = read_journal(&path, 3).unwrap();
-        let out = recs[0].outcome.as_ref().unwrap();
-        assert_eq!((out.cache_hits, out.cache_misses), (0, 0));
-        assert_eq!(out.cache_hit_rate(), 0.0, "0/0 lookups is 0.0, not NaN");
-        std::fs::remove_file(&path).ok();
+    fn done_lines_with_and_without_cache_keys_decode_and_resume() {
+        // Two `done` lines for the same result: one without cache keys,
+        // one as builds with per-job eigen-cache counts wrote it. Both
+        // decode to the same outcome, and a resumed run takes both jobs
+        // from the journal instead of fitting them.
+        let dir = tmp("cache_keys");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("t.nwk"), "((A:0.1,B:0.2):0.05,C:0.3);").unwrap();
+        std::fs::write(
+            dir.join("g.fasta"),
+            ">A\nATGCCCAAA\n>B\nATGCCAAAA\n>C\nATGCCCAAG\n",
+        )
+        .unwrap();
+        let manifest_text = r#"{"version":1,"genes":[{"id":"g","alignment":"g.fasta","tree":"t.nwk","branches":["A","B"]}]}"#;
+        let manifest_path = dir.join("manifest.json");
+        std::fs::write(&manifest_path, manifest_text).unwrap();
+        let manifest = crate::BatchManifest::parse(manifest_text).unwrap();
+        let jobs = manifest.expand(&dir);
+        assert_eq!(jobs.len(), 2);
+
+        let journal = dir.join("journal.jsonl");
+        drop(JournalWriter::create(&journal, manifest.fingerprint()).unwrap());
+        let outcome = "\"lnl0\":-10.0,\"lnl1\":-9.0,\"stat\":2.0,\"p_value\":0.1,\
+                       \"kappa\":2.0,\"omega0\":0.1,\"omega2\":2.0,\"p0\":0.7,\"p1\":0.2,\
+                       \"n_pos_sites\":0,\"iterations\":5";
+        let mut text = std::fs::read_to_string(&journal).unwrap();
+        for (job, extra) in jobs
+            .iter()
+            .zip(["", ",\"cache_hits\":55,\"cache_misses\":11"])
+        {
+            text.push_str(&format!(
+                "{{\"id\":{},\"key\":\"{}\",\"label\":\"{}\",\"attempts\":1,\
+                 \"seconds\":0.1,\"status\":\"done\",\"outcome\":{{{outcome}{extra}}}}}\n",
+                job.id, job.key, job.label
+            ));
+        }
+        std::fs::write(&journal, &text).unwrap();
+
+        let recs = read_journal(&journal, manifest.fingerprint()).unwrap();
+        assert_eq!(recs.len(), 2);
+        let without = recs[0].outcome.as_ref().unwrap();
+        assert_eq!(recs[1].outcome.as_ref().unwrap(), without);
+        assert_eq!((without.lnl1, without.iterations), (-9.0, 5));
+
+        let config = crate::RunConfig {
+            resume: true,
+            journal_path: journal.clone(),
+            ..crate::RunConfig::default()
+        };
+        let report = crate::run_batch(&manifest_path, &config).unwrap();
+        assert_eq!(report.summary.done, 2);
+        assert_eq!(report.summary.from_journal, 2, "no job was refit");
+        for rec in &report.records {
+            assert_eq!(rec.outcome.as_ref().unwrap(), without);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

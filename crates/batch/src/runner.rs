@@ -45,27 +45,10 @@ pub struct JobOutcome {
     pub n_pos_sites: usize,
     /// Total optimizer iterations (H0 + H1).
     pub iterations: usize,
-    /// Eigendecomposition-cache hits across the whole analysis (0 when
-    /// the backend runs without a cache).
-    pub cache_hits: u64,
-    /// Eigendecomposition-cache misses across the whole analysis.
-    pub cache_misses: u64,
 }
 
 impl JobOutcome {
-    /// Hits / (hits + misses). Defined as 0.0 — never NaN — when the
-    /// job performed no lookups (the backend ran without a cache), so
-    /// every sink can emit the value unguarded.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total > 0 {
-            self.cache_hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    fn from_test(result: &TestResult, cache: (u64, u64)) -> JobOutcome {
+    fn from_test(result: &TestResult) -> JobOutcome {
         let m = &result.h1.model;
         JobOutcome {
             lnl0: result.h0.lnl,
@@ -83,8 +66,6 @@ impl JobOutcome {
                 .filter(|&&p| p > POSITIVE_SITE_THRESHOLD)
                 .count(),
             iterations: result.h0.iterations + result.h1.iterations,
-            cache_hits: cache.0,
-            cache_misses: cache.1,
         }
     }
 }
@@ -137,8 +118,7 @@ fn fit_one(
             result.h0.lnl, result.h1.lnl
         )));
     }
-    let cache = analysis.eigen_cache_stats().unwrap_or((0, 0));
-    Ok(JobOutcome::from_test(&result, cache))
+    Ok(JobOutcome::from_test(&result))
 }
 
 /// One branch's result from [`scan_branches`].

@@ -22,8 +22,6 @@ fn outcome(seed: u64) -> JobOutcome {
         p1: 0.2,
         n_pos_sites: (seed % 5) as usize,
         iterations: 40 + seed as usize,
-        cache_hits: seed * 7,
-        cache_misses: seed + 1,
     }
 }
 

@@ -7,21 +7,18 @@
 //! 2. CPV strategy: naive per-site → gemv per-site → bundled gemm →
 //!    Eq. 12 symmetric symv;
 //! 3. eigensolver: Householder+QL vs bisection+inverse-iteration
-//!    (`dsyevr`'s MRRR stand-in) vs Jacobi;
-//! 4. eigendecomposition cache on/off across branch-length-only changes
-//!    (the gradient-loop access pattern).
+//!    (`dsyevr`'s MRRR stand-in) vs Jacobi.
 //!
 //! ```text
 //! cargo run --release -p slim-bench --bin ablation [--quick]
 //! ```
 
 use slim_bio::GeneticCode;
-use slim_expm::{CpvStrategy, EigenCache};
+use slim_expm::CpvStrategy;
 use slim_lik::{log_likelihood, EngineConfig, ExpmPath, LikelihoodProblem};
 use slim_linalg::EigenMethod;
 use slim_model::{BranchSiteModel, Hypothesis};
 use slim_sim::{dataset, DatasetId};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn time_eval(
@@ -31,7 +28,7 @@ fn time_eval(
     bl: &[f64],
     reps: usize,
 ) -> (f64, f64) {
-    // Warm once (also fills any cache).
+    // Warm once.
     let lnl = log_likelihood(problem, config, model, bl).expect("likelihood");
     let start = Instant::now();
     for _ in 0..reps {
@@ -117,34 +114,5 @@ fn main() {
         let cfg = EngineConfig::slim().with_eigen(method);
         let (ms, lnl) = time_eval(&problem, &cfg, &model, &bl, reps);
         println!("   {label:<36} {ms:>9.2} ms   (lnL {lnl:.6})");
-    }
-
-    println!();
-    println!("4. eigendecomposition cache across branch-length-only changes:");
-    {
-        let no_cache = EngineConfig::slim();
-        let mut cached = EngineConfig::slim();
-        cached.eigen_cache = Some(Arc::new(EigenCache::new(64)));
-        for (label, cfg) in [("no cache", &no_cache), ("with cache", &cached)] {
-            // Simulate the gradient loop: perturb one branch at a time.
-            let warm = log_likelihood(&problem, cfg, &model, &bl).unwrap();
-            let start = Instant::now();
-            let mut work = bl.clone();
-            let sweeps = if quick { 1 } else { 3 };
-            for _ in 0..sweeps {
-                for i in 0..work.len().min(16) {
-                    work[i] += 1e-6;
-                    let _ = log_likelihood(&problem, cfg, &model, &work).unwrap();
-                    work[i] -= 1e-6;
-                }
-            }
-            let evals = sweeps * bl.len().min(16);
-            let ms = start.elapsed().as_secs_f64() / evals as f64 * 1e3;
-            println!("   {label:<36} {ms:>9.2} ms/eval   (lnL {warm:.6})");
-        }
-        if let Some(c) = &cached.eigen_cache {
-            let (hits, misses) = c.stats();
-            println!("   cache stats: {hits} hits, {misses} misses");
-        }
     }
 }

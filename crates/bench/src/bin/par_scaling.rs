@@ -3,9 +3,9 @@
 //! 1/2/4/8 threads and emit `BENCH_par.json` with wall time, per-phase
 //! breakdown (read back as `lik.phase.*_seconds` registry deltas), and
 //! speedup per thread count. Each dataset also gets a
-//! short cached H1 fit whose optimizer-iteration and eigen-cache
-//! counters (read back through the `slim-obs` registry) land in the
-//! JSON, and the final registry snapshot is written to
+//! short slim+ H1 fit whose optimizer counters (read back through the
+//! `slim-obs` registry) land in the JSON, and the final registry
+//! snapshot is written to
 //! `BENCH_metrics.json`.
 //!
 //! The sweep also cross-checks the determinism contract: every thread
@@ -38,9 +38,9 @@ fn phase_seconds() -> [f64; 4] {
     })
 }
 
-/// A short cached H1 fit; returns the JSON fragment with optimizer and
-/// eigen-cache counters, read back as `slim-obs` registry deltas (the
-/// bench is single-threaded, so deltas are exact).
+/// A short slim+ H1 fit; returns the JSON fragment with optimizer
+/// counters, read back as `slim-obs` registry deltas (the bench is
+/// single-threaded, so deltas are exact).
 fn fit_counters(d: &slim_sim::SimulatedDataset, quick: bool) -> String {
     let before = slim_obs::snapshot();
     let started = Instant::now();
@@ -61,15 +61,9 @@ fn fit_counters(d: &slim_sim::SimulatedDataset, quick: bool) -> String {
             .unwrap_or(0)
             .saturating_sub(before.counter(name).unwrap_or(0))
     };
-    let (hits, misses) = analysis.eigen_cache_stats().unwrap_or((0, 0));
-    let rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
     assert!(fit.lnl.is_finite(), "fit must produce a finite lnL");
     format!(
-        r#"{{"backend":"slim+","wall_seconds":{wall:.6},"iterations":{},"f_evals":{},"grad_evals":{},"line_search_steps":{},"cache_hits":{hits},"cache_misses":{misses},"cache_hit_rate":{rate:.4}}}"#,
+        r#"{{"backend":"slim+","wall_seconds":{wall:.6},"iterations":{},"f_evals":{},"grad_evals":{},"line_search_steps":{}}}"#,
         delta("opt.iterations"),
         delta("opt.f_evals"),
         delta("opt.grad_evals"),

@@ -13,7 +13,7 @@
 //! | Table III (runtimes & iterations) | `cargo run --release -p slim-bench --bin table3` |
 //! | Table IV (speedups) | `cargo run --release -p slim-bench --bin table4` |
 //! | Fig. 3 (speedup vs species) | `cargo run --release -p slim-bench --bin figure3` |
-//! | ablations (Eq9/Eq10, CPV strategies, eigensolvers, cache) | `cargo run --release -p slim-bench --bin ablation` |
+//! | ablations (Eq9/Eq10, CPV strategies, threads, eigensolvers) | `cargo run --release -p slim-bench --bin ablation` |
 //!
 //! Binaries accept `--quick` (reduced iteration caps / species grids) so
 //! the full suite completes on a laptop; the shapes of the results —

@@ -19,8 +19,7 @@
 //! `--timing` prints a per-phase wall-clock breakdown accumulated over
 //! the whole fit, and `--metrics <path>` writes a registry snapshot (JSON
 //! by default, Prometheus text with `--metrics-format prom`) covering the
-//! optimizer, likelihood engine, expm cache, analysis layer and batch
-//! runner. Setting `SLIMCODEML_METRICS` to a truthy value enables
+//! optimizer, likelihood engine, analysis layer and batch runner. Setting `SLIMCODEML_METRICS` to a truthy value enables
 //! collection without any flag.
 //!
 //! Tracing: `--trace <path>` records ordered `slim_obs::trace` events
@@ -112,8 +111,7 @@ pub struct BatchCliConfig {
     /// journal `<prefix>.journal.jsonl`.
     pub out_prefix: String,
     /// Include wall-clock timing (and journal provenance) in the JSON
-    /// report plus eigen-cache hit/miss columns in the TSV; off by
-    /// default so output is deterministic.
+    /// report; off by default so output is deterministic.
     pub timing: bool,
     /// Write a metrics snapshot to this path after the run.
     pub metrics_path: Option<String>,
@@ -342,14 +340,13 @@ fn parse_batch_args(args: &[String]) -> Result<BatchCliConfig, String> {
     })
 }
 
-/// Eagerly register every metric of the five instrumented layers
-/// (optimizer, likelihood engine, expm cache, analysis, batch runner), so
-/// a `--metrics` snapshot always lists the full schema even for metrics
+/// Eagerly register every metric of the four instrumented layers
+/// (optimizer, likelihood engine, analysis, batch runner), so a
+/// `--metrics` snapshot always lists the full schema even for metrics
 /// that never fired during the run.
 pub fn register_all_metrics() {
     slim_opt::register_metrics();
     slim_lik::register_metrics();
-    slim_expm::register_metrics();
     slim_core::register_metrics();
     slim_batch::register_metrics();
 }
@@ -440,7 +437,7 @@ pub fn run_batch(config: &BatchCliConfig) -> Result<String, String> {
             config.out_prefix, config.manifest_path
         ));
     }
-    std::fs::write(&tsv_path, report.to_tsv_with(config.timing))
+    std::fs::write(&tsv_path, report.to_tsv())
         .map_err(|e| format!("cannot write {tsv_path}: {e}"))?;
     std::fs::write(&json_path, report.to_json(config.timing))
         .map_err(|e| format!("cannot write {json_path}: {e}"))?;
@@ -589,23 +586,6 @@ fn timing_report(analysis: &Analysis, baseline: &Snapshot) -> String {
         reduction * 1e3,
         (eigen + expm + pruning + reduction) * 1e3,
     );
-    match analysis.eigen_cache_stats() {
-        Some((hits, misses)) => {
-            let total = hits + misses;
-            let rate = if total > 0 {
-                hits as f64 / total as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "  eigen cache: {hits} hit{} / {misses} miss{} ({:.1}% hit rate)\n",
-                if hits == 1 { "" } else { "s" },
-                if misses == 1 { "" } else { "es" },
-                rate * 100.0,
-            ));
-        }
-        None => out.push_str("  eigen cache: off (backend runs without a cache)\n"),
-    }
     if analysis.options().backend.reuses_likelihoods() {
         let reused = count("lik.reuse.units_reused");
         let recomputed = count("lik.reuse.units_recomputed");
@@ -995,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_timing_adds_cache_columns_and_metrics() {
+    fn batch_timing_adds_json_timing_and_metrics() {
         let dir = std::env::temp_dir().join(format!("slim_cli_batch_obs_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -1030,12 +1010,9 @@ mod tests {
         let prefix = dir.join("m.batch");
         let tsv = std::fs::read_to_string(format!("{}.tsv", prefix.display())).unwrap();
         let header = tsv.lines().next().unwrap();
-        assert!(
-            header.ends_with("\tcache_hits\tcache_misses\tcache_hit_rate"),
-            "{header}"
-        );
+        assert!(header.ends_with("\tpos_sites\terror"), "{header}");
         let json = std::fs::read_to_string(format!("{}.json", prefix.display())).unwrap();
-        assert!(json.contains("\"cache_hit_rate\""), "{json}");
+        assert!(json.contains("\"wall_seconds\""), "{json}");
         let snap = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(snap.contains("\"batch.jobs.completed\""), "{snap}");
         assert!(snap.contains("\"batch.job_seconds\""), "{snap}");
@@ -1143,7 +1120,6 @@ mod tests {
             "timing header must state the cumulative semantics: {report}"
         );
         assert!(report.contains("likelihood evaluations"), "{report}");
-        assert!(report.contains("eigen cache:"), "{report}");
         assert!(report.contains("reuse:"), "{report}");
         assert!(!report.contains("reuse: off"), "slim fits reuse: {report}");
     }
@@ -1235,7 +1211,7 @@ mod tests {
             "opt.iterations",
             "lik.evaluations",
             "lik.phase.eigen_seconds",
-            "expm.cache.hits",
+            "core.test_seconds",
             "batch.jobs.completed",
         ] {
             assert!(

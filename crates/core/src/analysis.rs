@@ -6,7 +6,6 @@ use crate::{Backend, CoreError, Fit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slim_bio::{CodonAlignment, FreqModel, GeneticCode, Tree};
-use slim_expm::EigenCache;
 use slim_lik::{
     log_likelihood, site_class_log_likelihoods, LikelihoodProblem, ReuseEvaluator, SimdMode,
 };
@@ -108,10 +107,6 @@ pub struct TestResult {
 pub struct Analysis {
     problem: LikelihoodProblem,
     options: AnalysisOptions,
-    // Built once, so one eigendecomposition cache spans H0, H1 and the
-    // posterior evaluation (cache keys are exact parameter bits — sharing
-    // cannot change any value) and its hit/miss statistics describe the
-    // whole analysis.
     engine_config: slim_lik::EngineConfig,
     init_branch_lengths: Vec<f64>,
 }
@@ -172,16 +167,7 @@ impl Analysis {
         for v in &mut init {
             *v = v.clamp(BL_LO * 10.0, BL_HI / 10.0);
         }
-        let mut engine_config = options.engine_config();
-        // Backends that cache eigendecompositions get a capacity sized to
-        // *this* problem: branches × 3 ω-classes covers one full evaluation
-        // sweep (see EigenCache::adaptive_capacity) instead of the
-        // one-size-fits-all default.
-        if engine_config.eigen_cache.is_some() {
-            engine_config.eigen_cache = Some(std::sync::Arc::new(EigenCache::new(
-                EigenCache::adaptive_capacity(problem.n_branches(), 3),
-            )));
-        }
+        let engine_config = options.engine_config();
         Analysis {
             problem,
             options,
@@ -193,12 +179,6 @@ impl Analysis {
     /// The engine configuration this analysis evaluates with.
     pub fn engine_config(&self) -> &slim_lik::EngineConfig {
         &self.engine_config
-    }
-
-    /// Cumulative (hits, misses) of the analysis's eigendecomposition
-    /// cache, or `None` for backends that run without one.
-    pub fn eigen_cache_stats(&self) -> Option<(u64, u64)> {
-        self.engine_config.eigen_cache.as_ref().map(|c| c.stats())
     }
 
     /// The underlying likelihood problem (for advanced use/benches).
@@ -593,15 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_adapts_to_problem_and_simd_propagates() {
-        let a = small_analysis(Backend::SlimPlus);
-        let cache = a.engine_config().eigen_cache.as_ref().unwrap();
-        assert_eq!(
-            cache.capacity(),
-            EigenCache::adaptive_capacity(a.problem().n_branches(), 3)
-        );
-
-        // The AnalysisOptions knob lands in the engine config.
+    fn simd_option_lands_in_the_engine_config() {
         let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,C:0.3);").unwrap();
         let aln = CodonAlignment::from_fasta(">A\nATGCCC\n>B\nATGCCA\n>C\nATGCCC\n").unwrap();
         let forced = Analysis::new(

@@ -26,8 +26,7 @@ pub enum Backend {
     /// kernels, per-site `dgemv`.
     #[default]
     Slim,
-    /// SlimCodeML plus bundled BLAS-3 site products (§III-B) and a
-    /// cross-evaluation eigendecomposition cache.
+    /// SlimCodeML plus bundled BLAS-3 site products (§III-B).
     SlimPlus,
     /// SlimCodeML with the Eq. 12 symmetric CPV application.
     SlimSymmetric,

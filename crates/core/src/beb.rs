@@ -13,7 +13,7 @@
 //! points per axis and let callers raise it.
 
 use crate::{Analysis, CoreError, Fit};
-use slim_lik::site_class_log_likelihoods;
+use slim_lik::ReuseEvaluator;
 use slim_model::BranchSiteModel;
 use slim_stat::class_posteriors;
 
@@ -59,9 +59,11 @@ impl Analysis {
     /// # Errors
     /// Propagates likelihood-evaluation failures.
     pub fn beb_site_posteriors(&self, fit: &Fit, opts: &BebOptions) -> Result<Vec<f64>, CoreError> {
-        let config = self.options().engine_config();
         let problem = self.problem();
         let n_pat = problem.n_patterns();
+        // One evaluator for the whole grid: its CPV buffers are allocated
+        // once, not per grid point.
+        let mut evaluator = ReuseEvaluator::new(problem, self.engine_config().clone());
 
         let omega0_grid = midpoints(0.0, 1.0, opts.n_omega0);
         let omega2_grid = midpoints(1.0, opts.omega2_max, opts.n_omega2);
@@ -86,12 +88,7 @@ impl Analysis {
                             p0,
                             p1,
                         };
-                        let value = site_class_log_likelihoods(
-                            problem,
-                            &config,
-                            &model,
-                            &fit.branch_lengths,
-                        )?;
+                        let value = evaluator.evaluate(&model, &fit.branch_lengths)?;
                         let post = class_posteriors(&value.per_class, &value.proportions);
                         posteriors.push(post.iter().map(|row| row[2] + row[3]).collect());
                         log_weights.push(value.lnl);

@@ -5,8 +5,8 @@ use crate::{AnalysisOptions, CoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slim_bio::{CodonAlignment, Tree};
-use slim_lik::site_models::site_model_log_likelihood;
-use slim_lik::LikelihoodProblem;
+use slim_lik::site_models::{evaluate_site_model, site_model_log_likelihood};
+use slim_lik::{LikelihoodProblem, ReuseEvaluator};
 use slim_model::{SiteModel, SitesHypothesis};
 use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, TerminationReason};
 use slim_stat::{chi2_sf, class_posteriors};
@@ -130,7 +130,6 @@ fn fit_sites(
     hypothesis: SitesHypothesis,
     init_bl: &[f64],
 ) -> Result<SitesFit, CoreError> {
-    let config = options.engine_config();
     let t = transform(hypothesis, problem.n_branches());
 
     let mut rng = StdRng::seed_from_u64(options.seed);
@@ -172,10 +171,17 @@ fn fit_sites(
         )
     };
 
-    let objective = |z: &[f64]| -> f64 {
+    // One evaluator per fit, kept between calls except on the
+    // codeml-style backend, as `Analysis::fit_from` does.
+    let reuse = options.backend.reuses_likelihoods();
+    let mut evaluator = ReuseEvaluator::new(problem, options.engine_config());
+    let mut objective = |z: &[f64]| -> f64 {
         let x = t.to_constrained(z);
         let (model, bl) = unpack(&x);
-        match site_model_log_likelihood(problem, &config, &model, hypothesis, &bl) {
+        if !reuse {
+            evaluator.clear();
+        }
+        match evaluate_site_model(&mut evaluator, &model, hypothesis, &bl) {
             Ok(v) if v.lnl.is_finite() => -v.lnl,
             _ => f64::INFINITY,
         }
@@ -195,7 +201,7 @@ fn fit_sites(
     };
     // check: allow(det-wallclock) feeds the report wall_time field only
     let started = Instant::now();
-    let result = minimize(objective, &z0, &opts);
+    let result = minimize(&mut objective, &z0, &opts);
     let wall_time = started.elapsed();
     let x = t.to_constrained(&result.x);
     let (model, branch_lengths) = unpack(&x);

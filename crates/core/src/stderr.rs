@@ -10,6 +10,7 @@
 //! rather than a misleading number.
 
 use crate::{Analysis, CoreError, Fit};
+use slim_lik::ReuseEvaluator;
 use slim_linalg::{Cholesky, Mat};
 use slim_model::{BranchSiteModel, Hypothesis};
 
@@ -58,7 +59,10 @@ impl Analysis {
         let center = pack(&fit.model);
         let bl = &fit.branch_lengths;
 
-        let nll = |x: &[f64; 5]| -> Result<f64, CoreError> {
+        // One evaluator for every probe: its CPV buffers are allocated
+        // once, not per probe.
+        let mut evaluator = ReuseEvaluator::new(self.problem(), self.engine_config().clone());
+        let mut nll = |x: &[f64; 5]| -> Result<f64, CoreError> {
             let m = unpack(x);
             // Guard the domain: step sizes are small, but clamp anyway.
             if m.kappa <= 0.0
@@ -71,7 +75,7 @@ impl Analysis {
             {
                 return Ok(f64::INFINITY);
             }
-            Ok(-self.log_likelihood(&m, bl)?)
+            Ok(-evaluator.evaluate(&m, bl)?.lnl)
         };
 
         let k = free.len();

@@ -26,16 +26,12 @@
 //!
 //! A scaling-and-squaring Taylor expm serves as an accuracy oracle.
 
-mod cache;
 pub mod cpv;
 mod eigensystem;
-mod obsm;
 mod ptcache;
 mod taylor;
 
-pub use cache::EigenCache;
 pub use cpv::{CpvScratch, CpvStrategy, SymTransition};
 pub use eigensystem::EigenSystem;
-pub use obsm::register_metrics;
 pub use ptcache::{PtCache, PtKey};
 pub use taylor::expm_taylor;

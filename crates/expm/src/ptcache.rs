@@ -11,9 +11,9 @@
 //! because reconstruction is a deterministic function of (decomposition,
 //! t).
 //!
-//! Unlike [`crate::EigenCache`] this is not a shared map: each reuse
-//! evaluator owns one, no locking, and lookups are a slot index plus one
-//! key comparison — cheap enough for the hot path.
+//! It is not a shared map: each likelihood evaluator owns one, no
+//! locking, and lookups are a slot index plus one key comparison — cheap
+//! enough for the hot path.
 
 use crate::EigenSystem;
 

@@ -3,17 +3,15 @@
 //!
 //! Historically the precursor of the branch-site model (and still used as
 //! a complementary test); included as another §V-B "further model" that
-//! the optimized pipeline serves unchanged: two eigendecompositions per
-//! evaluation, one pruning pass.
+//! the optimized pipeline serves unchanged: a one-class mixture with two
+//! ω values, so two eigendecompositions per evaluation (one when the ω
+//! values coincide).
 
 use crate::engine::EngineConfig;
-use crate::par::build_op;
+use crate::mixture::Mixture;
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::EigenSystem;
+use crate::reuse::ReuseEvaluator;
 use slim_linalg::LinalgError;
-use slim_model::{build_rate_matrix, rate_components, ScalePolicy};
-use std::sync::Arc;
 
 /// Log-likelihood under the two-ratio branch model.
 ///
@@ -36,55 +34,10 @@ pub fn log_likelihood_branch(
     omega_foreground: f64,
     branch_lengths: &[f64],
 ) -> Result<f64, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
-    let (syn, nonsyn) = rate_components(&problem.code, kappa, &problem.pi);
-    let scale = syn + omega_background * nonsyn;
-
-    let mut eigensystems: Vec<Arc<EigenSystem>> = Vec::with_capacity(2);
-    for &omega in &[omega_background, omega_foreground] {
-        let rm = build_rate_matrix(
-            &problem.code,
-            kappa,
-            omega,
-            &problem.pi,
-            ScalePolicy::External(scale),
-        );
-        let es = match &config.eigen_cache {
-            Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen)?,
-            None => Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?),
-        };
-        eigensystems.push(es);
-    }
-
-    let n_nodes = problem.children.len();
-    let mut ops: Vec<[Option<TransOp>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-    for node in 0..n_nodes {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        let t = branch_lengths[bi];
-        // Slot 0 = background ω, slot 1 = foreground ω; prune_one_class is
-        // called with (bg = 0, fg = 1).
-        let needed: &[usize] = if problem.is_foreground[node] {
-            &[1]
-        } else {
-            &[0]
-        };
-        for &w in needed {
-            ops[node][w] = Some(build_op(&eigensystems[w], config, t));
-        }
-    }
-
-    let per_pattern = prune_one_class(problem, config, &ops, 0, 1);
-    let mut lnl = 0.0;
-    for (p, &lp) in per_pattern.iter().enumerate() {
-        lnl += problem.patterns.weight(p) * lp;
-    }
-    Ok(lnl)
+    let mixture = Mixture::two_ratio(kappa, omega_background, omega_foreground);
+    let value =
+        ReuseEvaluator::new(problem, config.clone()).evaluate_mixture(&mixture, branch_lengths)?;
+    Ok(problem.weighted_sum(&value.per_pattern))
 }
 
 #[cfg(test)]

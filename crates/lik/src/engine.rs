@@ -1,8 +1,7 @@
 //! Engine configurations: which numerics compute the same likelihood.
 
-use slim_expm::{CpvStrategy, EigenCache};
+use slim_expm::CpvStrategy;
 use slim_linalg::{EigenMethod, SimdMode};
-use std::sync::Arc;
 
 /// Which reconstruction of `P(t)` from the eigendecomposition to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,11 +25,6 @@ pub struct EngineConfig {
     pub cpv: CpvStrategy,
     /// Symmetric eigensolver.
     pub eigen: EigenMethod,
-    /// Optional cross-evaluation eigendecomposition cache.
-    pub eigen_cache: Option<Arc<EigenCache>>,
-    /// Scaling threshold: rescale a pattern column when its maximum
-    /// conditional probability drops below this.
-    pub scale_threshold: f64,
     /// Worker threads for one likelihood evaluation (the `slim-par`
     /// intra-gene engine, §V-B's FastCodeML direction): eigendecompositions
     /// and per-branch `exp(Qt)` reconstructions are fanned across
@@ -67,8 +61,6 @@ impl EngineConfig {
             expm: ExpmPath::Eq9Naive,
             cpv: CpvStrategy::NaivePerSite,
             eigen: EigenMethod::HouseholderQl,
-            eigen_cache: None,
-            scale_threshold: 1e-100,
             threads: 1,
             pattern_block: DEFAULT_PATTERN_BLOCK,
             simd: SimdMode::Auto,
@@ -85,8 +77,6 @@ impl EngineConfig {
             expm: ExpmPath::Eq10Syrk,
             cpv: CpvStrategy::PerSiteGemv,
             eigen: EigenMethod::HouseholderQl,
-            eigen_cache: None,
-            scale_threshold: 1e-100,
             threads: 1,
             pattern_block: DEFAULT_PATTERN_BLOCK,
             simd: SimdMode::Auto,
@@ -94,16 +84,14 @@ impl EngineConfig {
         }
     }
 
-    /// SlimCodeML plus the post-evaluation improvements the paper
-    /// describes but did not measure: bundled BLAS-3 site products and a
-    /// cross-evaluation eigendecomposition cache.
+    /// SlimCodeML plus the post-evaluation improvement the paper
+    /// describes but did not measure: bundled BLAS-3 site products
+    /// (§III-B).
     pub fn slim_plus() -> EngineConfig {
         EngineConfig {
             expm: ExpmPath::Eq10Syrk,
             cpv: CpvStrategy::BundledGemm,
             eigen: EigenMethod::HouseholderQl,
-            eigen_cache: Some(Arc::new(EigenCache::new(EigenCache::DEFAULT_CAPACITY))),
-            scale_threshold: 1e-100,
             threads: 1,
             pattern_block: DEFAULT_PATTERN_BLOCK,
             simd: SimdMode::Auto,
@@ -118,8 +106,6 @@ impl EngineConfig {
             expm: ExpmPath::Eq10Syrk,
             cpv: CpvStrategy::SymmetricSymv,
             eigen: EigenMethod::HouseholderQl,
-            eigen_cache: None,
-            scale_threshold: 1e-100,
             threads: 1,
             pattern_block: DEFAULT_PATTERN_BLOCK,
             simd: SimdMode::Auto,
@@ -184,7 +170,6 @@ mod tests {
         let base = EngineConfig::codeml_style();
         assert_eq!(base.expm, ExpmPath::Eq9Naive);
         assert_eq!(base.cpv, CpvStrategy::NaivePerSite);
-        assert!(base.eigen_cache.is_none());
 
         let slim = EngineConfig::slim();
         assert_eq!(slim.expm, ExpmPath::Eq10Syrk);
@@ -192,7 +177,6 @@ mod tests {
 
         let plus = EngineConfig::slim_plus();
         assert_eq!(plus.cpv, CpvStrategy::BundledGemm);
-        assert!(plus.eigen_cache.is_some());
 
         let sym = EngineConfig::slim_symmetric();
         assert_eq!(sym.cpv, CpvStrategy::SymmetricSymv);

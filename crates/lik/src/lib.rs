@@ -15,15 +15,19 @@
 //!   reconstruction through blocked kernels and per-site `gemv`: the
 //!   configuration the paper measured as SlimCodeML;
 //! * [`EngineConfig::slim_plus`] — adds the §III-B bundled BLAS-3 site
-//!   products and the Eq. 12 symmetric CPV application the paper derived
-//!   after its evaluation, plus a cross-evaluation eigendecomposition
-//!   cache.
+//!   products the paper proposed after its evaluation;
+//! * [`EngineConfig::slim_symmetric`] — the Eq. 12 symmetric CPV
+//!   application (§II-C2) instead of per-site `gemv`.
 //!
-//! Every branch-site likelihood is computed by one evaluator,
-//! [`ReuseEvaluator`], through one pruning kernel. It keeps the previous
-//! evaluation's transition operators and conditional probability vectors
-//! and recomputes only what its bitwise parameter diff marks dirty. A
-//! stateless call ([`log_likelihood`], [`site_class_log_likelihoods`]) is
+//! Every likelihood — branch-site model A and the §V-B further models
+//! ([`m0`], [`site_models`] M1a/M2a, the [`branch_model`] two-ratio
+//! model) — is computed by one evaluator, [`ReuseEvaluator`], through one
+//! pruning kernel: each model is a mixture of site classes over at most
+//! three ω rate matrices. The evaluator keeps the previous evaluation's
+//! decompositions, transition operators and conditional probability
+//! vectors and recomputes only what its bitwise parameter diff marks
+//! dirty. A stateless call ([`log_likelihood`],
+//! [`site_class_log_likelihoods`], the auxiliary models' functions) is
 //! one evaluation on a fresh evaluator, whose empty state marks every unit
 //! dirty. Thread count ([`EngineConfig::threads`]), SIMD dispatch and
 //! kept-vs-cleared state never change a bit of the result.
@@ -38,6 +42,7 @@ pub mod ancestral;
 pub mod branch_model;
 mod engine;
 pub mod m0;
+mod mixture;
 mod obsm;
 mod par;
 mod problem;

@@ -3,20 +3,18 @@
 //! The paper's §V-B notes that "the optimized likelihood computation can
 //! also be applied to further maximum likelihood-based evolutionary
 //! models"; M0 is the simplest such model and shares every building block
-//! — the Eq. 1 rate matrix, the symmetric expm paths, and the pruning
-//! engine (a single site class, identical foreground/background ω).
+//! — the Eq. 1 rate matrix, the symmetric expm paths, and the evaluator
+//! (a single site class, identical foreground/background ω).
 
 use crate::engine::EngineConfig;
-use crate::par::build_op;
+use crate::mixture::Mixture;
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::EigenSystem;
+use crate::reuse::ReuseEvaluator;
 use slim_linalg::LinalgError;
-use slim_model::{build_rate_matrix, ScalePolicy};
-use std::sync::Arc;
 
 /// Log-likelihood of the alignment under M0 with parameters
-/// `(kappa, omega)` and the given branch lengths.
+/// `(kappa, omega)` and the given branch lengths: one evaluation of a
+/// one-class mixture whose rate matrix is scaled to unit stationary rate.
 ///
 /// Works on problems built with
 /// [`LikelihoodProblem::new_unmarked`] — no foreground branch is needed.
@@ -33,38 +31,9 @@ pub fn log_likelihood_m0(
     omega: f64,
     branch_lengths: &[f64],
 ) -> Result<f64, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
-    let rm = build_rate_matrix(
-        &problem.code,
-        kappa,
-        omega,
-        &problem.pi,
-        ScalePolicy::PerClass,
-    );
-    let es = match &config.eigen_cache {
-        Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen)?,
-        None => Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?),
-    };
-
-    let n_nodes = problem.children.len();
-    let mut ops: Vec<[Option<TransOp>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-    for (node, op_slot) in ops.iter_mut().enumerate() {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        op_slot[0] = Some(build_op(&es, config, branch_lengths[bi]));
-    }
-
-    let per_pattern = prune_one_class(problem, config, &ops, 0, 0);
-    let mut lnl = 0.0;
-    for (p, &lp) in per_pattern.iter().enumerate() {
-        lnl += problem.patterns.weight(p) * lp;
-    }
-    Ok(lnl)
+    let value = ReuseEvaluator::new(problem, config.clone())
+        .evaluate_mixture(&Mixture::m0(kappa, omega), branch_lengths)?;
+    Ok(problem.weighted_sum(&value.per_pattern))
 }
 
 #[cfg(test)]

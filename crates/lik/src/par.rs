@@ -1,10 +1,10 @@
-//! `slim-par`: the phase helpers of one branch-site evaluation (§V-B's
+//! `slim-par`: the phase helpers of one likelihood evaluation (§V-B's
 //! FastCodeML direction), driven by [`crate::reuse::ReuseEvaluator`].
 //!
 //! One evaluation runs as four phases:
 //!
-//! 1. **eigen** — the three ω rate matrices are built and decomposed, each
-//!    independent, fanned one-per-thread ([`build_eigensystems`]);
+//! 1. **eigen** — one rate matrix per distinct ω is built and decomposed,
+//!    each independent, fanned one-per-thread ([`build_eigensystems`]);
 //! 2. **expm** — one transition operator per (branch, needed ω) pair
 //!    ([`build_op`]), all independent, chunked across threads;
 //! 3. **pruning** — units of (site class × pattern block) stream through a
@@ -31,34 +31,33 @@ use crate::problem::LikelihoodProblem;
 use crate::pruning::TransOp;
 use slim_expm::{CpvStrategy, EigenSystem};
 use slim_linalg::{simd, LinalgError, NeumaierSum};
-use slim_model::{build_rate_matrix, ScalePolicy, N_SITE_CLASSES};
+use slim_model::{build_rate_matrix, ScalePolicy};
 use std::sync::Arc;
 
-/// Phase 1: build and decompose the three ω rate matrices (one-per-spawn
-/// when `threads >= 2`); the evaluator reruns it when globals change.
+/// Phase 1: build and decompose one rate matrix per ω in `omegas` (a
+/// mixture's distinct ω values), all under `scale` (one-per-spawn when
+/// `threads >= 2`); the evaluator reruns it when globals change.
 pub(crate) fn build_eigensystems(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
     kappa: f64,
     omegas: &[f64],
-    scale: f64,
+    scale: ScalePolicy,
     threads: usize,
 ) -> Result<Vec<Arc<EigenSystem>>, LinalgError> {
-    let simd_mode = config.simd;
-    if threads >= 2 {
+    let eigen_for = |omega: f64| {
+        let rm = build_rate_matrix(&problem.code, kappa, omega, &problem.pi, scale);
+        EigenSystem::from_rate_matrix(&rm, config.eigen).map(Arc::new)
+    };
+    if threads >= 2 && omegas.len() >= 2 {
+        let simd_mode = config.simd;
         let mut slots: Vec<Option<Result<Arc<EigenSystem>, LinalgError>>> =
             omegas.iter().map(|_| None).collect();
+        let eigen_for = &eigen_for;
         crossbeam::thread::scope(|scope| {
             for (slot, &omega) in slots.iter_mut().zip(omegas.iter()) {
                 scope.spawn(move |_| {
-                    simd::with_forced(simd_mode, || {
-                        *slot = Some(eigen_for(problem, config, kappa, omega, scale));
-                    });
-                    // Scoped thread: flush cache-probe instants before
-                    // the scope unblocks (see slim_obs::trace::flush_thread).
-                    if slim_obs::trace::enabled() {
-                        slim_obs::trace::flush_thread();
-                    }
+                    simd::with_forced(simd_mode, || *slot = Some(eigen_for(omega)));
                 });
             }
         })
@@ -68,10 +67,7 @@ pub(crate) fn build_eigensystems(
             .map(|s| s.expect("eigen thread filled its slot"))
             .collect()
     } else {
-        omegas
-            .iter()
-            .map(|&omega| eigen_for(problem, config, kappa, omega, scale))
-            .collect()
+        omegas.iter().map(|&omega| eigen_for(omega)).collect()
     }
 }
 
@@ -81,18 +77,19 @@ pub(crate) fn build_eigensystems(
 /// the sanitize context only.
 pub(crate) fn mix_and_reduce(
     problem: &LikelihoodProblem,
-    props: [f64; N_SITE_CLASSES],
+    props: &[f64],
     per_class: &[Vec<f64>],
     threads: usize,
 ) -> (f64, Vec<f64>) {
     let n_pat = problem.n_patterns();
     let mut per_pattern = vec![0.0f64; n_pat];
     let mut acc = NeumaierSum::new();
+    let ln_props: Vec<f64> = props.iter().map(|p| p.ln()).collect();
     for p in 0..n_pat {
         let mut max = f64::NEG_INFINITY;
-        for c in 0..N_SITE_CLASSES {
+        for c in 0..props.len() {
             if props[c] > 0.0 {
-                let v = props[c].ln() + per_class[c][p];
+                let v = ln_props[c] + per_class[c][p];
                 if v > max {
                     max = v;
                 }
@@ -100,9 +97,9 @@ pub(crate) fn mix_and_reduce(
         }
         let value = if max.is_finite() {
             let mut sum = 0.0;
-            for c in 0..N_SITE_CLASSES {
+            for c in 0..props.len() {
                 if props[c] > 0.0 {
-                    sum += (props[c].ln() + per_class[c][p] - max).exp();
+                    sum += (ln_props[c] + per_class[c][p] - max).exp();
                 }
             }
             max + sum.ln()
@@ -125,31 +122,8 @@ pub(crate) fn mix_and_reduce(
     (lnl, per_pattern)
 }
 
-/// Build (or fetch from the cross-evaluation cache) the eigensystem for
-/// one ω.
-fn eigen_for(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    kappa: f64,
-    omega: f64,
-    scale: f64,
-) -> Result<Arc<EigenSystem>, LinalgError> {
-    let rm = build_rate_matrix(
-        &problem.code,
-        kappa,
-        omega,
-        &problem.pi,
-        ScalePolicy::External(scale),
-    );
-    match &config.eigen_cache {
-        Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen),
-        None => Ok(Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?)),
-    }
-}
-
 /// Reconstruct one branch's transition operator in the representation the
-/// engine's CPV strategy needs — the one place a `TransOp` is made,
-/// shared by the branch-site evaluator and the auxiliary models.
+/// engine's CPV strategy needs — the one place a `TransOp` is made.
 pub(crate) fn build_op(es: &EigenSystem, config: &EngineConfig, t: f64) -> TransOp {
     match config.cpv {
         CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),

@@ -191,6 +191,17 @@ impl LikelihoodProblem {
         self.patterns.n_patterns()
     }
 
+    /// Σ weight × value over the patterns, summed naively in pattern
+    /// order: the total M0, M1a/M2a and the two-ratio model report.
+    pub(crate) fn weighted_sum(&self, per_pattern: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for (p, &v) in per_pattern.iter().enumerate() {
+            // check: allow(det-float-accum) serial pattern-order sum; the auxiliary models' totals are pinned to this order
+            total += self.patterns.weight(p) * v;
+        }
+        total
+    }
+
     /// Number of alignment sites.
     pub fn n_sites(&self) -> usize {
         self.patterns.n_sites()

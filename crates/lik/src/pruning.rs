@@ -7,8 +7,7 @@
 //! per-node body, `node_cpv` (child combine + rescale). The evaluator in
 //! [`crate::reuse`] fans units across worker threads; a stateless
 //! evaluation is that evaluator with empty state, so every unit is fully
-//! dirty. `prune_one_class` is the full-width serial wrapper used by the
-//! auxiliary models (M0, M1a/M2a, branch model).
+//! dirty.
 //!
 //! ## Determinism contract
 //!
@@ -24,12 +23,17 @@
 use crate::engine::EngineConfig;
 use crate::problem::LikelihoodProblem;
 use crate::reuse::ReuseEvaluator;
-use slim_expm::{cpv, CpvScratch, CpvStrategy, SymTransition};
+use slim_expm::{cpv, CpvScratch, CpvStrategy, PtCache, SymTransition};
 use slim_linalg::{LinalgError, Mat};
-use slim_model::{BranchSiteModel, N_SITE_CLASSES};
+use slim_model::BranchSiteModel;
 
-/// Number of distinct ω rate matrices per evaluation (ω0, ω1 = 1, ω2).
+/// Operator slots per branch: at most three distinct ω rate matrices per
+/// evaluation (branch-site model A's ω0, ω1 = 1, ω2).
 pub(crate) const N_OMEGA: usize = 3;
+
+/// Rescale a pattern column when its largest conditional probability
+/// drops below this.
+const SCALE_THRESHOLD: f64 = 1e-100;
 
 /// A per-branch transition operator, in whichever representation the
 /// engine's CPV strategy needs.
@@ -73,24 +77,13 @@ impl TransOp {
     }
 }
 
-/// Source of per-(node, ω) transition operators for a pruning pass: the
-/// auxiliary models hand the kernel a per-evaluation table, the
-/// branch-site evaluator a cross-evaluation [`slim_expm::PtCache`] view.
-/// Both must hold an operator for every ω the scheduled classes select on
-/// every branch.
-pub(crate) trait OpSource: Sync {
-    /// The operator for the edge above `node` under ω index `w`.
-    fn op(&self, node: usize, w: usize) -> &TransOp;
-}
-
-impl OpSource for [[Option<TransOp>; N_OMEGA]] {
-    // check: allow(panic-free-hot-path) the caller builds an operator for every ω a class selects before pruning starts
-    fn op(&self, node: usize, w: usize) -> &TransOp {
-        self[node][w]
-            .as_ref()
-            // check: allow(rob-unwrap) the caller builds an operator for every ω a class selects before pruning starts
-            .expect("operator built for needed omega")
-    }
+/// The operator for the edge above `node` in ω slot `w`.
+// check: hot reuse-engine operator fetch
+// check: allow(panic-free-hot-path) the expm phase probes/rebuilds every slot a unit can address before pruning starts
+fn operator(ops: &PtCache<TransOp>, node: usize, w: usize) -> &TransOp {
+    ops.value(node * N_OMEGA + w)
+        // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
+        .expect("operator probed or rebuilt in the expm phase")
 }
 
 /// Full output of one likelihood evaluation.
@@ -103,8 +96,9 @@ pub struct LikelihoodValue {
     /// Per-class per-pattern log-likelihoods (`[class][pattern]`), the
     /// inputs to empirical-Bayes site classification.
     pub per_class: Vec<Vec<f64>>,
-    /// The four class proportions used.
-    pub proportions: [f64; N_SITE_CLASSES],
+    /// The class proportions used, in the model's class order (Table I's
+    /// four for the branch-site model).
+    pub proportions: Vec<f64>,
 }
 
 /// Convenience wrapper returning only the scalar log-likelihood.
@@ -148,7 +142,7 @@ pub fn site_class_log_likelihoods(
 ///
 /// `0.0` in [`UnitCache::scale`] means "this node did not rescale this
 /// column" — unambiguous because a real contribution is `ln m` with
-/// `m < scale_threshold ≤ 1e-100`, i.e. at most ≈ −230.
+/// `m < SCALE_THRESHOLD = 1e-100`, i.e. at most ≈ −230.
 pub(crate) struct UnitCache {
     /// Post-rescale CPV per node; `None` for leaves and never-computed
     /// nodes.
@@ -232,7 +226,7 @@ impl PruneScratch {
 /// and rescale record byte-for-byte from `cache`. With every node dirty
 /// (an empty cache) this is a plain full pass.
 ///
-/// `ops` must hold operators for every ω this class selects on every
+/// `ops` must hold operators for every ω slot this class selects on every
 /// branch; `dirty` must cover every node whose inputs changed since
 /// `cache` was filled and be closed under "parent of".
 ///
@@ -249,10 +243,10 @@ impl PruneScratch {
 // check: hot per-block pruning unit (paper's inner loop)
 #[allow(clippy::too_many_arguments)]
 // check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
-pub(crate) fn prune_block<O: OpSource + ?Sized>(
+pub(crate) fn prune_block(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    ops: &O,
+    ops: &PtCache<TransOp>,
     bg_omega: usize,
     fg_omega: usize,
     lo: usize,
@@ -344,10 +338,10 @@ pub(crate) fn prune_block<O: OpSource + ?Sized>(
 /// elementwise multiply.
 #[allow(clippy::too_many_arguments)]
 // check: allow(panic-free-hot-path) children precede parents in postorder, so child CPVs are present; indices bounded by block width
-fn node_cpv<O: OpSource + ?Sized>(
+fn node_cpv(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    ops: &O,
+    ops: &PtCache<TransOp>,
     bg_omega: usize,
     fg_omega: usize,
     lo: usize,
@@ -408,7 +402,7 @@ fn node_cpv<O: OpSource + ?Sized>(
                 m = v;
             }
         }
-        if m > 0.0 && m < config.scale_threshold {
+        if m > 0.0 && m < SCALE_THRESHOLD {
             let inv = 1.0 / m;
             for i in 0..n {
                 dest[(i, q)] *= inv;
@@ -426,10 +420,10 @@ fn node_cpv<O: OpSource + ?Sized>(
 /// apply the operator to their CPV in `cpvs`.
 #[allow(clippy::too_many_arguments)]
 // check: allow(panic-free-hot-path) postorder computes every child before its parent; indices bounded by block width
-fn child_block<O: OpSource + ?Sized>(
+fn child_block(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    ops: &O,
+    ops: &PtCache<TransOp>,
     bg_omega: usize,
     fg_omega: usize,
     lo: usize,
@@ -445,7 +439,7 @@ fn child_block<O: OpSource + ?Sized>(
     } else {
         bg_omega
     };
-    let op = ops.op(child, w);
+    let op = operator(ops, child, w);
     if let Some(taxon) = problem.leaf_taxon[child] {
         // Leaf: P·e_c collapses to a column gather per pattern. Missing
         // data integrates the state out: P·1 = 1 (rows of P sum to one),
@@ -520,45 +514,16 @@ mod sanitize_hooks {
     }
 }
 
-/// Full-width serial pruning pass for one site class: returns per-pattern
-/// log-likelihood. A [`prune_block`] over every pattern with an empty
-/// cache and every node dirty, used by the auxiliary models (M0, site
-/// models, branch model).
-// check: hot full-width pruning pass (serial wrapper)
-pub(crate) fn prune_one_class(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &[[Option<TransOp>; N_OMEGA]],
-    bg_omega: usize,
-    fg_omega: usize,
-) -> Vec<f64> {
-    let mut out = vec![0.0f64; problem.n_patterns()];
-    let all_dirty = vec![true; problem.children.len()];
-    prune_block(
-        problem,
-        config,
-        ops,
-        bg_omega,
-        fg_omega,
-        0,
-        &all_dirty,
-        &mut out,
-        &mut UnitCache::new(),
-        &mut PruneScratch::new(),
-    );
-    out
-}
-
 /// Sanitize tripwire: recompute one *clean* node's CPV and rescale record
 /// from its (cached) children and panic on any bit mismatch with the
 /// cached copy — catching invalidation bugs the moment a stale value
 /// would be served.
 #[cfg(feature = "sanitize")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sanitize_recheck_node<O: OpSource + ?Sized>(
+pub(crate) fn sanitize_recheck_node(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    ops: &O,
+    ops: &PtCache<TransOp>,
     bg_omega: usize,
     fg_omega: usize,
     lo: usize,

@@ -1,5 +1,5 @@
-//! The branch-site evaluator: dirty-path partial-likelihood reuse across
-//! evaluations.
+//! The likelihood evaluator: dirty-path partial-likelihood reuse across
+//! evaluations, for every model the engine fits.
 //!
 //! A derivative-based fit evaluates the likelihood hundreds of times, and
 //! most evaluations change *one* parameter (a finite-difference probe) or
@@ -10,10 +10,15 @@
 //! * a changed **branch length** invalidates that branch's `P(t)`
 //!   operators and the CPVs of the nodes on the path from the branch's
 //!   parent to the root — everything else is served from cache;
-//! * a changed **global** (κ, ω0, ω2, p0, p1) invalidates the
-//!   eigendecompositions and therefore every CPV (operators whose (κ, ω,
-//!   scale) survive via the cross-evaluation [`slim_expm::EigenCache`]
-//!   still probe-hit through [`slim_expm::EigenSystem::id`]).
+//! * a changed **global** (κ, an ω, a proportion) recomputes the rate
+//!   scale, decomposes each distinct ω afresh — ω values with equal bits
+//!   share one decomposition and one operator slot — and so invalidates
+//!   every operator and CPV.
+//!
+//! The model is a [`Mixture`]: branch-site model A, M1a/M2a, M0 and the
+//! two-ratio model are all site classes over at most three ω matrices.
+//! This module is the one place that decides what an evaluation may
+//! reuse.
 //!
 //! ## The invalidation contract
 //!
@@ -27,22 +32,22 @@
 //!
 //! ## Why reuse is bit-identical
 //!
-//! Every cached object is keyed on the exact bits of its inputs
-//! ([`PtKey`] for operators; the bitwise parameter diff for CPVs), and a
-//! recompute runs the byte-same kernels on the byte-same inputs as a full
-//! pass (see [`crate::pruning::prune_block`] for the per-unit argument,
-//! including the rescale bookkeeping). The final reduction is the same
-//! serial fixed-order compensated sum. So kept state and cleared state
-//! agree to the last bit — which the identity test layer replays
-//! optimizer-like update sequences to enforce.
+//! Every cached object is keyed on the exact bits of its inputs (the
+//! bitwise parameter diff for decompositions and CPVs, [`PtKey`] for
+//! operators), and a recompute runs the byte-same kernels on the
+//! byte-same inputs as a full pass (see
+//! [`crate::pruning::prune_block`] for the per-unit argument, including
+//! the rescale bookkeeping). The final reduction is the same serial
+//! fixed-order compensated sum. So kept state and cleared state agree to
+//! the last bit — which the identity test layer replays optimizer-like
+//! update sequences to enforce.
 
 use crate::engine::EngineConfig;
+use crate::mixture::Mixture;
 use crate::obsm;
 use crate::par::{build_eigensystems, build_op, mix_and_reduce};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{
-    prune_block, LikelihoodValue, OpSource, PruneScratch, TransOp, UnitCache, N_OMEGA,
-};
+use crate::pruning::{prune_block, LikelihoodValue, PruneScratch, TransOp, UnitCache, N_OMEGA};
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError};
 use slim_model::BranchSiteModel;
@@ -52,36 +57,22 @@ use std::sync::Arc;
 /// The previous evaluation's reusable intermediates.
 struct EvalState {
     /// Globals the caches were computed under (compared bitwise).
-    model: BranchSiteModel,
+    mixture: Mixture,
     /// Branch lengths the caches were computed under (compared bitwise).
     branch_lengths: Vec<f64>,
-    /// One eigendecomposition per ω class.
+    /// One decomposition per distinct ω.
     eigensystems: Vec<Arc<EigenSystem>>,
-    /// Per-(node × ω) transition operators, validity-keyed on
+    /// Per-(node × ω slot) transition operators, validity-keyed on
     /// (decomposition id, branch-length bits).
     ops: PtCache<TransOp>,
     /// The full previous result, for the nothing-changed shortcut.
     value: LikelihoodValue,
 }
 
-/// Operator view the cached pruning kernel reads: every (node, ω) a unit
-/// touches was probed or rebuilt in this evaluation's expm phase.
-struct CachedOps<'a>(&'a PtCache<TransOp>);
-
-impl OpSource for CachedOps<'_> {
-    // check: hot reuse-engine operator fetch behind the unified kernel interface
-    // check: allow(panic-free-hot-path) the expm phase probes/rebuilds every slot a unit can address before pruning starts
-    fn op(&self, node: usize, w: usize) -> &TransOp {
-        self.0
-            .value(node * N_OMEGA + w)
-            // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
-            .expect("operator probed or rebuilt in the expm phase")
-    }
-}
-
-/// The branch-site likelihood evaluator: reuses the previous evaluation's
-/// operators and CPVs along clean paths. One per fit (per hypothesis);
-/// owns its caches, no sharing, no locking.
+/// The likelihood evaluator: reuses the previous evaluation's
+/// decompositions, operators and CPVs along clean paths. One per fit (per
+/// hypothesis) or per loop of related evaluations; owns its caches, no
+/// sharing, no locking.
 pub struct ReuseEvaluator<'p> {
     problem: &'p LikelihoodProblem,
     config: EngineConfig,
@@ -126,6 +117,11 @@ impl<'p> ReuseEvaluator<'p> {
         }
     }
 
+    /// The problem this evaluator evaluates.
+    pub(crate) fn problem(&self) -> &'p LikelihoodProblem {
+        self.problem
+    }
+
     /// Evaluate the branch-site likelihood, reusing whatever the bitwise
     /// parameter diff against the previous call proves unchanged. Each
     /// phase runs inside its `lik.phase.*` span.
@@ -140,10 +136,20 @@ impl<'p> ReuseEvaluator<'p> {
         model: &BranchSiteModel,
         branch_lengths: &[f64],
     ) -> Result<LikelihoodValue, LinalgError> {
+        self.evaluate_mixture(&Mixture::branch_site(model), branch_lengths)
+    }
+
+    /// Evaluate any mixture the engine fits (see [`Mixture`]); `per_class`
+    /// and `proportions` follow the mixture's class order.
+    pub(crate) fn evaluate_mixture(
+        &mut self,
+        mixture: &Mixture,
+        branch_lengths: &[f64],
+    ) -> Result<LikelihoodValue, LinalgError> {
         // The SIMD dispatch override is thread-local; this call covers the
         // calling thread, and each spawned worker re-installs it.
         simd::with_forced(self.config.simd, || {
-            self.evaluate_inner(model, branch_lengths)
+            self.evaluate_inner(mixture, branch_lengths)
         })
     }
 
@@ -163,7 +169,7 @@ impl<'p> ReuseEvaluator<'p> {
 
     fn evaluate_inner(
         &mut self,
-        model: &BranchSiteModel,
+        mixture: &Mixture,
         branch_lengths: &[f64],
     ) -> Result<LikelihoodValue, LinalgError> {
         let problem = self.problem;
@@ -191,15 +197,6 @@ impl<'p> ReuseEvaluator<'p> {
         let (globals_changed, dirty_branches): (bool, Vec<usize>) = match &prev {
             None => (true, Vec::new()),
             Some(s) => {
-                let g = [
-                    (model.kappa, s.model.kappa),
-                    (model.omega0, s.model.omega0),
-                    (model.omega2, s.model.omega2),
-                    (model.p0, s.model.p0),
-                    (model.p1, s.model.p1),
-                ]
-                .iter()
-                .any(|&(a, b)| a.to_bits() != b.to_bits());
                 let dirty: Vec<usize> = branch_lengths
                     .iter()
                     .zip(s.branch_lengths.iter())
@@ -207,7 +204,7 @@ impl<'p> ReuseEvaluator<'p> {
                     .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
                     .map(|(i, _)| i)
                     .collect();
-                (g, dirty)
+                (!mixture.same_bits(&s.mixture), dirty)
             }
         };
 
@@ -225,42 +222,41 @@ impl<'p> ReuseEvaluator<'p> {
             }
         }
 
-        // --- Phase 1: eigendecompositions — reused wholesale unless a
-        // global changed. ---
+        // --- Phase 1: eigendecompositions, one per distinct ω — reused
+        // wholesale unless a global changed. ---
         let phase_span = obsm::PHASE_EIGEN.span();
-        let omegas = model.omegas();
+        let (distinct, n_distinct, slot) = mixture.distinct_omegas();
         let (mut ops, eigensystems) = match prev {
             Some(s) if !globals_changed => (s.ops, s.eigensystems),
             other => {
                 // First call or globals changed: new decompositions, and
                 // no CPV survives (the mixture itself moved). The operator
-                // cache persists — its (decomposition id, t) keys reject
-                // anything stale, while ops whose (κ, ω, scale) recur
-                // through the shared EigenCache keep their decomposition
-                // identity and still hit.
+                // cache persists; its (decomposition id, t) keys reject
+                // every operator of the old decompositions, which are
+                // freed here, before their replacements are built.
                 let ops = match other {
                     Some(s) => s.ops,
                     None => PtCache::new(0),
                 };
-                // All classes share one rate scale (the background mixture
-                // average), so ω2 > 1 genuinely accelerates foreground
-                // evolution — see BranchSiteModel::shared_scale.
-                let (syn_flux, nonsyn_flux) = slim_model::codon_model::rate_components(
-                    &problem.code,
-                    model.kappa,
-                    &problem.pi,
-                );
-                let scale = model.shared_scale(syn_flux, nonsyn_flux);
+                let policy = mixture.scale_policy(&problem.code, &problem.pi);
+                let distinct = &distinct[..n_distinct];
                 let es =
-                    build_eigensystems(problem, &config, model.kappa, &omegas, scale, threads)?;
+                    build_eigensystems(problem, &config, mixture.kappa, distinct, policy, threads)?;
                 (ops, es)
             }
         };
         drop(phase_span);
 
         // --- Phase 2: transition operators — probe every (branch, needed
-        // ω) slot, rebuild only the key misses. ---
+        // ω slot), rebuild only the key misses. ---
         let phase_span = obsm::PHASE_EXPM.span();
+        // needed[is_foreground][slot]: the slots the classes select on
+        // background and on foreground branches.
+        let mut needed = [[false; N_OMEGA]; 2];
+        for c in mixture.classes() {
+            needed[0][slot[c.background_omega]] = true;
+            needed[1][slot[c.foreground_omega]] = true;
+        }
         ops.resize(n_nodes * N_OMEGA);
         let mut stale: Vec<(usize, usize, f64)> = Vec::new();
         for node in 0..n_nodes {
@@ -268,12 +264,10 @@ impl<'p> ReuseEvaluator<'p> {
                 continue;
             };
             let t = branch_lengths[bi];
-            let needed: &[usize] = if problem.is_foreground[node] {
-                &[0, 1, 2]
-            } else {
-                &[0, 1]
-            };
-            for &w in needed {
+            for w in 0..n_distinct {
+                if !needed[usize::from(problem.is_foreground[node])][w] {
+                    continue;
+                }
                 let key = PtKey::new(&eigensystems[w], t);
                 if !ops.probe(node * N_OMEGA + w, key) {
                     stale.push((node, w, t));
@@ -315,7 +309,7 @@ impl<'p> ReuseEvaluator<'p> {
         drop(phase_span);
 
         // --- Unit geometry + dirty set. ---
-        let classes = model.site_classes();
+        let classes = mixture.classes();
         let block = config.pattern_block.max(1);
         let mut unit_shape: Vec<(usize, usize, usize)> = Vec::new();
         for (ci, class) in classes.iter().enumerate() {
@@ -429,15 +423,15 @@ impl<'p> ReuseEvaluator<'p> {
                 // check: allow(rob-unwrap) units was sized to unit_shape above
                 let cache = cache_iter.next().expect("one cache per unit");
                 runits.push(RUnit {
-                    bg: classes[ci].background_omega,
-                    fg: classes[ci].foreground_omega,
+                    bg: slot[classes[ci].background_omega],
+                    fg: slot[classes[ci].foreground_omega],
                     lo,
                     out: chunk,
                     cache,
                 });
             }
         }
-        let view = CachedOps(&ops);
+        let ops_ref = &ops;
         let dirty_ref: &[bool] = &dirty;
         let prune_threads = threads.min(runits.len()).max(1);
         if prune_threads >= 2 {
@@ -447,14 +441,13 @@ impl<'p> ReuseEvaluator<'p> {
                 let _ = tx.send(unit);
             }
             drop(tx);
-            let view = &view;
             let config_ref = &config;
             crossbeam::thread::scope(|scope| {
                 for _ in 0..prune_threads {
                     let rx = rx.clone();
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
-                            prune_worker(rx.iter(), problem, config_ref, view, dirty_ref);
+                            prune_worker(rx.iter(), problem, config_ref, ops_ref, dirty_ref);
                         });
                         // Scoped thread: flush before the scope unblocks.
                         if trace::enabled() {
@@ -466,7 +459,7 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("pruning scope");
         } else {
-            prune_worker(runits.into_iter(), problem, &config, &view, dirty_ref);
+            prune_worker(runits.into_iter(), problem, &config, ops_ref, dirty_ref);
         }
 
         // Sanitize tripwire: recompute one randomly chosen *reused* CPV
@@ -491,9 +484,9 @@ impl<'p> ReuseEvaluator<'p> {
             crate::pruning::sanitize_recheck_node(
                 problem,
                 &config,
-                &view,
-                classes[ci].background_omega,
-                classes[ci].foreground_omega,
+                &ops,
+                slot[classes[ci].background_omega],
+                slot[classes[ci].foreground_omega],
                 lo,
                 node,
                 &self.units[ui],
@@ -504,23 +497,18 @@ impl<'p> ReuseEvaluator<'p> {
 
         // --- Phase 4: the shared serial fixed-order reduction. ---
         let phase_span = obsm::PHASE_REDUCTION.span();
-        let props = [
-            classes[0].proportion,
-            classes[1].proportion,
-            classes[2].proportion,
-            classes[3].proportion,
-        ];
-        let (lnl, per_pattern) = mix_and_reduce(problem, props, &per_class, threads);
+        let proportions: Vec<f64> = classes.iter().map(|c| c.proportion).collect();
+        let (lnl, per_pattern) = mix_and_reduce(problem, &proportions, &per_class, threads);
         drop(phase_span);
 
         let value = LikelihoodValue {
             lnl,
             per_pattern,
             per_class,
-            proportions: props,
+            proportions,
         };
         self.state = Some(EvalState {
-            model: *model,
+            mixture: *mixture,
             branch_lengths: branch_lengths.to_vec(),
             eigensystems,
             ops,
@@ -530,7 +518,7 @@ impl<'p> ReuseEvaluator<'p> {
     }
 }
 
-/// One pruning unit's work order: its ω pair, first pattern, output
+/// One pruning unit's work order: its ω slot pair, first pattern, output
 /// slice and cache.
 struct RUnit<'a> {
     bg: usize,
@@ -547,7 +535,7 @@ fn prune_worker<'a>(
     units: impl Iterator<Item = RUnit<'a>>,
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    view: &CachedOps,
+    ops: &PtCache<TransOp>,
     dirty: &[bool],
 ) {
     let _busy = obsm::WORKER_BUSY.span();
@@ -558,7 +546,7 @@ fn prune_worker<'a>(
         block_span.arg_u64("fg", unit.fg as u64);
         block_span.arg_u64("lo", unit.lo as u64);
         prune_block(
-            problem, config, view, unit.bg, unit.fg, unit.lo, dirty, unit.out, unit.cache, &mut ws,
+            problem, config, ops, unit.bg, unit.fg, unit.lo, dirty, unit.out, unit.cache, &mut ws,
         );
     }
 }
@@ -566,9 +554,8 @@ fn prune_worker<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pruning::site_class_log_likelihoods;
     use slim_bio::{parse_newick, CodonAlignment, FreqModel, GeneticCode};
-    use slim_model::Hypothesis;
+    use slim_model::{Hypothesis, SiteModel, SitesHypothesis};
 
     fn toy_problem() -> LikelihoodProblem {
         let tree = parse_newick("(((A:0.1,B:0.2):0.05,C:0.3)#1:0.1,(D:0.25,E:0.15):0.2);").unwrap();
@@ -607,22 +594,30 @@ mod tests {
     }
 
     /// An optimizer-shaped update script: finite-difference probes on
-    /// single branches, a sparse line-search move, a global bump, an exact
-    /// repeat and a cleared state — each step checked bit-for-bit against
-    /// a stateless evaluation (a fresh evaluator).
-    fn run_script(config: EngineConfig) {
-        let problem = toy_problem();
-        let mut ev = ReuseEvaluator::new(&problem, config.clone());
-        let mut model = BranchSiteModel::default_start(Hypothesis::H1);
+    /// single branches, an exact repeat, a sparse line-search move, each
+    /// global move in `moves` (the last one together with a branch
+    /// change) and a cleared state — each step checked bit-for-bit
+    /// against a stateless evaluation (a fresh evaluator).
+    fn run_script<M>(
+        config: EngineConfig,
+        problem: &LikelihoodProblem,
+        mut model: M,
+        mixture: impl Fn(&M) -> Mixture,
+        moves: &[&dyn Fn(&mut M)],
+    ) {
+        let mut ev = ReuseEvaluator::new(problem, config.clone());
         let mut bl: Vec<f64> = (0..problem.n_branches())
             .map(|i| 0.08 + 0.03 * i as f64)
             .collect();
         let n_br = bl.len();
 
         let mut step = 0usize;
-        let mut check = |ev: &mut ReuseEvaluator, model: &BranchSiteModel, bl: &[f64]| {
-            let reuse = ev.evaluate(model, bl).unwrap();
-            let fresh = site_class_log_likelihoods(&problem, &config, model, bl).unwrap();
+        let mut check = |ev: &mut ReuseEvaluator, model: &M, bl: &[f64]| {
+            let m = mixture(model);
+            let reuse = ev.evaluate_mixture(&m, bl).unwrap();
+            let fresh = ReuseEvaluator::new(problem, config.clone())
+                .evaluate_mixture(&m, bl)
+                .unwrap();
             assert_bits_equal(&reuse, &fresh, step);
             step += 1;
         };
@@ -642,13 +637,14 @@ mod tests {
         bl[0] *= 1.25;
         bl[n_br - 1] *= 0.75;
         check(&mut ev, &model, &bl);
-        // Global move: everything invalidates.
-        model.kappa += 0.125;
-        check(&mut ev, &model, &bl);
-        // Mixed move after the full invalidation.
-        model.p0 -= 0.0625;
-        bl[1] += 0.01;
-        check(&mut ev, &model, &bl);
+        // Global moves: every CPV invalidates.
+        for (k, global) in moves.iter().enumerate() {
+            global(&mut model);
+            if k + 1 == moves.len() {
+                bl[1] += 0.01;
+            }
+            check(&mut ev, &model, &bl);
+        }
         let (hits, misses) = ev.op_cache_stats();
         assert!(hits > 0, "the script must exercise operator reuse");
         assert!(misses > 0, "the script must exercise operator rebuilds");
@@ -659,20 +655,85 @@ mod tests {
         check(&mut ev, &model, &bl);
     }
 
+    fn branch_site_script(config: EngineConfig) {
+        run_script(
+            config,
+            &toy_problem(),
+            BranchSiteModel::default_start(Hypothesis::H1),
+            Mixture::branch_site,
+            &[
+                &|m: &mut BranchSiteModel| m.kappa += 0.125,
+                &|m: &mut BranchSiteModel| m.omega2 += 0.25,
+                &|m: &mut BranchSiteModel| m.p0 -= 0.0625,
+            ],
+        );
+    }
+
     #[test]
     fn reuse_matches_stateless_bit_identically_serial() {
         // Small blocks force several units per class so root-path
         // invalidation crosses block boundaries.
-        run_script(EngineConfig::slim().with_pattern_block(2));
+        branch_site_script(EngineConfig::slim().with_pattern_block(2));
     }
 
     #[test]
     fn reuse_matches_stateless_bit_identically_threaded() {
-        run_script(EngineConfig::slim().with_pattern_block(2).with_threads(4));
+        branch_site_script(EngineConfig::slim().with_pattern_block(2).with_threads(4));
     }
 
     #[test]
-    fn reuse_matches_stateless_with_eigen_cache_profile() {
-        run_script(EngineConfig::slim_plus().with_pattern_block(3));
+    fn reuse_matches_stateless_with_bundled_gemm_profile() {
+        branch_site_script(EngineConfig::slim_plus().with_pattern_block(3));
+    }
+
+    #[test]
+    fn m2a_and_two_ratio_reuse_matches_stateless() {
+        for config in [
+            EngineConfig::slim().with_pattern_block(2),
+            EngineConfig::slim_symmetric()
+                .with_pattern_block(3)
+                .with_threads(4),
+        ] {
+            run_script(
+                config.clone(),
+                &toy_problem(),
+                SiteModel::default_start(SitesHypothesis::M2a),
+                |m| Mixture::sites(m, SitesHypothesis::M2a),
+                &[
+                    &|m: &mut SiteModel| m.omega2 += 0.5,
+                    &|m: &mut SiteModel| m.kappa += 0.125,
+                    &|m: &mut SiteModel| m.p1 -= 0.0625,
+                ],
+            );
+            // (κ, ω background, ω foreground); the last move makes the two
+            // ω values equal, so they share one decomposition and slot.
+            run_script(
+                config,
+                &toy_problem(),
+                (2.0, 0.2, 3.0),
+                |&(k, bg, fg): &(f64, f64, f64)| Mixture::two_ratio(k, bg, fg),
+                &[
+                    &|m: &mut (f64, f64, f64)| m.2 += 0.5,
+                    &|m: &mut (f64, f64, f64)| m.0 += 0.125,
+                    &|m: &mut (f64, f64, f64)| m.2 = m.1,
+                ],
+            );
+        }
+    }
+
+    #[test]
+    fn each_distinct_omega_is_decomposed_once() {
+        // ω values with equal bits share one decomposition and one slot:
+        // H0's ω2 = ω1 = 1 needs two operators on the foreground branch,
+        // H1 three.
+        let problem = toy_problem();
+        let n_br = problem.n_branches() as u64;
+        let bl = vec![0.1; problem.n_branches()];
+        for (hypothesis, ops) in [(Hypothesis::H0, 2 * n_br), (Hypothesis::H1, 2 * n_br + 1)] {
+            let mut ev = ReuseEvaluator::new(&problem, EngineConfig::slim());
+            ev.evaluate(&BranchSiteModel::default_start(hypothesis), &bl)
+                .unwrap();
+            assert_eq!(ev.op_cache_stats(), (0, ops), "{hypothesis:?}");
+        }
     }
 }

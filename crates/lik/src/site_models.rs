@@ -1,30 +1,19 @@
 //! Likelihood for the M1a/M2a *site* models (ω varies across sites, not
-//! branches) — the §V-B "further models" extension, sharing the expm and
-//! pruning machinery with the branch-site engine.
+//! branches) — the §V-B "further models" extension: a mixture of one
+//! class per ω, evaluated by the branch-site evaluator.
 
 use crate::engine::EngineConfig;
-use crate::par::build_op;
+use crate::mixture::Mixture;
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::EigenSystem;
+use crate::pruning::LikelihoodValue;
+use crate::reuse::ReuseEvaluator;
 use slim_linalg::LinalgError;
-use slim_model::{build_rate_matrix, rate_components, ScalePolicy, SiteModel, SitesHypothesis};
-use std::sync::Arc;
-
-/// Result of one site-model likelihood evaluation.
-#[derive(Debug, Clone)]
-pub struct SitesLikelihoodValue {
-    /// Total mixture log-likelihood.
-    pub lnl: f64,
-    /// Per-class per-pattern log-likelihoods (class order as in
-    /// [`SiteModel::classes`]).
-    pub per_class: Vec<Vec<f64>>,
-    /// Class proportions used.
-    pub proportions: Vec<f64>,
-}
+use slim_model::{SiteModel, SitesHypothesis};
 
 /// Evaluate the M1a or M2a likelihood. The problem may be built with
 /// [`LikelihoodProblem::new_unmarked`] — no foreground branch is used.
+/// `per_class` and `proportions` follow [`SiteModel::classes`]; `lnl`
+/// is the naive pattern-order weighted sum of `per_pattern`.
 ///
 /// # Errors
 /// Propagates eigensolver failures.
@@ -37,86 +26,30 @@ pub fn site_model_log_likelihood(
     model: &SiteModel,
     hypothesis: SitesHypothesis,
     branch_lengths: &[f64],
-) -> Result<SitesLikelihoodValue, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
-    let n_pat = problem.n_patterns();
-    let classes = model.classes(hypothesis);
+) -> Result<LikelihoodValue, LinalgError> {
+    let mut evaluator = ReuseEvaluator::new(problem, config.clone());
+    evaluate_site_model(&mut evaluator, model, hypothesis, branch_lengths)
+}
 
-    // One shared rate scale across all classes (all branches see every
-    // class — see SiteModel::shared_scale).
-    let (syn_flux, nonsyn_flux) = rate_components(&problem.code, model.kappa, &problem.pi);
-    let scale = model.shared_scale(hypothesis, syn_flux, nonsyn_flux);
-
-    // One eigendecomposition per class ω.
-    let mut eigensystems: Vec<Arc<EigenSystem>> = Vec::with_capacity(classes.len());
-    for class in &classes {
-        let rm = build_rate_matrix(
-            &problem.code,
-            model.kappa,
-            class.omega,
-            &problem.pi,
-            ScalePolicy::External(scale),
-        );
-        let es = match &config.eigen_cache {
-            Some(cache) => cache.get_or_compute(model.kappa, class.omega, &rm, config.eigen)?,
-            None => Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?),
-        };
-        eigensystems.push(es);
-    }
-
-    // Per class: build per-branch operators at slot 0 and prune.
-    // (The pruning kernel indexes [node][omega-slot]; site models use one
-    // slot since foreground == background.)
-    let n_nodes = problem.children.len();
-    let mut per_class: Vec<Vec<f64>> = Vec::with_capacity(classes.len());
-    for (k, class) in classes.iter().enumerate() {
-        if class.proportion <= 0.0 {
-            per_class.push(vec![f64::NEG_INFINITY; n_pat]);
-            continue;
-        }
-        let es = &eigensystems[k];
-        let mut ops: Vec<[Option<TransOp>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-        for (node, slot) in ops.iter_mut().enumerate() {
-            let Some(bi) = problem.branch_index[node] else {
-                continue;
-            };
-            slot[0] = Some(build_op(es, config, branch_lengths[bi]));
-        }
-        per_class.push(prune_one_class(problem, config, &ops, 0, 0));
-    }
-
-    // Mix per pattern (log-sum-exp), weight by multiplicity.
-    let mut lnl = 0.0f64;
-    for p in 0..n_pat {
-        let mut max = f64::NEG_INFINITY;
-        for (k, class) in classes.iter().enumerate() {
-            if class.proportion > 0.0 {
-                max = max.max(class.proportion.ln() + per_class[k][p]);
-            }
-        }
-        let value = if max.is_finite() {
-            let mut sum = 0.0;
-            for (k, class) in classes.iter().enumerate() {
-                if class.proportion > 0.0 {
-                    sum += (class.proportion.ln() + per_class[k][p] - max).exp();
-                }
-            }
-            max + sum.ln()
-        } else {
-            f64::NEG_INFINITY
-        };
-        lnl += problem.patterns.weight(p) * value;
-    }
-
-    Ok(SitesLikelihoodValue {
-        lnl,
-        per_class,
-        proportions: classes.iter().map(|c| c.proportion).collect(),
-    })
+/// [`site_model_log_likelihood`] on a caller-held evaluator, which keeps
+/// what a parameter change leaves valid from one call to the next (one
+/// evaluator per fit).
+///
+/// # Errors
+/// Propagates eigensolver failures.
+///
+/// # Panics
+/// Panics if `branch_lengths.len()` mismatches the problem.
+pub fn evaluate_site_model(
+    evaluator: &mut ReuseEvaluator,
+    model: &SiteModel,
+    hypothesis: SitesHypothesis,
+    branch_lengths: &[f64],
+) -> Result<LikelihoodValue, LinalgError> {
+    let mut value =
+        evaluator.evaluate_mixture(&Mixture::sites(model, hypothesis), branch_lengths)?;
+    value.lnl = evaluator.problem().weighted_sum(&value.per_pattern);
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -198,7 +198,7 @@ proptest! {
 /// fixed optimizer-shaped sequence — the coverage matrix the random test
 /// samples from, run deterministically so the big analogs (ii, iv) are
 /// exercised exactly once per mode. The other presets (codeml-style
-/// kernels, the slim+ bundled products and eigen cache, the Eq. 12
+/// kernels, the slim+ bundled products, the Eq. 12
 /// symmetric operators served from `PtCache`) run once per analog at one
 /// thread with auto SIMD.
 #[test]

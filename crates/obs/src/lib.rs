@@ -28,7 +28,7 @@
 //!   the `metrics_identity` and `trace_identity` test layers lock down.
 //!
 //! Metric names are dotted paths (`lik.phase.eigen_seconds`,
-//! `expm.cache.hits`), so a sorted snapshot groups each subsystem and a
+//! `opt.iterations`), so a sorted snapshot groups each subsystem and a
 //! Prometheus scrape maps them to `slimcodeml_lik_phase_eigen_seconds`.
 //!
 //! Both sinks are off by default. `SLIMCODEML_METRICS` and

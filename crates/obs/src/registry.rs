@@ -121,10 +121,9 @@ impl Registry {
 
 /// Compute gauges derived from raw counters at snapshot time, inserting
 /// them at their name-sorted position so the schema-stability contract
-/// holds. Currently: `expm.cache.hit_rate` = hits / (hits + misses) and
-/// `lik.reuse.hit_rate` = units_reused / (units_reused +
-/// units_recomputed). Both are defined as 0 when their denominator is 0
-/// (no lookups yet) — never NaN — and present whenever their source
+/// holds. Currently: `lik.reuse.hit_rate` = units_reused /
+/// (units_reused + units_recomputed), defined as 0 when the denominator
+/// is 0 (no units yet) — never NaN — and present whenever its source
 /// counters are registered.
 fn add_derived_gauges(counters: &[(String, u64)], gauges: &mut Vec<(String, f64)>) {
     let get = |name: &str| counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
@@ -133,9 +132,6 @@ fn add_derived_gauges(counters: &[(String, u64)], gauges: &mut Vec<(String, f64)
             Ok(i) => gauges[i].1 = rate,
             Err(i) => gauges.insert(i, (name.to_string(), rate)),
         };
-    if let (Some(hits), Some(misses)) = (get("expm.cache.hits"), get("expm.cache.misses")) {
-        set("expm.cache.hit_rate", ratio(hits, hits + misses));
-    }
     if let (Some(reused), Some(recomputed)) = (
         get("lik.reuse.units_reused"),
         get("lik.reuse.units_recomputed"),
@@ -493,38 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_cache_hit_rate_in_both_sinks() {
-        let _g = locked_enabled();
-        let r = Registry::new();
-        r.counter("expm.cache.hits").add(3);
-        r.counter("expm.cache.misses").add(1);
-        let snap = r.snapshot();
-        assert_eq!(snap.gauge("expm.cache.hit_rate"), Some(0.75));
-        let names: Vec<&str> = snap.gauges.iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted, "derived gauge keeps name order");
-        assert!(
-            snap.to_json().contains("\"expm.cache.hit_rate\":0.75"),
-            "{}",
-            snap.to_json()
-        );
-        assert!(
-            snap.to_prometheus()
-                .contains("# TYPE slimcodeml_expm_cache_hit_rate gauge"),
-            "{}",
-            snap.to_prometheus()
-        );
-        // Before any access: defined as 0, not NaN.
-        r.reset();
-        assert_eq!(r.snapshot().gauge("expm.cache.hit_rate"), Some(0.0));
-        // Registries without the cache counters don't grow the gauge.
-        let bare = Registry::new();
-        assert_eq!(bare.snapshot().gauge("expm.cache.hit_rate"), None);
-        crate::set_enabled(false);
-    }
-
-    #[test]
     fn derived_reuse_hit_rate_guards_zero_over_zero() {
         let _g = locked_enabled();
         let r = Registry::new();
@@ -541,10 +505,18 @@ mod tests {
         );
         assert!(
             snap.to_prometheus()
+                .contains("# TYPE slimcodeml_lik_reuse_hit_rate gauge"),
+            "{}",
+            snap.to_prometheus()
+        );
+        assert!(
+            snap.to_prometheus()
                 .contains("slimcodeml_lik_reuse_hit_rate 0\n"),
             "{}",
             snap.to_prometheus()
         );
+        // Registries without the source counters don't grow the gauge.
+        assert_eq!(Registry::new().snapshot().gauge("lik.reuse.hit_rate"), None);
         // With traffic, the usual ratio, name-sorted into the gauge list.
         r.counter("lik.reuse.units_reused").add(6);
         r.counter("lik.reuse.units_recomputed").add(2);

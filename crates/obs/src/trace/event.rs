@@ -86,7 +86,7 @@ pub struct Event {
     pub phase: Phase,
     /// Event name (static: instrumentation sites name their events).
     pub name: &'static str,
-    /// Category (one per instrumented layer: `opt`, `lik`, `expm`, `batch`).
+    /// Category (one per instrumented layer: `opt`, `lik`, `core`, `batch`).
     pub cat: &'static str,
     /// key=value attributes.
     pub args: Vec<(&'static str, Value)>,
@@ -139,10 +139,10 @@ mod tests {
             ts_us: 12,
             tid: 3,
             phase: Phase::Instant,
-            name: "expm.cache.hit",
-            cat: "expm",
+            name: "lik.reuse.hit",
+            cat: "lik",
             args: vec![("kappa", Value::F64(2.0))],
         };
-        assert_eq!(e.to_line(), "+12us t3 i expm.cache.hit kappa=2.0");
+        assert_eq!(e.to_line(), "+12us t3 i lik.reuse.hit kappa=2.0");
     }
 }

@@ -77,7 +77,7 @@ fn engine_lnl_bits_are_unchanged_by_metrics() {
     }
 }
 
-/// A full H0 fit through the cached `slim+` backend: every fitted
+/// A full H0 fit through the `slim+` backend: every fitted
 /// quantity bit-identical with metrics on vs off, and the metrics-on
 /// pass actually recorded (the test would be vacuous against a
 /// permanently-disabled registry).
@@ -106,7 +106,6 @@ fn fit_bits_are_unchanged_by_metrics_and_registry_records() {
     slimcodeml::obs::set_enabled(true);
     slimcodeml::opt::register_metrics();
     slimcodeml::lik::register_metrics();
-    slimcodeml::expm::register_metrics();
     let before = slimcodeml::obs::snapshot();
     let on = Analysis::new(&tree, &aln, options)
         .unwrap()
@@ -150,8 +149,8 @@ fn fit_bits_are_unchanged_by_metrics_and_registry_records() {
     assert!(delta("lik.evaluations") > 0, "lik layer did not record");
     assert!(delta("opt.iterations") > 0, "opt layer did not record");
     assert!(
-        delta("expm.cache.hits") + delta("expm.cache.misses") > 0,
-        "expm cache layer did not record"
+        delta("lik.reuse.units_reused") > 0,
+        "the fit's evaluator did not reuse a CPV block"
     );
     // The fit fed the span histograms `--timing` reads.
     let observations = |name: &str| {

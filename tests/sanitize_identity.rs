@@ -23,7 +23,7 @@
 //! branch-site model at both points, the H0 point (ω2 = 1, so the ω1 and
 //! ω2 rate matrices coincide; also through `slim`), and M0, M1a, M2a and
 //! two-ratio. Dataset ii has more patterns than one pruning block, so
-//! these rows also compare blocked against full-width passes.
+//! its rows also cover a multi-block pass of every model.
 //!
 //! Regenerate (only after an intentional numerical change, with the
 //! default feature set) via:
