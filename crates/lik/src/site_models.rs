@@ -1,6 +1,6 @@
 //! Likelihood for the M1a/M2a *site* models (ω varies across sites, not
 //! branches) — the §V-B "further models" extension: a mixture of one
-//! class per ω, evaluated by the branch-site evaluator.
+//! class per ω, evaluated by the same evaluator as the branch-site model.
 
 use crate::engine::EngineConfig;
 use crate::mixture::Mixture;
