@@ -636,4 +636,46 @@ mod tests {
             assert!((b - 0.5).abs() < 1e-12);
         }
     }
+
+    /// lnL bits, iterations and f_evals of short H0 and H1 fits on Table
+    /// II analog i, under central and forward differences: the schedule
+    /// in which a gradient probes its coordinates must not move any of
+    /// them.
+    #[test]
+    fn short_fit_bits_are_pinned() {
+        let d = slim_sim::dataset(slim_sim::DatasetId::I);
+        for (hypothesis, grad_mode, want) in [
+            (
+                Hypothesis::H0,
+                GradMode::Central,
+                (0xc0a59d4199f56309, 4, 171),
+            ),
+            (
+                Hypothesis::H1,
+                GradMode::Central,
+                (0xc0a59db48a796c2c, 4, 181),
+            ),
+            (
+                Hypothesis::H1,
+                GradMode::Forward,
+                (0xc0a59db4a0b62981, 4, 96),
+            ),
+        ] {
+            let options = AnalysisOptions {
+                max_iterations: 4,
+                grad_mode,
+                threads: Some(1),
+                ..Default::default()
+            };
+            let fit = Analysis::new(&d.tree, &d.alignment, options)
+                .unwrap()
+                .fit(hypothesis)
+                .unwrap();
+            assert_eq!(
+                (fit.lnl.to_bits(), fit.iterations, fit.f_evals),
+                want,
+                "{hypothesis:?} {grad_mode:?}"
+            );
+        }
+    }
 }
