@@ -25,11 +25,13 @@ fn step(x: f64) -> f64 {
     tmp - x
 }
 
-/// Central-difference gradient of `f` at `x`.
+/// Central-difference gradient of `f` at `x`, probing the last coordinate
+/// first: fits put branch lengths after the globals, so their probes start
+/// from the likelihood evaluator's state at `x`, which a global probe clears.
 pub fn central_gradient(mut f: impl FnMut(&[f64]) -> f64, x: &[f64]) -> Vec<f64> {
     let mut g = vec![0.0; x.len()];
     let mut work = x.to_vec();
-    for i in 0..x.len() {
+    for i in (0..x.len()).rev() {
         let h = step(x[i]);
         work[i] = x[i] + h;
         let fp = f(&work);
@@ -41,11 +43,12 @@ pub fn central_gradient(mut f: impl FnMut(&[f64]) -> f64, x: &[f64]) -> Vec<f64>
     g
 }
 
-/// Forward-difference gradient of `f` at `x`, given `fx = f(x)`.
+/// Forward-difference gradient of `f` at `x`, given `fx = f(x)`, probing
+/// the last coordinate first (see [`central_gradient`]).
 pub fn forward_gradient(mut f: impl FnMut(&[f64]) -> f64, x: &[f64], fx: f64) -> Vec<f64> {
     let mut g = vec![0.0; x.len()];
     let mut work = x.to_vec();
-    for i in 0..x.len() {
+    for i in (0..x.len()).rev() {
         let h = step(x[i]);
         work[i] = x[i] + h;
         let fp = f(&work);
@@ -125,6 +128,28 @@ mod tests {
         for v in g {
             assert!(v.abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn coordinates_are_probed_last_first() {
+        // Each probe moves exactly one coordinate off x; record which.
+        let x = [1.0, -2.0, 0.5, 3.0];
+        let probed = |mode: GradMode| {
+            let mut order = Vec::new();
+            let f = |p: &[f64]| {
+                let moved: Vec<usize> = (0..x.len()).filter(|&i| p[i] != x[i]).collect();
+                assert_eq!(moved.len(), 1, "one coordinate per probe");
+                order.push(moved[0]);
+                quadratic(p)
+            };
+            match mode {
+                GradMode::Central => central_gradient(f, &x),
+                GradMode::Forward => forward_gradient(f, &x, quadratic(&x)),
+            };
+            order
+        };
+        assert_eq!(probed(GradMode::Central), [3, 3, 2, 2, 1, 1, 0, 0]);
+        assert_eq!(probed(GradMode::Forward), [3, 2, 1, 0]);
     }
 
     #[test]
