@@ -1,27 +1,26 @@
 //! Marginal ancestral sequence reconstruction.
 //!
 //! CodeML's `RateAncestor` feature: after fitting, infer the posterior
-//! distribution of the codon at every internal node and site. Uses the
-//! standard up/down (inside/outside) algorithm:
-//!
-//! * **up** pass = Felsenstein pruning: `up_v[s]` is the likelihood of the
-//!   data below `v` given state `s` at `v`;
-//! * **down** pass (preorder): `down_v[s]` is the likelihood of all data
-//!   *outside* `v`'s subtree given state `s` at `v`, built from the
-//!   parent's `down` and the siblings' branch-propagated `up`s;
-//! * posterior at `v` ∝ `up_v[s] · down_v[s]`, mixed over the four
-//!   branch-site classes with their proportions.
-//!
-//! Reconstruction runs once per fitted model (not in the optimization hot
-//! loop), so this implementation favors clarity over kernel tuning — it
-//! always uses the Slim Eq. 10 expm path.
+//! distribution of the codon at every internal node and site. Within one
+//! site class the posterior at `v` is the likelihood of the data below `v`
+//! (the evaluator's kept CPV, *inside*) times that of the data outside
+//! `v`'s subtree (its preorder *outside* pass), normalized per pattern;
+//! the classes mix with their empirical-Bayes (NEB) weights. Both passes
+//! run on the likelihood evaluator under the whole [`EngineConfig`], and
+//! both rescale, so deep trees keep their posteriors.
 
 use crate::engine::EngineConfig;
+use crate::mixture::Mixture;
 use crate::problem::LikelihoodProblem;
+use crate::reuse::ReuseEvaluator;
 use slim_bio::Codon;
-use slim_expm::EigenSystem;
 use slim_linalg::{LinalgError, Mat};
-use slim_model::{build_rate_matrix, rate_components, BranchSiteModel, ScalePolicy};
+use slim_model::BranchSiteModel;
+// The unit tests build P(t) by hand to check the evaluator against.
+#[cfg(test)]
+use slim_expm::EigenSystem;
+#[cfg(test)]
+use slim_model::{build_rate_matrix, rate_components, ScalePolicy};
 
 /// Posterior codon distributions at the internal nodes.
 #[derive(Debug, Clone)]
@@ -57,6 +56,7 @@ impl AncestralReconstruction {
     ) -> Vec<ReconstructedCodon> {
         let post = self.posteriors[node]
             .as_ref()
+            // check: allow(rob-unwrap) documented panic: leaves are observed, not reconstructed
             .expect("ancestral reconstruction exists only for internal nodes");
         self.site_to_pattern
             .iter()
@@ -92,186 +92,8 @@ pub fn ancestral_reconstruction(
     model: &BranchSiteModel,
     branch_lengths: &[f64],
 ) -> Result<AncestralReconstruction, LinalgError> {
-    assert_eq!(branch_lengths.len(), problem.n_branches());
-    let n = problem.pi.len();
-    let n_pat = problem.n_patterns();
-    let n_nodes = problem.children.len();
-
-    // Eigensystems per distinct ω, shared-scale convention (same as the
-    // likelihood engine).
-    let omegas = model.omegas();
-    let (syn, nonsyn) = rate_components(&problem.code, model.kappa, &problem.pi);
-    let scale = model.shared_scale(syn, nonsyn);
-    let eigensystems: Vec<EigenSystem> = omegas
-        .iter()
-        .map(|&w| {
-            let rm = build_rate_matrix(
-                &problem.code,
-                model.kappa,
-                w,
-                &problem.pi,
-                ScalePolicy::External(scale),
-            );
-            EigenSystem::from_rate_matrix(&rm, config.eigen)
-        })
-        .collect::<Result<_, _>>()?;
-
-    // Dense P(t) per (node, needed ω).
-    let mut pmats: Vec<[Option<Mat>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-    for node in 0..n_nodes {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        let t = branch_lengths[bi];
-        let needed: &[usize] = if problem.is_foreground[node] {
-            &[0, 1, 2]
-        } else {
-            &[0, 1]
-        };
-        for &w in needed {
-            pmats[node][w] = Some(eigensystems[w].transition_matrix_eq10(t));
-        }
-    }
-
-    let classes = model.site_classes();
-
-    // Accumulate joint (unnormalized) posteriors over classes.
-    let mut joint: Vec<Option<Mat>> = (0..n_nodes)
-        .map(|i| {
-            if problem.children[i].is_empty() {
-                None
-            } else {
-                Some(Mat::zeros(n, n_pat))
-            }
-        })
-        .collect();
-
-    for class in &classes {
-        if class.proportion <= 0.0 {
-            continue;
-        }
-        let omega_of = |node: usize| -> usize {
-            if problem.is_foreground[node] {
-                class.foreground_omega
-            } else {
-                class.background_omega
-            }
-        };
-
-        // ---- up pass (postorder). ----
-        let mut up: Vec<Mat> = (0..n_nodes).map(|_| Mat::zeros(n, n_pat)).collect();
-        // `up_branch[v]` = P(t_v) · up[v] — v's message to its parent.
-        let mut up_branch: Vec<Mat> = (0..n_nodes).map(|_| Mat::zeros(n, n_pat)).collect();
-
-        for &node in &problem.postorder {
-            if let Some(taxon) = problem.leaf_taxon[node] {
-                for p in 0..n_pat {
-                    let codon = problem.patterns.pattern(p)[taxon];
-                    if codon == slim_bio::patterns::MISSING {
-                        for s in 0..n {
-                            up[node][(s, p)] = 1.0;
-                        }
-                    } else {
-                        up[node][(codon, p)] = 1.0;
-                    }
-                }
-            } else {
-                for s in 0..n {
-                    for p in 0..n_pat {
-                        up[node][(s, p)] = 1.0;
-                    }
-                }
-                for &child in &problem.children[node] {
-                    for s in 0..n {
-                        for p in 0..n_pat {
-                            up[node][(s, p)] *= up_branch[child][(s, p)];
-                        }
-                    }
-                }
-            }
-            if problem.branch_index[node].is_some() {
-                let pm = pmats[node][omega_of(node)].as_ref().expect("P built");
-                slim_expm::cpv::apply_dense(
-                    slim_expm::CpvStrategy::BundledGemm,
-                    pm,
-                    &up[node],
-                    &mut up_branch[node],
-                );
-            }
-        }
-
-        // ---- down pass (preorder). ----
-        let mut down: Vec<Mat> = (0..n_nodes).map(|_| Mat::zeros(n, n_pat)).collect();
-        let preorder: Vec<usize> = problem.postorder.iter().rev().copied().collect();
-        for &node in &preorder {
-            if node == problem.root {
-                for s in 0..n {
-                    for p in 0..n_pat {
-                        down[node][(s, p)] = problem.pi[s];
-                    }
-                }
-            }
-            // Push down to children: down_child = P_childᵀ · (down_node ·
-            // Π_{siblings} up_branch_sibling).
-            let children = problem.children[node].clone();
-            for &child in &children {
-                let mut outside = down[node].clone();
-                for &sib in &children {
-                    if sib != child {
-                        for s in 0..n {
-                            for p in 0..n_pat {
-                                outside[(s, p)] *= up_branch[sib][(s, p)];
-                            }
-                        }
-                    }
-                }
-                // down_child[s] = Σ_{s'} P(s'→s) outside[s'] — a transposed
-                // product.
-                let pm = pmats[child][omega_of(child)].as_ref().expect("P built");
-                let mut result = Mat::zeros(n, n_pat);
-                slim_linalg::gemm(
-                    1.0,
-                    pm,
-                    slim_linalg::Transpose::Yes,
-                    &outside,
-                    slim_linalg::Transpose::No,
-                    0.0,
-                    &mut result,
-                );
-                down[child] = result;
-            }
-        }
-
-        // ---- joint accumulation for internal nodes. ----
-        for node in 0..n_nodes {
-            if problem.children[node].is_empty() {
-                continue;
-            }
-            let j = joint[node].as_mut().expect("internal joint allocated");
-            for s in 0..n {
-                for p in 0..n_pat {
-                    j[(s, p)] += class.proportion * up[node][(s, p)] * down[node][(s, p)];
-                }
-            }
-        }
-    }
-
-    // Normalize columns.
-    let mut posteriors: Vec<Option<Mat>> = Vec::with_capacity(n_nodes);
-    for j in joint {
-        posteriors.push(j.map(|mut m| {
-            for p in 0..n_pat {
-                let total: f64 = (0..n).map(|s| m[(s, p)]).sum();
-                if total > 0.0 {
-                    for s in 0..n {
-                        m[(s, p)] /= total;
-                    }
-                }
-            }
-            m
-        }));
-    }
-
+    let posteriors = ReuseEvaluator::new(problem, config.clone())
+        .node_posteriors(&Mixture::branch_site(model), branch_lengths)?;
     Ok(AncestralReconstruction {
         posteriors,
         site_to_pattern: (0..problem.n_sites())

@@ -32,6 +32,10 @@
 //! dirty. Thread count ([`EngineConfig::threads`]), SIMD dispatch and
 //! kept-vs-cleared state never change a bit of the result.
 //!
+//! The evaluator also runs a preorder outside pass over the CPVs it keeps,
+//! through the same operators transposed; [`ancestral`] reconstruction is
+//! inside × outside on it.
+//!
 //! Numerical scaling keeps per-pattern conditional probabilities in range
 //! on large trees; per-class per-pattern log-likelihoods are exposed for
 //! empirical-Bayes site identification.

@@ -17,6 +17,8 @@ pub(crate) static PHASE_EXPM: Site = Site::new("lik.phase.expm", "lik");
 pub(crate) static PHASE_PRUNING: Site = Site::new("lik.phase.pruning", "lik");
 /// `lik.phase.reduction` — serial class mixing + total.
 pub(crate) static PHASE_REDUCTION: Site = Site::new("lik.phase.reduction", "lik");
+/// `lik.phase.outside` — the outside pass (ancestral reconstruction).
+pub(crate) static PHASE_OUTSIDE: Site = Site::new("lik.phase.outside", "lik");
 /// `lik.pruning.worker_busy` — one pruning worker's loop over its units
 /// (one span per worker per evaluation, serial path included), so the
 /// spread shows pruning load balance.
@@ -74,6 +76,7 @@ pub fn register_metrics() {
         &PHASE_EXPM,
         &PHASE_PRUNING,
         &PHASE_REDUCTION,
+        &PHASE_OUTSIDE,
         &WORKER_BUSY,
         &BLOCK,
     ] {

@@ -1,13 +1,14 @@
 //! Felsenstein pruning over site patterns with branch-site classes.
 //!
-//! This module holds the *per-unit* pruning kernel, [`prune_block`]: one
+//! This module holds the *per-unit* pruning kernel, [`Unit::prune_block`]: one
 //! site class over one contiguous block of site patterns, recomputing the
 //! internal nodes a dirty mask names and reading every other node's CPV
 //! from the unit's [`UnitCache`]. Every internal node runs through the one
 //! per-node body, `node_cpv` (child combine + rescale). The evaluator in
 //! [`crate::reuse`] fans units across worker threads; a stateless
 //! evaluation is that evaluator with empty state, so every unit is fully
-//! dirty.
+//! dirty. [`Unit::outside_block`] is the preorder counterpart over a
+//! unit's kept CPVs, for ancestral posteriors.
 //!
 //! ## Determinism contract
 //!
@@ -24,7 +25,7 @@ use crate::engine::EngineConfig;
 use crate::problem::LikelihoodProblem;
 use crate::reuse::ReuseEvaluator;
 use slim_expm::{cpv, CpvScratch, CpvStrategy, PtCache, SymTransition};
-use slim_linalg::{LinalgError, Mat};
+use slim_linalg::{gemm, LinalgError, Mat, Transpose};
 use slim_model::BranchSiteModel;
 
 /// Operator slots per branch: at most three distinct ω rate matrices per
@@ -75,15 +76,21 @@ impl TransOp {
             TransOp::Sym(st) => st.apply_dense_with(w, out, scratch),
         }
     }
-}
 
-/// The operator for the edge above `node` in ω slot `w`.
-// check: hot reuse-engine operator fetch
-// check: allow(panic-free-hot-path) the expm phase probes/rebuilds every slot a unit can address before pruning starts
-fn operator(ops: &PtCache<TransOp>, node: usize, w: usize) -> &TransOp {
-    ops.value(node * N_OMEGA + w)
-        // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
-        .expect("operator probed or rebuilt in the expm phase")
+    /// `Pᵀ·x` for every column of `x`: the outside pass's step from a
+    /// parent down to its child. Eq. 12's `P = M·Π` with symmetric `M`
+    /// gives `Pᵀ·x = Π·(M·x)`.
+    fn apply_transposed(&self, x: &Mat, out: &mut Mat) {
+        match self {
+            TransOp::Dense(p) => gemm(1.0, p, Transpose::Yes, x, Transpose::No, 0.0, out),
+            TransOp::Sym(st) => {
+                gemm(1.0, st.matrix(), Transpose::No, x, Transpose::No, 0.0, out);
+                for (i, &pi) in st.pi().iter().enumerate() {
+                    slim_linalg::vecops::scal(pi, out.row_mut(i));
+                }
+            }
+        }
+    }
 }
 
 /// Full output of one likelihood evaluation.
@@ -176,7 +183,7 @@ impl UnitCache {
     }
 }
 
-/// Per-worker scratch for [`prune_block`] (per-node CPV storage lives in
+/// Per-worker scratch for [`Unit::prune_block`] (per-node CPV storage lives in
 /// the [`UnitCache`]). After the first block at a given (states ×
 /// block-width) shape, the scratch allocates nothing.
 pub(crate) struct PruneScratch {
@@ -220,178 +227,338 @@ impl PruneScratch {
     }
 }
 
-/// Pruning pass for one site class over the pattern block
-/// `[lo, lo + out.len())`, writing per-pattern log-likelihoods into `out`:
-/// recomputes the `dirty` internal nodes and reuses every clean node's CPV
-/// and rescale record byte-for-byte from `cache`. With every node dirty
-/// (an empty cache) this is a plain full pass.
-///
-/// `ops` must hold operators for every ω slot this class selects on every
-/// branch; `dirty` must cover every node whose inputs changed since
-/// `cache` was filled and be closed under "parent of".
-///
-/// ## Why partial recomputes keep the bits
-///
-/// * A clean node's cached CPV and rescale record are exactly what the
-///   last recompute stored, and every recompute runs the same per-node
-///   body on the same inputs, so by induction each cached CPV equals the
-///   full-pass CPV bit-for-bit.
-/// * The block's scale log is rebuilt by summing the per-node records in
-///   postorder. A `0.0` record adds nothing: the accumulator starts at
-///   +0.0 and only ever holds sums of records ≤ −230, never −0.0.
-/// * The root combination is a per-column dot with π.
-// check: hot per-block pruning unit (paper's inner loop)
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
-pub(crate) fn prune_block(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &PtCache<TransOp>,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    dirty: &[bool],
-    out: &mut [f64],
-    cache: &mut UnitCache,
-    ws: &mut PruneScratch,
-) {
-    let n = problem.pi.len();
-    let bw = out.len();
-    let n_nodes = problem.children.len();
-    cache.ensure(n_nodes, n, bw);
-    ws.ensure(n, bw);
-
-    for &node in &problem.postorder {
-        if problem.children[node].is_empty() {
-            continue;
-        }
-        if !dirty[node] {
-            debug_assert!(
-                cache.cpv[node].is_some(),
-                "clean node {node} must have a cached CPV"
-            );
-            continue;
-        }
-        // Take the node's matrix out so the children's cached CPVs can be
-        // read immutably while we write into it.
-        let mut cpv = cache.cpv[node]
-            .take()
-            .unwrap_or_else(|| Mat::zeros_padded(n, bw));
-        node_cpv(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            node,
-            &cache.cpv,
-            &mut cpv,
-            &mut cache.scale[node],
-            ws,
-        );
-        cache.cpv[node] = Some(cpv);
-    }
-
-    // Rebuild the block's total scale log: postorder sum of the per-node
-    // records.
-    for v in ws.scale_log.iter_mut() {
-        *v = 0.0;
-    }
-    for &node in &problem.postorder {
-        if problem.children[node].is_empty() {
-            continue;
-        }
-        let rec = &cache.scale[node];
-        for (sl, &v) in ws.scale_log.iter_mut().zip(rec.iter()) {
-            // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
-            *sl += v;
-        }
-    }
-
-    // Root combination with π.
-    let root_cpv = cache.cpv[problem.root]
-        .as_ref()
-        // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
-        .expect("root CPV cached or recomputed");
-    for (q, o) in out.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for i in 0..n {
-            // check: allow(det-float-accum) 61-term per-pattern dot with π; fixed order is the determinism contract
-            s += problem.pi[i] * root_cpv[(i, q)];
-        }
-        *o = if s > 0.0 {
-            s.ln() + ws.scale_log[q]
-        } else {
-            f64::NEG_INFINITY
-        };
-    }
-    #[cfg(feature = "sanitize")]
-    sanitize_hooks::root_outputs(out, problem.root, bg_omega, fg_omega, lo);
+/// One unit's fixed inputs — the problem, the engine configuration, the
+/// operators, the site class's background and foreground ω slots and the
+/// unit's first pattern — whose methods are the per-unit kernels: the
+/// pruning pass and the outside pass.
+#[derive(Clone, Copy)]
+pub(crate) struct Unit<'a> {
+    pub(crate) problem: &'a LikelihoodProblem,
+    pub(crate) config: &'a EngineConfig,
+    pub(crate) ops: &'a PtCache<TransOp>,
+    pub(crate) bg_omega: usize,
+    pub(crate) fg_omega: usize,
+    pub(crate) lo: usize,
 }
 
-/// The per-node body: internal `node`'s post-rescale CPV block into
-/// `dest` and its per-column ln-rescale contributions into `rec` (`0.0`
-/// where the column was not rescaled). Internal children are read from
-/// `cpvs`; leaf children gather operator columns. The first child lands
-/// straight in `dest`, later children through staging with an
-/// elementwise multiply.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) children precede parents in postorder, so child CPVs are present; indices bounded by block width
-fn node_cpv(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &PtCache<TransOp>,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    node: usize,
-    cpvs: &[Option<Mat>],
-    dest: &mut Mat,
-    rec: &mut Vec<f64>,
-    ws: &mut PruneScratch,
-) {
-    let n = problem.pi.len();
-    let bw = ws.dims.1;
-    let (&first, rest) = problem.children[node]
-        .split_first()
-        // check: allow(rob-unwrap) callers dispatch internal nodes only
-        .expect("internal node has children");
-    child_block(
-        problem,
-        config,
-        ops,
-        bg_omega,
-        fg_omega,
-        lo,
-        first,
-        dest,
-        &mut ws.col,
-        cpvs,
-        &mut ws.scratch,
-    );
-    for &child in rest {
-        child_block(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            child,
-            &mut ws.tmp,
-            &mut ws.col,
-            cpvs,
-            &mut ws.scratch,
-        );
-        // Whole-storage elementwise combine (dispatched kernel): `dest`
-        // and `tmp` share the same padded layout, and pad columns are
-        // 0·0 = 0, so logical values match the per-element loop.
-        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), dest.as_mut_slice());
+impl<'a> Unit<'a> {
+    /// The operator on the edge above `node`, in this class's ω slot for
+    /// that edge.
+    // check: hot reuse-engine operator fetch
+    // check: allow(panic-free-hot-path) node < n_nodes by tree construction; the expm phase probes/rebuilds every slot a unit can address before pruning starts
+    fn operator(&self, node: usize) -> &'a TransOp {
+        let w = [self.bg_omega, self.fg_omega][usize::from(self.problem.is_foreground[node])];
+        self.ops
+            .value(node * N_OMEGA + w)
+            // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
+            .expect("operator probed or rebuilt in the expm phase")
     }
 
-    // Numerical rescaling per pattern column, recording this node's
-    // contribution.
+    /// Pruning pass over the pattern block `[lo, lo + out.len())`, writing
+    /// per-pattern log-likelihoods into `out`: recomputes the `dirty`
+    /// internal nodes and reuses every clean node's CPV and rescale record
+    /// byte-for-byte from `cache`. With every node dirty (an empty cache)
+    /// this is a plain full pass.
+    ///
+    /// `ops` must hold operators for every ω slot this class selects on
+    /// every branch; `dirty` must cover every node whose inputs changed
+    /// since `cache` was filled and be closed under "parent of".
+    ///
+    /// ## Why partial recomputes keep the bits
+    ///
+    /// * A clean node's cached CPV and rescale record are exactly what the
+    ///   last recompute stored, and every recompute runs the same per-node
+    ///   body on the same inputs, so by induction each cached CPV equals
+    ///   the full-pass CPV bit-for-bit.
+    /// * The block's scale log is rebuilt by summing the per-node records
+    ///   in postorder. A `0.0` record adds nothing: the accumulator starts
+    ///   at +0.0 and only ever holds sums of records ≤ −230, never −0.0.
+    /// * The root combination is a per-column dot with π.
+    // check: hot per-block pruning unit (paper's inner loop)
+    // check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
+    pub(crate) fn prune_block(
+        &self,
+        dirty: &[bool],
+        out: &mut [f64],
+        cache: &mut UnitCache,
+        ws: &mut PruneScratch,
+    ) {
+        let problem = self.problem;
+        let n = problem.pi.len();
+        let bw = out.len();
+        let n_nodes = problem.children.len();
+        cache.ensure(n_nodes, n, bw);
+        ws.ensure(n, bw);
+
+        for &node in &problem.postorder {
+            if problem.children[node].is_empty() {
+                continue;
+            }
+            if !dirty[node] {
+                debug_assert!(
+                    cache.cpv[node].is_some(),
+                    "clean node {node} must have a cached CPV"
+                );
+                continue;
+            }
+            // Take the node's matrix out so the children's cached CPVs can
+            // be read immutably while we write into it.
+            let mut cpv = cache.cpv[node]
+                .take()
+                .unwrap_or_else(|| Mat::zeros_padded(n, bw));
+            self.node_cpv(node, &cache.cpv, &mut cpv, &mut cache.scale[node], ws);
+            cache.cpv[node] = Some(cpv);
+        }
+
+        // Rebuild the block's total scale log: postorder sum of the
+        // per-node records.
+        for v in ws.scale_log.iter_mut() {
+            *v = 0.0;
+        }
+        for &node in &problem.postorder {
+            if problem.children[node].is_empty() {
+                continue;
+            }
+            let rec = &cache.scale[node];
+            for (sl, &v) in ws.scale_log.iter_mut().zip(rec.iter()) {
+                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
+                *sl += v;
+            }
+        }
+
+        // Root combination with π.
+        let root_cpv = cache.cpv[problem.root]
+            .as_ref()
+            // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
+            .expect("root CPV cached or recomputed");
+        for (q, o) in out.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for i in 0..n {
+                // check: allow(det-float-accum) 61-term per-pattern dot with π; fixed order is the determinism contract
+                s += problem.pi[i] * root_cpv[(i, q)];
+            }
+            *o = if s > 0.0 {
+                s.ln() + ws.scale_log[q]
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+        #[cfg(feature = "sanitize")]
+        sanitize_hooks::root_outputs(out, problem.root, self.bg_omega, self.fg_omega, self.lo);
+    }
+
+    /// The per-node body: internal `node`'s post-rescale CPV block into
+    /// `dest` and its per-column ln-rescale contributions into `rec`
+    /// (`0.0` where the column was not rescaled). Internal children are
+    /// read from `cpvs`; leaf children gather operator columns. The first
+    /// child lands straight in `dest`, later children through staging
+    /// with an elementwise multiply.
+    // check: allow(panic-free-hot-path) children precede parents in postorder, so child CPVs are present; indices bounded by block width
+    fn node_cpv(
+        &self,
+        node: usize,
+        cpvs: &[Option<Mat>],
+        dest: &mut Mat,
+        rec: &mut Vec<f64>,
+        ws: &mut PruneScratch,
+    ) {
+        let (&first, rest) = self.problem.children[node]
+            .split_first()
+            // check: allow(rob-unwrap) callers dispatch internal nodes only
+            .expect("internal node has children");
+        self.child_block(first, dest, &mut ws.col, cpvs, &mut ws.scratch);
+        for &child in rest {
+            self.child_block(child, &mut ws.tmp, &mut ws.col, cpvs, &mut ws.scratch);
+            // Whole-storage elementwise combine (dispatched kernel): `dest`
+            // and `tmp` share the same padded layout, and pad columns are
+            // 0·0 = 0, so logical values match the per-element loop.
+            slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), dest.as_mut_slice());
+        }
+
+        rescale_columns(dest, rec);
+        #[cfg(feature = "sanitize")]
+        sanitize_hooks::node_cpv(
+            "pruning",
+            dest,
+            rec,
+            node,
+            self.bg_omega,
+            self.fg_omega,
+            self.lo,
+        );
+    }
+
+    /// Compute one child's contribution to its parent's CPV block into
+    /// `dest` (the accumulator for the first child, staging for the
+    /// rest). Leaf children gather operator columns per pattern; internal
+    /// children apply the operator to their CPV in `cpvs`.
+    // check: allow(panic-free-hot-path) postorder computes every child before its parent; indices bounded by block width
+    fn child_block(
+        &self,
+        child: usize,
+        dest: &mut Mat,
+        col: &mut [f64],
+        cpvs: &[Option<Mat>],
+        scratch: &mut CpvScratch,
+    ) {
+        let (n, bw) = (dest.rows(), dest.cols());
+        let op = self.operator(child);
+        if let Some(taxon) = self.problem.leaf_taxon[child] {
+            // Leaf: P·e_c collapses to a column gather per pattern. Missing
+            // data integrates the state out: P·1 = 1 (rows of P sum to
+            // one), so the contribution is a ones column.
+            for q in 0..bw {
+                let codon = self.problem.patterns.pattern(self.lo + q)[taxon];
+                if codon == slim_bio::patterns::MISSING {
+                    for i in 0..n {
+                        dest[(i, q)] = 1.0;
+                    }
+                    continue;
+                }
+                op.column(codon, col);
+                for i in 0..n {
+                    dest[(i, q)] = col[i];
+                }
+            }
+        } else {
+            let child_cpv = cpvs[child]
+                .as_ref()
+                // check: allow(rob-unwrap) postorder computes every child (or keeps it cached) before its parent
+                .expect("child CPV cached or recomputed in postorder");
+            op.apply_dense(self.config.cpv, child_cpv, dest, scratch);
+        }
+    }
+
+    /// The outside pass over the CPVs this unit's pruning pass kept in
+    /// `cache`, adding each internal node's posterior under this class,
+    /// times the class weight `weights[q]` of pattern `lo + q`, into
+    /// `post`. The root's outside block is π; a child's is its operator,
+    /// transposed, applied to the parent's times its siblings'
+    /// [`child_block`](Unit::child_block) messages. Outside columns are
+    /// rescaled as CPVs are, but not recorded: within a class
+    /// `inside ⊙ outside` is normalized, so every factor cancels.
+    pub(crate) fn outside_block(
+        &self,
+        weights: &[f64],
+        cache: &UnitCache,
+        post: &mut [Option<Mat>],
+        ws: &mut PruneScratch,
+    ) {
+        let (problem, lo) = (self.problem, self.lo);
+        let (n, bw) = (problem.pi.len(), weights.len());
+        ws.ensure(n, bw);
+        let mut msg = Mat::zeros_padded(n, bw);
+        let mut root = Mat::zeros_padded(n, bw);
+        for (i, &pi) in problem.pi.iter().enumerate() {
+            root.row_mut(i).fill(pi);
+        }
+        // Depth first, so at most O(depth) outside blocks are live.
+        let mut stack = vec![(problem.root, root)];
+        while let Some((node, outside)) = stack.pop() {
+            let (inside, dest) = (cache.cpv[node].as_ref(), post[node].as_mut());
+            // check: allow(rob-unwrap) pruning kept every internal node's CPV, and the caller gave each a posterior block
+            let (inside, dest) = (inside.expect("kept CPV"), dest.expect("posterior block"));
+            for (q, &w) in weights.iter().enumerate() {
+                let mut total = 0.0;
+                for i in 0..n {
+                    // check: allow(det-float-accum) per-column sum over the states in fixed order
+                    total += inside[(i, q)] * outside[(i, q)];
+                }
+                // A class that cannot produce the pattern has weight 0.
+                if total > 0.0 {
+                    for i in 0..n {
+                        // check: allow(det-float-accum) one term per site class, added in unit order
+                        dest[(i, lo + q)] += w * (inside[(i, q)] * outside[(i, q)] / total);
+                    }
+                }
+            }
+            let kids = &problem.children[node];
+            for &child in kids.iter().filter(|&&c| !problem.children[c].is_empty()) {
+                ws.tmp.as_mut_slice().copy_from_slice(outside.as_slice());
+                for &sib in kids.iter().filter(|&&s| s != child) {
+                    self.child_block(sib, &mut msg, &mut ws.col, &cache.cpv, &mut ws.scratch);
+                    slim_linalg::vecops::hadamard_in_place(msg.as_slice(), ws.tmp.as_mut_slice());
+                }
+                let mut down = Mat::zeros_padded(n, bw);
+                self.operator(child).apply_transposed(&ws.tmp, &mut down);
+                rescale_columns(&mut down, &mut ws.scale_log);
+                #[cfg(feature = "sanitize")]
+                sanitize_hooks::node_cpv(
+                    "outside pass",
+                    &down,
+                    &ws.scale_log,
+                    child,
+                    self.bg_omega,
+                    self.fg_omega,
+                    lo,
+                );
+                stack.push((child, down));
+            }
+        }
+    }
+
+    /// Sanitize tripwire: recompute one *clean* node's CPV and rescale
+    /// record from its (cached) children and panic on any bit mismatch
+    /// with the cached copy — catching invalidation bugs the moment a
+    /// stale value would be served.
+    #[cfg(feature = "sanitize")]
+    pub(crate) fn sanitize_recheck_node(
+        &self,
+        node: usize,
+        cache: &UnitCache,
+        ws: &mut PruneScratch,
+    ) {
+        let (lo, n, bw) = (self.lo, self.problem.pi.len(), cache.dims.1);
+        ws.ensure(n, bw);
+        let mut fresh = Mat::zeros_padded(n, bw);
+        let mut fresh_rec = Vec::new();
+        self.node_cpv(node, &cache.cpv, &mut fresh, &mut fresh_rec, ws);
+        let cached = cache.cpv[node]
+            .as_ref()
+            // check: allow(rob-unwrap) sanitize spot-check picks its target from filled cache slots
+            .expect("recheck target has a cached CPV");
+        let ctx = || {
+            format!(
+                "reuse spot-check at node {node} (ω classes bg={} fg={}), \
+                 pattern block [{lo}, {})",
+                self.bg_omega,
+                self.fg_omega,
+                lo + bw
+            )
+        };
+        for (i, (a, b)) in cached
+            .as_slice()
+            .iter()
+            .zip(fresh.as_slice().iter())
+            .enumerate()
+        {
+            if a.to_bits() != b.to_bits() {
+                // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
+                panic!(
+                    "sanitize: reused CPV diverges from recomputation at flat index {i}: \
+                     cached {a:e} vs fresh {b:e} in {}",
+                    ctx()
+                );
+            }
+        }
+        for (q, (a, b)) in cache.scale[node].iter().zip(fresh_rec.iter()).enumerate() {
+            if a.to_bits() != b.to_bits() {
+                // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
+                panic!(
+                    "sanitize: reused rescale record diverges at column {q}: cached {a:e} vs \
+                     fresh {b:e} in {}",
+                    ctx()
+                );
+            }
+        }
+    }
+}
+
+/// Divide each column whose largest entry is below [`SCALE_THRESHOLD`] by
+/// it, recording `ln` of the divisor in `rec` (`0.0` where none was).
+// check: allow(panic-free-hot-path) i < rows and q < cols by the loop bounds
+fn rescale_columns(dest: &mut Mat, rec: &mut Vec<f64>) {
+    let (n, bw) = (dest.rows(), dest.cols());
     rec.clear();
     rec.resize(bw, 0.0);
     for q in 0..bw {
@@ -410,60 +577,6 @@ fn node_cpv(
             rec[q] = m.ln();
         }
     }
-    #[cfg(feature = "sanitize")]
-    sanitize_hooks::node_cpv(dest, rec, node, bg_omega, fg_omega, lo);
-}
-
-/// Compute one child's contribution to its parent's CPV block into
-/// `dest` (the accumulator for the first child, staging for the rest).
-/// Leaf children gather operator columns per pattern; internal children
-/// apply the operator to their CPV in `cpvs`.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) postorder computes every child before its parent; indices bounded by block width
-fn child_block(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &PtCache<TransOp>,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    child: usize,
-    dest: &mut Mat,
-    col: &mut [f64],
-    cpvs: &[Option<Mat>],
-    scratch: &mut CpvScratch,
-) {
-    let (n, bw) = (dest.rows(), dest.cols());
-    let w = if problem.is_foreground[child] {
-        fg_omega
-    } else {
-        bg_omega
-    };
-    let op = operator(ops, child, w);
-    if let Some(taxon) = problem.leaf_taxon[child] {
-        // Leaf: P·e_c collapses to a column gather per pattern. Missing
-        // data integrates the state out: P·1 = 1 (rows of P sum to one),
-        // so the contribution is a ones column.
-        for q in 0..bw {
-            let codon = problem.patterns.pattern(lo + q)[taxon];
-            if codon == slim_bio::patterns::MISSING {
-                for i in 0..n {
-                    dest[(i, q)] = 1.0;
-                }
-                continue;
-            }
-            op.column(codon, col);
-            for i in 0..n {
-                dest[(i, q)] = col[i];
-            }
-        }
-    } else {
-        let child_cpv = cpvs[child]
-            .as_ref()
-            // check: allow(rob-unwrap) postorder computes every child (or keeps it cached) before its parent
-            .expect("child CPV cached or recomputed in postorder");
-        op.apply_dense(config.cpv, child_cpv, dest, scratch);
-    }
 }
 
 /// Pruning-phase tripwires (the `sanitize` feature): CPVs and rescale
@@ -471,10 +584,12 @@ fn child_block(
 /// per-pattern log-likelihoods are never NaN/+∞ — each failure names the
 /// node, the ω classes, and the pattern block it happened in.
 #[cfg(feature = "sanitize")]
-mod sanitize_hooks {
+pub(crate) mod sanitize_hooks {
     use slim_linalg::Mat;
 
+    /// `what` names the pass: "pruning" or "outside pass".
     pub(super) fn node_cpv(
+        what: &str,
         cpv: &Mat,
         scale_log: &[f64],
         node: usize,
@@ -485,7 +600,7 @@ mod sanitize_hooks {
         let bw = cpv.cols();
         let ctx = || {
             format!(
-                "pruning node {node} (ω classes bg={bg} fg={fg}), pattern block [{lo}, {})",
+                "{what} node {node} (ω classes bg={bg} fg={fg}), pattern block [{lo}, {})",
                 lo + bw
             )
         };
@@ -502,6 +617,31 @@ mod sanitize_hooks {
         }
     }
 
+    /// Every posterior column sums to 1, or is all zero where every class
+    /// has zero likelihood (`weights` is `[pattern][class]`).
+    pub(crate) fn posterior_columns(
+        post: &[Option<Mat>],
+        weights: &[Vec<f64>],
+        slots: &[(usize, usize)],
+        block: usize,
+    ) {
+        for (node, m) in post.iter().enumerate() {
+            let Some(m) = m else { continue };
+            for (p, w) in weights.iter().enumerate() {
+                let total = slim_linalg::neumaier_sum(&m.col(p));
+                // Non-negative values: `<= 0.0` means zero.
+                let impossible = w.iter().all(|&c| c <= 0.0) && total <= 0.0;
+                let lo = p - p % block;
+                assert!(
+                    (total - 1.0).abs() <= 1e-9 || impossible,
+                    "sanitize: posterior column sums to {total} at outside pass node {node}, \
+                     pattern {p} (ω classes (bg, fg) = {slots:?}), pattern block [{lo}, {})",
+                    (lo + block).min(weights.len())
+                );
+            }
+        }
+    }
+
     pub(super) fn root_outputs(out: &[f64], root: usize, bg: usize, fg: usize, lo: usize) {
         for (q, &v) in out.iter().enumerate() {
             slim_linalg::sanitize::check_log_value("per-pattern lnL", v, || {
@@ -510,79 +650,6 @@ mod sanitize_hooks {
                     lo + q
                 )
             });
-        }
-    }
-}
-
-/// Sanitize tripwire: recompute one *clean* node's CPV and rescale record
-/// from its (cached) children and panic on any bit mismatch with the
-/// cached copy — catching invalidation bugs the moment a stale value
-/// would be served.
-#[cfg(feature = "sanitize")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sanitize_recheck_node(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &PtCache<TransOp>,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    node: usize,
-    cache: &UnitCache,
-    ws: &mut PruneScratch,
-) {
-    let n = problem.pi.len();
-    let bw = cache.dims.1;
-    ws.ensure(n, bw);
-    let mut fresh = Mat::zeros_padded(n, bw);
-    let mut fresh_rec = Vec::new();
-    node_cpv(
-        problem,
-        config,
-        ops,
-        bg_omega,
-        fg_omega,
-        lo,
-        node,
-        &cache.cpv,
-        &mut fresh,
-        &mut fresh_rec,
-        ws,
-    );
-    let cached = cache.cpv[node]
-        .as_ref()
-        // check: allow(rob-unwrap) sanitize spot-check picks its target from filled cache slots
-        .expect("recheck target has a cached CPV");
-    let ctx = || {
-        format!(
-            "reuse spot-check at node {node} (ω classes bg={bg_omega} fg={fg_omega}), \
-             pattern block [{lo}, {})",
-            lo + bw
-        )
-    };
-    for (i, (a, b)) in cached
-        .as_slice()
-        .iter()
-        .zip(fresh.as_slice().iter())
-        .enumerate()
-    {
-        if a.to_bits() != b.to_bits() {
-            // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
-            panic!(
-                "sanitize: reused CPV diverges from recomputation at flat index {i}: \
-                 cached {a:e} vs fresh {b:e} in {}",
-                ctx()
-            );
-        }
-    }
-    for (q, (a, b)) in cache.scale[node].iter().zip(fresh_rec.iter()).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
-            panic!(
-                "sanitize: reused rescale record diverges at column {q}: cached {a:e} vs \
-                 fresh {b:e} in {}",
-                ctx()
-            );
         }
     }
 }
@@ -884,6 +951,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(serial.to_bits(), par.to_bits());
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(expected = "outside pass node 3 (ω classes bg=0 fg=2), pattern block [4, 6)")]
+    fn sanitize_names_a_bad_outside_block() {
+        let mut block = Mat::zeros_padded(61, 2);
+        block[(5, 1)] = f64::NAN;
+        sanitize_hooks::node_cpv("outside pass", &block, &[0.0; 2], 3, 0, 2, 4);
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(
+        expected = "node 1, pattern 3 (ω classes (bg, fg) = [(0, 0), (1, 2)]), \
+                               pattern block [2, 4)"
+    )]
+    fn sanitize_names_a_posterior_column_off_one() {
+        let mut m = Mat::zeros(2, 4);
+        for p in 0..4 {
+            m[(0, p)] = 1.0;
+        }
+        let ok = vec![0.5, 0.5];
+        // Pattern 2 is impossible in every class and all zero: allowed.
+        m[(0, 2)] = 0.0;
+        let weights = vec![ok.clone(), ok.clone(), vec![0.0, 0.0], ok];
+        sanitize_hooks::posterior_columns(&[None, Some(m.clone())], &weights, &[(0, 0), (1, 2)], 2);
+        m[(1, 3)] = 1e-6;
+        sanitize_hooks::posterior_columns(&[None, Some(m)], &weights, &[(0, 0), (1, 2)], 2);
     }
 
     #[test]

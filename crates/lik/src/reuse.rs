@@ -36,7 +36,7 @@
 //! bitwise parameter diff for decompositions and CPVs, [`PtKey`] for
 //! operators), and a recompute runs the byte-same kernels on the
 //! byte-same inputs as a full pass (see
-//! [`crate::pruning::prune_block`] for the per-unit argument, including
+//! [`crate::pruning::Unit::prune_block`] for the per-unit argument, including
 //! the rescale bookkeeping). The final reduction is the same serial
 //! fixed-order compensated sum. So kept state and cleared state agree to
 //! the last bit — which the identity test layer replays optimizer-like
@@ -47,9 +47,9 @@ use crate::mixture::Mixture;
 use crate::obsm;
 use crate::par::{build_eigensystems, build_op, mix_and_reduce};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_block, LikelihoodValue, PruneScratch, TransOp, UnitCache, N_OMEGA};
+use crate::pruning::{LikelihoodValue, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA};
 use slim_expm::{EigenSystem, PtCache, PtKey};
-use slim_linalg::{simd, LinalgError};
+use slim_linalg::{simd, LinalgError, Mat};
 use slim_model::BranchSiteModel;
 use slim_obs::trace::{self, Value};
 use std::sync::Arc;
@@ -151,6 +151,64 @@ impl<'p> ReuseEvaluator<'p> {
         simd::with_forced(self.config.simd, || {
             self.evaluate_inner(mixture, branch_lengths)
         })
+    }
+
+    /// The marginal posterior of the state at every internal node under
+    /// `mixture` (`None` for leaves; columns sum to 1). Evaluates the
+    /// mixture — a repeat is served from the kept state — then runs the
+    /// outside pass over every kept unit, in unit order, on the calling
+    /// thread; the classes mix with the NEB weights of the evaluation's own
+    /// per-class output.
+    ///
+    /// # Errors
+    /// Propagates eigensolver failures.
+    pub(crate) fn node_posteriors(
+        &mut self,
+        mixture: &Mixture,
+        branch_lengths: &[f64],
+    ) -> Result<Vec<Option<Mat>>, LinalgError> {
+        let value = self.evaluate_mixture(mixture, branch_lengths)?;
+        let _span = obsm::PHASE_OUTSIDE.span();
+        let problem = self.problem;
+        // check: allow(rob-unwrap) a successful evaluation stores its state
+        let ops = &self.state.as_ref().expect("evaluation state").ops;
+        let weights = slim_stat::class_posteriors(&value.per_class, &value.proportions);
+        let (_, _, slot) = mixture.distinct_omegas();
+        let slots: Vec<(usize, usize)> = mixture
+            .classes()
+            .iter()
+            .map(|c| (slot[c.background_omega], slot[c.foreground_omega]))
+            .collect();
+        let (n, n_pat) = (problem.pi.len(), problem.n_patterns());
+        let mut post: Vec<Option<Mat>> = problem
+            .children
+            .iter()
+            .map(|kids| (!kids.is_empty()).then(|| Mat::zeros(n, n_pat)))
+            .collect();
+        let (config, mut ws) = (&self.config, PruneScratch::new());
+        simd::with_forced(config.simd, || {
+            for (&(ci, lo, bw), cache) in self.unit_shape.iter().zip(&self.units) {
+                let (bg_omega, fg_omega) = slots[ci];
+                let unit = Unit {
+                    problem,
+                    config,
+                    ops,
+                    bg_omega,
+                    fg_omega,
+                    lo,
+                };
+                let w: Vec<f64> = weights[lo..lo + bw].iter().map(|row| row[ci]).collect();
+                unit.outside_block(&w, cache, &mut post, &mut ws);
+            }
+        });
+        #[cfg(feature = "sanitize")]
+        crate::pruning::sanitize_hooks::posterior_columns(
+            &post,
+            &weights,
+            &slots,
+            config.pattern_block.max(1),
+        );
+        Ok(post)
     }
 
     /// Forget the kept state, so the next evaluation recomputes everything
@@ -422,16 +480,21 @@ impl<'p> ReuseEvaluator<'p> {
                     .expect("unit_shape matches class chunking");
                 // check: allow(rob-unwrap) units was sized to unit_shape above
                 let cache = cache_iter.next().expect("one cache per unit");
-                runits.push(RUnit {
-                    bg: slot[classes[ci].background_omega],
-                    fg: slot[classes[ci].foreground_omega],
+                let unit = Unit {
+                    problem,
+                    config: &config,
+                    ops: &ops,
+                    bg_omega: slot[classes[ci].background_omega],
+                    fg_omega: slot[classes[ci].foreground_omega],
                     lo,
+                };
+                runits.push(RUnit {
+                    unit,
                     out: chunk,
                     cache,
                 });
             }
         }
-        let ops_ref = &ops;
         let dirty_ref: &[bool] = &dirty;
         let prune_threads = threads.min(runits.len()).max(1);
         if prune_threads >= 2 {
@@ -441,13 +504,12 @@ impl<'p> ReuseEvaluator<'p> {
                 let _ = tx.send(unit);
             }
             drop(tx);
-            let config_ref = &config;
             crossbeam::thread::scope(|scope| {
                 for _ in 0..prune_threads {
                     let rx = rx.clone();
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
-                            prune_worker(rx.iter(), problem, config_ref, ops_ref, dirty_ref);
+                            prune_worker(rx.iter(), dirty_ref);
                         });
                         // Scoped thread: flush before the scope unblocks.
                         if trace::enabled() {
@@ -459,7 +521,7 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("pruning scope");
         } else {
-            prune_worker(runits.into_iter(), problem, &config, ops_ref, dirty_ref);
+            prune_worker(runits.into_iter(), dirty_ref);
         }
 
         // Sanitize tripwire: recompute one randomly chosen *reused* CPV
@@ -480,18 +542,15 @@ impl<'p> ReuseEvaluator<'p> {
             let node = clean[next() % clean.len()];
             let ui = next() % unit_shape.len();
             let (ci, lo, _) = unit_shape[ui];
-            let mut ws = PruneScratch::new();
-            crate::pruning::sanitize_recheck_node(
+            let unit = Unit {
                 problem,
-                &config,
-                &ops,
-                slot[classes[ci].background_omega],
-                slot[classes[ci].foreground_omega],
+                config: &config,
+                ops: &ops,
+                bg_omega: slot[classes[ci].background_omega],
+                fg_omega: slot[classes[ci].foreground_omega],
                 lo,
-                node,
-                &self.units[ui],
-                &mut ws,
-            );
+            };
+            unit.sanitize_recheck_node(node, &self.units[ui], &mut PruneScratch::new());
         }
         drop(phase_span);
 
@@ -518,12 +577,9 @@ impl<'p> ReuseEvaluator<'p> {
     }
 }
 
-/// One pruning unit's work order: its ω slot pair, first pattern, output
-/// slice and cache.
+/// One pruning unit's work order: its inputs, output slice and cache.
 struct RUnit<'a> {
-    bg: usize,
-    fg: usize,
-    lo: usize,
+    unit: Unit<'a>,
     out: &'a mut [f64],
     cache: &'a mut UnitCache,
 }
@@ -531,23 +587,15 @@ struct RUnit<'a> {
 /// The pruning worker loop, shared by the threaded and serial paths: one
 /// scratch workspace, one `lik.block` span per unit, the whole loop inside
 /// a `lik.pruning.worker_busy` span.
-fn prune_worker<'a>(
-    units: impl Iterator<Item = RUnit<'a>>,
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &PtCache<TransOp>,
-    dirty: &[bool],
-) {
+fn prune_worker<'a>(work: impl Iterator<Item = RUnit<'a>>, dirty: &[bool]) {
     let _busy = obsm::WORKER_BUSY.span();
     let mut ws = PruneScratch::new();
-    for unit in units {
+    for RUnit { unit, out, cache } in work {
         let mut block_span = obsm::BLOCK.span();
-        block_span.arg_u64("bg", unit.bg as u64);
-        block_span.arg_u64("fg", unit.fg as u64);
+        block_span.arg_u64("bg", unit.bg_omega as u64);
+        block_span.arg_u64("fg", unit.fg_omega as u64);
         block_span.arg_u64("lo", unit.lo as u64);
-        prune_block(
-            problem, config, ops, unit.bg, unit.fg, unit.lo, dirty, unit.out, unit.cache, &mut ws,
-        );
+        unit.prune_block(dirty, out, cache, &mut ws);
     }
 }
 
@@ -718,6 +766,42 @@ mod tests {
                     &|m: &mut (f64, f64, f64)| m.2 = m.1,
                 ],
             );
+        }
+    }
+
+    #[test]
+    fn posteriors_from_kept_state_match_a_fresh_evaluator() {
+        // After a branch probe and its restore (a partial recompute) and
+        // on an exact repeat (served whole), the outside pass reads the
+        // kept CPVs and gives a fresh evaluator's bits.
+        let problem = toy_problem();
+        let config = EngineConfig::slim().with_pattern_block(2);
+        let mixture = Mixture::branch_site(&BranchSiteModel::default_start(Hypothesis::H1));
+        let mut bl: Vec<f64> = (0..problem.n_branches())
+            .map(|i| 0.08 + 0.03 * i as f64)
+            .collect();
+        let fresh = ReuseEvaluator::new(&problem, config.clone())
+            .node_posteriors(&mixture, &bl)
+            .unwrap();
+        let mut ev = ReuseEvaluator::new(&problem, config);
+        ev.evaluate_mixture(&mixture, &bl).unwrap();
+        let saved = bl[2];
+        bl[2] += 0.01;
+        ev.evaluate_mixture(&mixture, &bl).unwrap();
+        bl[2] = saved;
+        for _ in 0..2 {
+            let kept = ev.node_posteriors(&mixture, &bl).unwrap();
+            for (a, b) in fresh.iter().zip(&kept) {
+                match (a, b) {
+                    (Some(a), Some(b)) => assert!(a
+                        .as_slice()
+                        .iter()
+                        .zip(b.as_slice())
+                        .all(|(x, y)| x.to_bits() == y.to_bits())),
+                    (None, None) => {}
+                    _ => panic!("posterior blocks at different nodes"),
+                }
+            }
         }
     }
 

@@ -6,12 +6,17 @@
 //! ```text
 //! SLIM_GOLDEN_WRITE=1 cargo test --test ancestral_posteriors
 //! ```
+//!
+//! The outside pass's own contracts follow the snapshots: columns stay
+//! distributions on a tree deep enough to underflow a double, bits do not
+//! depend on threads, pattern blocks or SIMD dispatch, and every engine
+//! preset gives the same posteriors.
 
 use slimcodeml::bio::{parse_newick, CodonAlignment, FreqModel, GeneticCode};
 use slimcodeml::lik::ancestral::ancestral_reconstruction;
-use slimcodeml::lik::{EngineConfig, LikelihoodProblem};
+use slimcodeml::lik::{EngineConfig, LikelihoodProblem, SimdMode};
 use slimcodeml::model::{BranchSiteModel, Hypothesis};
-use slimcodeml::sim::{simulate_alignment, yule_tree};
+use slimcodeml::sim::{dataset, simulate_alignment, yule_tree, DatasetId};
 use std::fmt::Write;
 use std::path::PathBuf;
 
@@ -126,4 +131,128 @@ fn public_api_fixture_best_codons_match_snapshot() {
         }
     }
     check_snapshot("ancestral_public_api.txt", &text);
+}
+
+/// Every posterior column of every internal node.
+fn columns(posteriors: &[Option<slimcodeml::linalg::Mat>]) -> impl Iterator<Item = Vec<f64>> + '_ {
+    posteriors.iter().flatten().flat_map(|post| {
+        (0..post.cols()).map(move |p| (0..post.rows()).map(|s| post[(s, p)]).collect())
+    })
+}
+
+/// A 300-leaf caterpillar with branch lengths 0.5 and two codon columns:
+/// every pattern's likelihood is far below the smallest normal double, so
+/// only a rescaled outside pass keeps the posteriors alive.
+#[test]
+fn deep_caterpillar_posterior_columns_sum_to_one() {
+    let n_leaves = 300;
+    let mut newick = String::from("L0:0.5");
+    for i in 1..n_leaves {
+        newick = format!("({newick},L{i}:0.5):0.5");
+    }
+    let mut tree = parse_newick(&format!("{newick};")).unwrap();
+    tree.set_foreground(tree.leaf_by_name("L0").unwrap())
+        .unwrap();
+    let codons = ["ATG", "CCC", "TTT", "GAA", "AAC", "TGG", "CAT"];
+    let fasta: String = (0..n_leaves)
+        .map(|i| format!(">L{i}\n{}{}\n", codons[i % 7], codons[(3 * i) % 7]))
+        .collect();
+    let aln = CodonAlignment::from_fasta(&fasta).unwrap();
+    let code = GeneticCode::universal();
+    let problem = LikelihoodProblem::new(&tree, &aln, &code, FreqModel::Equal).unwrap();
+    let model = BranchSiteModel::default_start(Hypothesis::H1);
+    let bl = vec![0.5; problem.n_branches()];
+    let config = EngineConfig::slim();
+    let value =
+        slimcodeml::lik::site_class_log_likelihoods(&problem, &config, &model, &bl).unwrap();
+    assert!(
+        value
+            .per_pattern
+            .iter()
+            .all(|&l| l.is_finite() && l < -708.0),
+        "per-pattern lnL {:?}",
+        value.per_pattern
+    );
+    let rec = ancestral_reconstruction(&problem, &config, &model, &bl).unwrap();
+    let mut n_columns = 0;
+    for (k, col) in columns(&rec.posteriors).enumerate() {
+        let total: f64 = col.iter().sum();
+        assert!((total - 1.0).abs() <= 1e-9, "column {k} sums to {total}");
+        n_columns += 1;
+    }
+    assert_eq!(n_columns, (n_leaves - 1) * problem.n_patterns());
+}
+
+/// Posterior bits on every Table II analog are the same for every thread
+/// count, pattern-block width and SIMD dispatch mode.
+#[test]
+fn posterior_bits_are_identical_across_threads_blocks_and_simd() {
+    for id in DatasetId::ALL {
+        let d = dataset(id);
+        let code = GeneticCode::universal();
+        let problem =
+            LikelihoodProblem::new(&d.tree, &d.alignment, &code, FreqModel::F3x4).unwrap();
+        let bl = d.tree.branch_lengths();
+        let reconstruct = |config: &EngineConfig| {
+            ancestral_reconstruction(&problem, config, &d.true_model, &bl).unwrap()
+        };
+        let reference = reconstruct(&EngineConfig::slim());
+        for threads in [1, 4] {
+            for block in [1, 2, 256] {
+                for simd in [SimdMode::ForceScalar, SimdMode::Auto] {
+                    let config = EngineConfig::slim()
+                        .with_threads(threads)
+                        .with_pattern_block(block)
+                        .with_simd(simd);
+                    let rec = reconstruct(&config);
+                    for (k, (a, b)) in columns(&reference.posteriors)
+                        .zip(columns(&rec.posteriors))
+                        .enumerate()
+                    {
+                        assert!(
+                            a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "dataset {}: column {k} differs at threads {threads}, block {block}, {simd:?}",
+                            id.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The four engine presets — Eq. 9 and Eq. 10 dense operators under
+/// every CPV strategy, and the Eq. 12 symmetric operator — give the same
+/// posteriors on every Table II analog within 1e-10.
+#[test]
+fn posteriors_agree_across_engine_presets() {
+    for id in DatasetId::ALL {
+        let d = dataset(id);
+        let code = GeneticCode::universal();
+        let problem =
+            LikelihoodProblem::new(&d.tree, &d.alignment, &code, FreqModel::F3x4).unwrap();
+        let bl = d.tree.branch_lengths();
+        let reference =
+            ancestral_reconstruction(&problem, &EngineConfig::slim(), &d.true_model, &bl).unwrap();
+        for config in [
+            EngineConfig::codeml_style(),
+            EngineConfig::slim_plus(),
+            EngineConfig::slim_symmetric(),
+        ] {
+            let rec = ancestral_reconstruction(&problem, &config, &d.true_model, &bl).unwrap();
+            for (k, (a, b)) in columns(&reference.posteriors)
+                .zip(columns(&rec.posteriors))
+                .enumerate()
+            {
+                for (x, y) in a.iter().zip(&b) {
+                    assert!(
+                        (x - y).abs() <= 1e-10,
+                        "dataset {} column {k}: {} {x:e} vs {y:e}",
+                        id.label(),
+                        config.label
+                    );
+                }
+            }
+        }
+    }
 }
