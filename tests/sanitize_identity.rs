@@ -25,6 +25,12 @@
 //! two-ratio. Dataset ii has more patterns than one pruning block, so
 //! its rows also cover a multi-block pass of every model.
 //!
+//! A second golden file pins the per-site outputs the lnL rows cannot
+//! see: an FNV-1a hash of the bits of every per-class per-pattern
+//! log-likelihood and of every NEB posterior, through all four engine
+//! presets, at each analog's true, perturbed and H0 branch-site points
+//! and at M2a with ω2 = 1 exactly (two classes over one ω matrix).
+//!
 //! Regenerate (only after an intentional numerical change, with the
 //! default feature set) via:
 //!
@@ -36,13 +42,20 @@ use slimcodeml::bio::{FreqModel, GeneticCode};
 use slimcodeml::lik::branch_model::log_likelihood_branch;
 use slimcodeml::lik::m0::log_likelihood_m0;
 use slimcodeml::lik::site_models::site_model_log_likelihood;
-use slimcodeml::lik::{log_likelihood, EngineConfig, LikelihoodProblem};
+use slimcodeml::lik::{
+    log_likelihood, site_class_log_likelihoods, EngineConfig, LikelihoodProblem,
+};
 use slimcodeml::model::{BranchSiteModel, SiteModel, SitesHypothesis};
 use slimcodeml::sim::{dataset, DatasetId};
+use slimcodeml::stat::{class_posteriors, positive_selection_posteriors};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sanitize_lnl_bits.txt")
+}
+
+fn per_class_golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sanitize_per_class_bits.txt")
 }
 
 fn writing() -> bool {
@@ -182,18 +195,83 @@ fn m1a_bits(id: DatasetId, config: &EngineConfig) -> u64 {
         .to_bits()
 }
 
-#[test]
-fn lnl_bits_match_golden_regardless_of_sanitize_feature() {
-    let path = golden_path();
-    let lines = compute_lines();
+/// FNV-1a (64-bit) over the little-endian bits of `values`, in order.
+fn fnv1a<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
+/// One line per case: `<dataset> <point> <preset> <per-class hash>
+/// <NEB hash>`. Branch-site rows hash `positive_selection_posteriors`;
+/// the M2a rows hash every class posterior, pattern-major.
+fn per_class_lines() -> Vec<String> {
+    let presets = [
+        ("slim", EngineConfig::slim()),
+        ("slim+", EngineConfig::slim_plus()),
+        ("eq12", EngineConfig::slim_symmetric()),
+        ("codeml", EngineConfig::codeml_style()),
+    ];
+    let mut lines = Vec::new();
+    for id in DatasetId::ALL {
+        let p = problem(id);
+        let bl = dataset(id).tree.branch_lengths();
+        let truth = dataset(id).true_model;
+        let h0 = BranchSiteModel {
+            omega2: 1.0,
+            ..truth
+        };
+        let m2a = SiteModel {
+            kappa: truth.kappa,
+            omega0: truth.omega0,
+            omega2: 1.0,
+            p0: truth.p0,
+            p1: truth.p1,
+        };
+        for (preset, config) in &presets {
+            for (point, model) in [
+                ("true", truth),
+                ("perturbed", perturbed(&truth)),
+                ("h0", h0),
+            ] {
+                let v = site_class_log_likelihoods(&p, config, &model, &bl)
+                    .expect("branch-site evaluation");
+                let neb = positive_selection_posteriors(&v.per_class, &v.proportions);
+                lines.push(format!(
+                    "{} {point} {preset} {:016x} {:016x}",
+                    id.label(),
+                    fnv1a(v.per_class.iter().flatten()),
+                    fnv1a(&neb)
+                ));
+            }
+            let v = site_model_log_likelihood(&p, config, &m2a, SitesHypothesis::M2a, &bl)
+                .expect("M2a evaluation");
+            let neb = class_posteriors(&v.per_class, &v.proportions);
+            lines.push(format!(
+                "{} m2a.omega2=1 {preset} {:016x} {:016x}",
+                id.label(),
+                fnv1a(v.per_class.iter().flatten()),
+                fnv1a(neb.iter().flatten())
+            ));
+        }
+    }
+    lines
+}
+
+/// Compare `lines` with the golden file at `path` line by line, or write
+/// it under `SLIM_GOLDEN_WRITE=1`.
+fn check_golden(path: &std::path::Path, lines: &[String], what: &str) {
     if writing() {
-        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        std::fs::write(path, format!("{}\n", lines.join("\n"))).unwrap();
         eprintln!("wrote {}", path.display());
         return;
     }
 
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "cannot read {} ({e}); regenerate with SLIM_GOLDEN_WRITE=1",
             path.display()
@@ -201,11 +279,25 @@ fn lnl_bits_match_golden_regardless_of_sanitize_feature() {
     });
     let golden: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
     assert_eq!(golden.len(), lines.len(), "golden case count drifted");
-    for (want, got) in golden.iter().zip(&lines) {
+    for (want, got) in golden.iter().zip(lines) {
         assert_eq!(
             *want, got,
-            "lnL bits drifted (golden `{want}` vs computed `{got}`); if the \
+            "{what} bits drifted (golden `{want}` vs computed `{got}`); if the \
              sanitize feature is on, it has perturbed the numerics"
         );
     }
+}
+
+#[test]
+fn lnl_bits_match_golden_regardless_of_sanitize_feature() {
+    check_golden(&golden_path(), &compute_lines(), "lnL");
+}
+
+#[test]
+fn per_class_and_neb_bits_match_golden_regardless_of_sanitize_feature() {
+    check_golden(
+        &per_class_golden_path(),
+        &per_class_lines(),
+        "per-class or NEB",
+    );
 }
