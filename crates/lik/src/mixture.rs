@@ -178,3 +178,35 @@ impl Mixture {
         (distinct, n, slot)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shared_scale_weights_every_class_by_its_omega() {
+        // Every branch sees every site class, so the M1a/M2a scale averages
+        // the stationary flux over all classes: Σ_k p_k (syn + ω_k nonsyn).
+        let code = GeneticCode::universal();
+        let pi = vec![1.0 / 61.0; 61];
+        let m = SiteModel {
+            kappa: 2.0,
+            omega0: 0.5,
+            omega2: 2.0,
+            p0: 0.5,
+            p1: 0.25,
+        };
+        let (syn, nonsyn) = rate_components(&code, m.kappa, &pi);
+        let scale = |h| match Mixture::sites(&m, h).scale_policy(&code, &pi) {
+            ScalePolicy::External(s) => s,
+            other => panic!("{h:?}: expected a shared scale, got {other:?}"),
+        };
+        // M2a: 0.5·(syn + 0.5n) + 0.25·(syn + n) + 0.25·(syn + 2n) = syn + n,
+        // which is 2.0 at unit fluxes.
+        let m2a = syn + nonsyn;
+        assert!((scale(SitesHypothesis::M2a) - m2a).abs() < 1e-12 * m2a);
+        // M1a: 0.5·(syn + 0.5n) + 0.5·(syn + n), 1.75 at unit fluxes.
+        let m1a = syn + 0.75 * nonsyn;
+        assert!((scale(SitesHypothesis::M1a) - m1a).abs() < 1e-12 * m1a);
+    }
+}

@@ -112,21 +112,6 @@ impl SiteModel {
         }
     }
 
-    /// Shared rate scale: the class-mixture-averaged stationary flux
-    /// (every branch sees every class, so — unlike the branch-site model —
-    /// the average runs over *all* classes).
-    pub fn shared_scale(
-        &self,
-        hypothesis: SitesHypothesis,
-        syn_flux: f64,
-        nonsyn_flux: f64,
-    ) -> f64 {
-        self.classes(hypothesis)
-            .iter()
-            .map(|c| c.proportion * (syn_flux + c.omega * nonsyn_flux))
-            .sum()
-    }
-
     /// Parameter validity under a hypothesis.
     pub fn is_valid(&self, hypothesis: SitesHypothesis) -> bool {
         let base = self.kappa > 0.0
@@ -173,22 +158,6 @@ mod tests {
         assert!(c[0].omega < 1.0);
         assert_eq!(c[1].omega, 1.0);
         assert!(c[2].omega > 1.0);
-    }
-
-    #[test]
-    fn shared_scale_weights_all_classes() {
-        let m = SiteModel {
-            kappa: 2.0,
-            omega0: 0.5,
-            omega2: 2.0,
-            p0: 0.5,
-            p1: 0.25,
-        };
-        let (syn, nonsyn) = (1.0, 1.0);
-        // M2a: 0.5·(1+0.5) + 0.25·(1+1) + 0.25·(1+2) = 0.75+0.5+0.75 = 2.0
-        assert!((m.shared_scale(SitesHypothesis::M2a, syn, nonsyn) - 2.0).abs() < 1e-12);
-        // M1a: 0.5·1.5 + 0.5·2 = 1.75
-        assert!((m.shared_scale(SitesHypothesis::M1a, syn, nonsyn) - 1.75).abs() < 1e-12);
     }
 
     #[test]
