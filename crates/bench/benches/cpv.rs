@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use slim_bio::GeneticCode;
-use slim_expm::{cpv, CpvStrategy, EigenSystem};
+use slim_expm::{cpv, CpvScratch, CpvStrategy, EigenSystem};
 use slim_linalg::{EigenMethod, Mat};
 use slim_model::{build_rate_matrix, ScalePolicy};
 use std::hint::black_box;
@@ -29,6 +29,7 @@ fn bench_cpv(c: &mut Criterion) {
             ((state >> 11) as f64 / (1u64 << 53) as f64).abs()
         });
         let mut out = Mat::zeros(61, sites);
+        let mut scratch = CpvScratch::new();
         let mut group = c.benchmark_group(format!("cpv_{sites}_sites"));
         group.sample_size(40);
         for (label, strategy) in [
@@ -38,14 +39,20 @@ fn bench_cpv(c: &mut Criterion) {
         ] {
             group.bench_function(label, |bench| {
                 bench.iter(|| {
-                    cpv::apply_dense(strategy, black_box(&p), black_box(&w), &mut out);
+                    cpv::apply_dense_with(
+                        strategy,
+                        black_box(&p),
+                        black_box(&w),
+                        &mut out,
+                        &mut scratch,
+                    );
                     black_box(&out);
                 })
             });
         }
         group.bench_function("symmetric_symv (Eq. 12)", |bench| {
             bench.iter(|| {
-                sym.apply_dense(black_box(&w), &mut out);
+                sym.apply_dense_with(black_box(&w), &mut out, &mut scratch);
                 black_box(&out);
             })
         });

@@ -53,20 +53,10 @@ impl CpvScratch {
 }
 
 /// Apply `P` to every column of `w` (`w` is `n × sites`, column `s` is the
-/// CPV of site `s`), writing into `out`.
-///
-/// # Panics
-/// Panics on shape mismatches.
-// check: hot dense P·W reconstruction entry
-pub fn apply_dense(strategy: CpvStrategy, p: &Mat, w: &Mat, out: &mut Mat) {
-    apply_dense_with(strategy, p, w, out, &mut CpvScratch::new());
-}
-
-/// Like [`apply_dense`] but reusing caller-owned scratch buffers, so the
-/// hot path performs no per-call allocation. Results are bit-identical to
-/// [`apply_dense`]: every column is computed independently with the same
-/// kernel, so the output does not depend on how the site dimension is
-/// blocked.
+/// CPV of site `s`), writing into `out` and reusing caller-owned scratch
+/// buffers, so the hot path performs no per-call allocation. Every column
+/// is computed independently with the same kernel, so the output does not
+/// depend on how the site dimension is blocked.
 ///
 /// # Panics
 /// Panics on shape mismatches.
@@ -81,7 +71,7 @@ pub fn apply_dense_with(
 ) {
     let n = p.rows();
     assert_eq!(p.cols(), n);
-    assert_eq!(w.rows(), n, "apply_dense: W rows mismatch");
+    assert_eq!(w.rows(), n, "apply_dense_with: W rows mismatch");
     assert_eq!((out.rows(), out.cols()), (w.rows(), w.cols()));
     match strategy {
         CpvStrategy::NaivePerSite => {
@@ -114,7 +104,7 @@ pub fn apply_dense_with(
             gemm(1.0, p, Transpose::No, w, Transpose::No, 0.0, out);
         }
         CpvStrategy::SymmetricSymv => {
-            panic!("SymmetricSymv needs a SymTransition; use SymTransition::apply_dense")
+            panic!("SymmetricSymv needs a SymTransition; use SymTransition::apply_dense_with")
         }
     }
 }
@@ -161,14 +151,8 @@ impl SymTransition {
         out
     }
 
-    /// Apply to every column of a dense `n × sites` CPV block.
-    // check: hot symmetric dense apply entry
-    pub fn apply_dense(&self, w: &Mat, out: &mut Mat) {
-        self.apply_dense_with(w, out, &mut CpvScratch::new());
-    }
-
-    /// Like [`SymTransition::apply_dense`] with caller-owned scratch
-    /// buffers (no per-call allocation; bit-identical results).
+    /// Apply to every column of a dense `n × sites` CPV block, with
+    /// caller-owned scratch buffers (no per-call allocation).
     // check: hot symmetric dense apply, scratch-reusing form
     // check: allow(panic-free-hot-path) shape asserts are the entry contract; scratch.ensure(n) sizes col/res
     pub fn apply_dense_with(&self, w: &Mat, out: &mut Mat, scratch: &mut CpvScratch) {
@@ -209,9 +193,28 @@ mod tests {
         let mut naive_out = Mat::zeros(3, 3);
         let mut gemv_out = Mat::zeros(3, 3);
         let mut gemm_out = Mat::zeros(3, 3);
-        apply_dense(CpvStrategy::NaivePerSite, &p, &w, &mut naive_out);
-        apply_dense(CpvStrategy::PerSiteGemv, &p, &w, &mut gemv_out);
-        apply_dense(CpvStrategy::BundledGemm, &p, &w, &mut gemm_out);
+        let mut scratch = CpvScratch::new();
+        apply_dense_with(
+            CpvStrategy::NaivePerSite,
+            &p,
+            &w,
+            &mut naive_out,
+            &mut scratch,
+        );
+        apply_dense_with(
+            CpvStrategy::PerSiteGemv,
+            &p,
+            &w,
+            &mut gemv_out,
+            &mut scratch,
+        );
+        apply_dense_with(
+            CpvStrategy::BundledGemm,
+            &p,
+            &w,
+            &mut gemm_out,
+            &mut scratch,
+        );
         assert!(naive_out.approx_eq(&gemv_out, 1e-14));
         assert!(naive_out.approx_eq(&gemm_out, 1e-14));
     }
@@ -221,7 +224,13 @@ mod tests {
         let p = toy_p();
         let w = toy_w();
         let mut out = Mat::zeros(3, 3);
-        apply_dense(CpvStrategy::BundledGemm, &p, &w, &mut out);
+        apply_dense_with(
+            CpvStrategy::BundledGemm,
+            &p,
+            &w,
+            &mut out,
+            &mut CpvScratch::new(),
+        );
         // Column 0 of W is e₀ → column 0 of out is column 0 of P.
         for i in 0..3 {
             assert!((out[(i, 0)] - p[(i, 0)]).abs() < 1e-15);
@@ -251,7 +260,7 @@ mod tests {
         let st = SymTransition::new(m, vec![0.4, 0.6]);
         let w = Mat::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]);
         let mut out = Mat::zeros(2, 2);
-        st.apply_dense(&w, &mut out);
+        st.apply_dense_with(&w, &mut out, &mut CpvScratch::new());
         for s in 0..2 {
             let col: Vec<f64> = (0..2).map(|i| w[(i, s)]).collect();
             let single = st.apply(&col);
@@ -274,8 +283,8 @@ mod tests {
             CpvStrategy::BundledGemm,
         ] {
             let mut full = Mat::zeros(3, 3);
-            apply_dense(strategy, &p, &w, &mut full);
             let mut scratch = CpvScratch::new();
+            apply_dense_with(strategy, &p, &w, &mut full, &mut scratch);
             for s in 0..3 {
                 let wcol = Mat::from_fn(3, 1, |i, _| w[(i, s)]);
                 let mut out = Mat::zeros(3, 1);
@@ -306,7 +315,13 @@ mod tests {
         let p = toy_p();
         let w = toy_w();
         let mut fresh = Mat::zeros(3, 3);
-        apply_dense(CpvStrategy::PerSiteGemv, &p, &w, &mut fresh);
+        apply_dense_with(
+            CpvStrategy::PerSiteGemv,
+            &p,
+            &w,
+            &mut fresh,
+            &mut CpvScratch::new(),
+        );
         let mut reused = Mat::zeros(3, 3);
         apply_dense_with(CpvStrategy::PerSiteGemv, &p, &w, &mut reused, &mut scratch);
         for i in 0..3 {
@@ -322,6 +337,12 @@ mod tests {
         let p = toy_p();
         let w = toy_w();
         let mut out = Mat::zeros(3, 3);
-        apply_dense(CpvStrategy::SymmetricSymv, &p, &w, &mut out);
+        apply_dense_with(
+            CpvStrategy::SymmetricSymv,
+            &p,
+            &w,
+            &mut out,
+            &mut CpvScratch::new(),
+        );
     }
 }
