@@ -71,6 +71,11 @@ fn slim_expm_is_faster_than_naive() {
 
 /// Speedup of a full likelihood evaluation grows with species count
 /// (dataset iv's shape) — the mechanism behind Fig. 3.
+///
+/// The engines are timed interleaved, one evaluation each per round, and
+/// each keeps its fastest of 5 rounds after a warm-up round, so a burst
+/// of load on a shared host slows a round of both engines rather than a
+/// whole block of one.
 #[test]
 fn eval_speedup_grows_with_species() {
     use slimcodeml::sim::subsample_dataset;
@@ -82,19 +87,23 @@ fn eval_speedup_grows_with_species() {
         let problem =
             LikelihoodProblem::new(&ds.tree, &ds.alignment, &code, FreqModel::F3x4).unwrap();
         let bl = ds.tree.branch_lengths();
-        let time_engine = |cfg: &EngineConfig| {
-            let _ = log_likelihood(&problem, cfg, &model, &bl).unwrap(); // warm
-            let start = Instant::now();
-            for _ in 0..3 {
+        let engines = [EngineConfig::codeml_style(), EngineConfig::slim()];
+        let mut fastest = [f64::INFINITY; 2];
+        for round in 0..6 {
+            for (best, cfg) in fastest.iter_mut().zip(&engines) {
+                let start = Instant::now();
                 std::hint::black_box(log_likelihood(&problem, cfg, &model, &bl).unwrap());
+                if round > 0 {
+                    *best = best.min(start.elapsed().as_secs_f64());
+                }
             }
-            start.elapsed().as_secs_f64()
-        };
-        time_engine(&EngineConfig::codeml_style()) / time_engine(&EngineConfig::slim())
+        }
+        fastest[0] / fastest[1]
     };
 
     let small = measure(10);
     let large = measure(60);
+    eprintln!("evaluation speedup: 10sp {small:.2}x, 60sp {large:.2}x");
     assert!(
         large > small * 0.8,
         "speedup should not collapse with species count: 10sp {small:.2}x vs 60sp {large:.2}x"
