@@ -5,7 +5,9 @@
 //!
 //! 1. expm path: Eq. 9 naive → Eq. 9 blocked gemm → Eq. 10 syrk;
 //! 2. CPV strategy: naive per-site → gemv per-site → bundled gemm →
-//!    Eq. 12 symmetric symv;
+//!    Eq. 12 symmetric symv (the naive row also prunes every site class
+//!    on its own, as the codeml-style preset does; every other row
+//!    shares pruning between classes with one background ω);
 //! 3. eigensolver: Householder+QL vs bisection+inverse-iteration
 //!    (`dsyevr`'s MRRR stand-in) vs Jacobi.
 //!

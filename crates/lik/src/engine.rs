@@ -29,7 +29,7 @@ pub struct EngineConfig {
     /// intra-gene engine, §V-B's FastCodeML direction): eigendecompositions
     /// and per-branch `exp(Qt)` reconstructions are fanned across
     /// branches × ω-classes, and pruning is fanned across
-    /// site-class × pattern-block units. `1` = serial, `0` = auto
+    /// (background-ω group × pattern block) units. `1` = serial, `0` = auto
     /// (`available_parallelism`). Any value produces **bit-identical**
     /// results: block boundaries are fixed by [`EngineConfig::pattern_block`]
     /// alone, every unit is computed independently, and the final reduction
@@ -142,6 +142,14 @@ impl EngineConfig {
     pub fn with_pattern_block(mut self, block: usize) -> EngineConfig {
         self.pattern_block = block.max(1);
         self
+    }
+
+    /// Whether pruning shares work between site classes that select the
+    /// same ω slots below a node (see [`crate::pruning`]). Every preset
+    /// shares except codeml-style: its naive per-site CPV kernel stands
+    /// for CodeML's cost, and CodeML prunes every class at every node.
+    pub(crate) fn shares_class_pruning(&self) -> bool {
+        self.cpv != CpvStrategy::NaivePerSite
     }
 
     /// The thread count this configuration resolves to on this machine.

@@ -23,14 +23,15 @@ pub(crate) static PHASE_OUTSIDE: Site = Site::new("lik.phase.outside", "lik");
 /// (one span per worker per evaluation, serial path included), so the
 /// spread shows pruning load balance.
 pub(crate) static WORKER_BUSY: Site = Site::new("lik.pruning.worker_busy", "lik");
-/// `lik.block` — one (site class × pattern block) pruning unit.
+/// `lik.block` — one (background-ω group × pattern block) pruning unit.
 pub(crate) static BLOCK: Site = Site::new("lik.block", "lik");
 
 #[derive(Debug)]
 pub(crate) struct LikMetrics {
     /// `lik.evaluations` — full likelihood evaluations run.
     pub evaluations: Arc<Counter>,
-    /// `lik.pruning.units` — (site class × pattern block) units pruned.
+    /// `lik.pruning.units` — (background-ω group × pattern block) units
+    /// pruned.
     pub units: Arc<Counter>,
     /// `lik.threads` — resolved thread count of the last evaluation.
     pub threads: Arc<Gauge>,
@@ -44,10 +45,12 @@ pub(crate) struct LikMetrics {
     /// since the previous evaluation, summed over evaluations.
     pub reuse_dirty_branches: Arc<Counter>,
     /// `lik.reuse.units_reused` — internal-node CPV blocks served from the
-    /// cross-evaluation cache.
+    /// cross-evaluation cache: one per unit at a node off the foreground
+    /// path, one per variant at a node on it.
     pub reuse_units_reused: Arc<Counter>,
     /// `lik.reuse.units_recomputed` — internal-node CPV blocks recomputed
-    /// because they sat on a dirty root-path or the state was empty.
+    /// because they sat on a dirty root-path or the state was empty,
+    /// counted as `units_reused` counts them.
     pub reuse_units_recomputed: Arc<Counter>,
 }
 

@@ -7,8 +7,8 @@
 //!    each independent, fanned one-per-thread ([`build_eigensystems`]);
 //! 2. **expm** — one transition operator per (branch, needed ω) pair
 //!    ([`build_op`]), all independent, chunked across threads;
-//! 3. **pruning** — units of (site class × pattern block) stream through a
-//!    crossbeam channel to workers that each own a
+//! 3. **pruning** — units of (background-ω group × pattern block) stream
+//!    through a crossbeam channel to workers that each own a
 //!    [`PruneScratch`](crate::pruning), so the steady state allocates
 //!    nothing (the slim-batch pool conventions, applied within a gene);
 //! 4. **reduction** — per-pattern class mixing and the weighted total, on

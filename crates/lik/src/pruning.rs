@@ -1,14 +1,28 @@
 //! Felsenstein pruning over site patterns with branch-site classes.
 //!
-//! This module holds the *per-unit* pruning kernel, [`Unit::prune_block`]: one
-//! site class over one contiguous block of site patterns, recomputing the
-//! internal nodes a dirty mask names and reading every other node's CPV
-//! from the unit's [`UnitCache`]. Every internal node runs through the one
-//! per-node body, `node_cpv` (child combine + rescale). The evaluator in
-//! [`crate::reuse`] fans units across worker threads; a stateless
-//! evaluation is that evaluator with empty state, so every unit is fully
-//! dirty. [`Unit::outside_block`] is the preorder counterpart over a
-//! unit's kept CPVs, for ancestral posteriors.
+//! This module holds the *per-unit* pruning kernel, [`Unit::prune_block`]:
+//! one pruning [`Group`] of site classes over one contiguous block of site
+//! patterns, recomputing the internal nodes a dirty mask names and reading
+//! every other node's CPV from the unit's [`UnitCache`]. Every internal
+//! node runs through the one per-node body, `combine_children` followed by
+//! a rescale. The evaluator in [`crate::reuse`] fans units across worker
+//! threads; a stateless evaluation is that evaluator with empty state, so
+//! every unit is fully dirty. [`Unit::outside_block`] is the preorder
+//! counterpart over a unit's kept CPVs, for ancestral posteriors.
+//!
+//! ## What a group shares
+//!
+//! A group's classes select the same background ω slot; its *variants*
+//! are the distinct foreground slots among them. A subtree's CPV depends
+//! only on the operators of the edges below it, so a node with no
+//! foreground branch below it has one CPV for the whole group, and a node
+//! on the foreground path one per variant. A child's message across its
+//! parent edge depends, in addition, on that edge's operator: a child
+//! with no foreground branch at or below its edge sends one message to
+//! every variant, computed once. Classes with equal (background,
+//! foreground) slots are one variant. Each variant's CPV is therefore
+//! the messages a per-class pass would multiply, in the same child order,
+//! rescaled the same way, so sharing changes no bit.
 //!
 //! ## Determinism contract
 //!
@@ -142,20 +156,66 @@ pub fn site_class_log_likelihoods(
     ReuseEvaluator::new(problem, config.clone()).evaluate(model, branch_lengths)
 }
 
-/// Cross-evaluation cache for one (site class × pattern block) unit: the
+/// One pruning group: the site classes that select background ω slot
+/// `bg`, and the distinct foreground slots among them — the group's
+/// *variants*, in order of first appearance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub(crate) bg: usize,
+    fg: [usize; N_OMEGA],
+    n_fg: usize,
+}
+
+impl Group {
+    /// A group over background slot `bg` with no variant yet.
+    pub(crate) fn new(bg: usize) -> Group {
+        Group {
+            bg,
+            fg: [0; N_OMEGA],
+            n_fg: 0,
+        }
+    }
+
+    /// The foreground slot of each variant.
+    // check: allow(panic-free-hot-path) n_fg <= N_OMEGA: variant() adds one entry per distinct slot, and slots are < N_OMEGA
+    pub(crate) fn fg(&self) -> &[usize] {
+        &self.fg[..self.n_fg]
+    }
+
+    /// The variant that selects foreground slot `fg`, added if new.
+    pub(crate) fn variant(&mut self, fg: usize) -> usize {
+        match self.fg().iter().position(|&f| f == fg) {
+            Some(v) => v,
+            None => {
+                self.fg[self.n_fg] = fg;
+                self.n_fg += 1;
+                self.n_fg - 1
+            }
+        }
+    }
+}
+
+/// Cross-evaluation cache for one (group × pattern block) unit: the
 /// post-rescale CPV of every internal node, plus each node's per-column
-/// ln-rescale contribution so the block's total scale log can be rebuilt
-/// exactly after a partial recompute.
+/// ln-rescale contribution so each variant's total scale log can be
+/// rebuilt exactly after a partial recompute, and each variant's
+/// per-pattern log-likelihoods.
+///
+/// Slots are `layer × n_nodes + node`: layer 0 holds the group's shared
+/// CPVs (nodes with no foreground branch below them), layer `1 + v`
+/// variant `v`'s (nodes on the foreground path).
 ///
 /// `0.0` in [`UnitCache::scale`] means "this node did not rescale this
 /// column" — unambiguous because a real contribution is `ln m` with
 /// `m < SCALE_THRESHOLD = 1e-100`, i.e. at most ≈ −230.
 pub(crate) struct UnitCache {
-    /// Post-rescale CPV per node; `None` for leaves and never-computed
-    /// nodes.
+    /// Post-rescale CPV per slot; `None` for leaves, unused slots and
+    /// never-computed nodes.
     cpv: Vec<Option<Mat>>,
-    /// Per-node per-column ln-rescale contributions (empty for leaves).
+    /// Per-slot per-column ln-rescale contributions (empty for leaves).
     scale: Vec<Vec<f64>>,
+    /// Per-pattern log-likelihoods, block width `bw` per variant.
+    out: Vec<f64>,
     /// (states, block width) of the cached CPVs.
     dims: (usize, usize),
 }
@@ -166,20 +226,28 @@ impl UnitCache {
         UnitCache {
             cpv: Vec::new(),
             scale: Vec::new(),
+            out: Vec::new(),
             dims: (0, 0),
         }
     }
 
-    fn ensure(&mut self, n_nodes: usize, n: usize, bw: usize) {
+    /// Variant `v`'s per-pattern log-likelihoods from the last pass.
+    pub(crate) fn variant_out(&self, v: usize) -> &[f64] {
+        let bw = self.dims.1;
+        &self.out[v * bw..(v + 1) * bw]
+    }
+
+    fn ensure(&mut self, n_slots: usize, n: usize, bw: usize, n_variants: usize) {
         if self.dims != (n, bw) {
             self.cpv.clear();
             self.scale.clear();
             self.dims = (n, bw);
         }
-        if self.cpv.len() < n_nodes {
-            self.cpv.resize_with(n_nodes, || None);
-            self.scale.resize_with(n_nodes, Vec::new);
+        if self.cpv.len() < n_slots {
+            self.cpv.resize_with(n_slots, || None);
+            self.scale.resize_with(n_slots, Vec::new);
         }
+        self.out.resize(n_variants * bw, 0.0);
     }
 }
 
@@ -187,7 +255,7 @@ impl UnitCache {
 /// the [`UnitCache`]). After the first block at a given (states ×
 /// block-width) shape, the scratch allocates nothing.
 pub(crate) struct PruneScratch {
-    /// Staging block for non-first children.
+    /// Staging block for messages that are not written in place.
     tmp: Mat,
     /// One gathered leaf column.
     col: Vec<f64>,
@@ -195,6 +263,8 @@ pub(crate) struct PruneScratch {
     scale_log: Vec<f64>,
     /// Column/result scratch for the CPV kernels.
     scratch: CpvScratch,
+    /// The CPV blocks of the node being combined, one per variant.
+    dests: Vec<Mat>,
     /// (states, block width) `tmp` currently has.
     dims: (usize, usize),
 }
@@ -207,6 +277,7 @@ impl PruneScratch {
             col: Vec::new(),
             scale_log: Vec::new(),
             scratch: CpvScratch::new(),
+            dests: Vec::new(),
             dims: (0, 0),
         }
     }
@@ -228,39 +299,65 @@ impl PruneScratch {
 }
 
 /// One unit's fixed inputs — the problem, the engine configuration, the
-/// operators, the site class's background and foreground ω slots and the
-/// unit's first pattern — whose methods are the per-unit kernels: the
-/// pruning pass and the outside pass.
+/// operators, the foreground path, the group's ω slots and the unit's
+/// first pattern — whose methods are the per-unit kernels: the pruning
+/// pass and the outside pass. Methods that take a variant `v` read the
+/// CPVs through that variant's view: its own CPV at a node on the
+/// foreground path, the group's shared copy at any other node.
 #[derive(Clone, Copy)]
 pub(crate) struct Unit<'a> {
     pub(crate) problem: &'a LikelihoodProblem,
     pub(crate) config: &'a EngineConfig,
     pub(crate) ops: &'a PtCache<TransOp>,
-    pub(crate) bg_omega: usize,
-    pub(crate) fg_omega: usize,
+    /// Per node: whether a foreground branch lies below it.
+    pub(crate) fg_path: &'a [bool],
+    pub(crate) group: Group,
     pub(crate) lo: usize,
 }
 
 impl<'a> Unit<'a> {
-    /// The operator on the edge above `node`, in this class's ω slot for
+    /// The operator on the edge above `node`, in variant `v`'s ω slot for
     /// that edge.
     // check: hot reuse-engine operator fetch
-    // check: allow(panic-free-hot-path) node < n_nodes by tree construction; the expm phase probes/rebuilds every slot a unit can address before pruning starts
-    fn operator(&self, node: usize) -> &'a TransOp {
-        let w = [self.bg_omega, self.fg_omega][usize::from(self.problem.is_foreground[node])];
+    // check: allow(panic-free-hot-path) node < n_nodes by tree construction, v < variant count by caller loop bounds; the expm phase probes/rebuilds every slot a unit can address before pruning starts
+    fn operator(&self, node: usize, v: usize) -> &'a TransOp {
+        let w = if self.problem.is_foreground[node] {
+            self.group.fg()[v]
+        } else {
+            self.group.bg
+        };
         self.ops
             .value(node * N_OMEGA + w)
             // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
             .expect("operator probed or rebuilt in the expm phase")
     }
 
-    /// Pruning pass over the pattern block `[lo, lo + out.len())`, writing
-    /// per-pattern log-likelihoods into `out`: recomputes the `dirty`
-    /// internal nodes and reuses every clean node's CPV and rescale record
-    /// byte-for-byte from `cache`. With every node dirty (an empty cache)
-    /// this is a plain full pass.
+    /// The cache slot variant `v` reads `node`'s CPV and rescale record
+    /// from.
+    // check: allow(panic-free-hot-path) node < n_nodes by tree construction
+    fn slot(&self, node: usize, v: usize) -> usize {
+        if self.fg_path[node] {
+            (1 + v) * self.problem.children.len() + node
+        } else {
+            node
+        }
+    }
+
+    /// Whether `child` sends every variant the same message: no
+    /// foreground branch lies at or below its edge.
+    // check: allow(panic-free-hot-path) child < n_nodes by tree construction
+    fn shared_message(&self, child: usize) -> bool {
+        !self.problem.is_foreground[child] && !self.fg_path[child]
+    }
+
+    /// Pruning pass over the pattern block `[lo, lo + bw)`, writing each
+    /// variant's per-pattern log-likelihoods into `cache`: recomputes the
+    /// `dirty` internal nodes and reuses every clean node's CPV and rescale
+    /// record byte-for-byte from `cache`. With every node dirty (an empty
+    /// cache) this is a plain full pass. A node off the foreground path is
+    /// computed once; a node on it once per variant.
     ///
-    /// `ops` must hold operators for every ω slot this class selects on
+    /// `ops` must hold operators for every ω slot the group selects on
     /// every branch; `dirty` must cover every node whose inputs changed
     /// since `cache` was filled and be closed under "parent of".
     ///
@@ -270,139 +367,185 @@ impl<'a> Unit<'a> {
     ///   last recompute stored, and every recompute runs the same per-node
     ///   body on the same inputs, so by induction each cached CPV equals
     ///   the full-pass CPV bit-for-bit.
-    /// * The block's scale log is rebuilt by summing the per-node records
-    ///   in postorder. A `0.0` record adds nothing: the accumulator starts
-    ///   at +0.0 and only ever holds sums of records ≤ −230, never −0.0.
+    /// * A variant's scale log is rebuilt by summing the per-node records
+    ///   of its view in postorder. A `0.0` record adds nothing: the
+    ///   accumulator starts at +0.0 and only ever holds sums of records
+    ///   ≤ −230, never −0.0.
     /// * The root combination is a per-column dot with π.
     // check: hot per-block pruning unit (paper's inner loop)
     // check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
     pub(crate) fn prune_block(
         &self,
         dirty: &[bool],
-        out: &mut [f64],
+        bw: usize,
         cache: &mut UnitCache,
         ws: &mut PruneScratch,
     ) {
         let problem = self.problem;
         let n = problem.pi.len();
-        let bw = out.len();
-        let n_nodes = problem.children.len();
-        cache.ensure(n_nodes, n, bw);
+        let n_variants = self.group.fg().len();
+        cache.ensure((1 + n_variants) * problem.children.len(), n, bw, n_variants);
         ws.ensure(n, bw);
 
+        let mut dests = std::mem::take(&mut ws.dests);
         for &node in &problem.postorder {
             if problem.children[node].is_empty() {
                 continue;
             }
             if !dirty[node] {
                 debug_assert!(
-                    cache.cpv[node].is_some(),
+                    cache.cpv[self.slot(node, 0)].is_some(),
                     "clean node {node} must have a cached CPV"
                 );
                 continue;
             }
-            // Take the node's matrix out so the children's cached CPVs can
-            // be read immutably while we write into it.
-            let mut cpv = cache.cpv[node]
-                .take()
-                .unwrap_or_else(|| Mat::zeros_padded(n, bw));
-            self.node_cpv(node, &cache.cpv, &mut cpv, &mut cache.scale[node], ws);
-            cache.cpv[node] = Some(cpv);
+            let variants = if self.fg_path[node] { n_variants } else { 1 };
+            // Take the node's matrices out so the children's cached CPVs
+            // can be read immutably while we write into them.
+            dests.extend((0..variants).map(|v| {
+                cache.cpv[self.slot(node, v)]
+                    .take()
+                    .unwrap_or_else(|| Mat::zeros_padded(n, bw))
+            }));
+            self.combine_children(node, 0, &cache.cpv, &mut dests, ws);
+            for (v, mut dest) in dests.drain(..).enumerate() {
+                let slot = self.slot(node, v);
+                rescale_columns(&mut dest, &mut cache.scale[slot]);
+                #[cfg(feature = "sanitize")]
+                sanitize_hooks::node_cpv(
+                    "pruning",
+                    &dest,
+                    &cache.scale[slot],
+                    node,
+                    self.group.bg,
+                    if self.fg_path[node] {
+                        &self.group.fg()[v..=v]
+                    } else {
+                        self.group.fg()
+                    },
+                    self.lo,
+                );
+                cache.cpv[slot] = Some(dest);
+            }
         }
+        ws.dests = dests;
 
-        // Rebuild the block's total scale log: postorder sum of the
-        // per-node records.
-        for v in ws.scale_log.iter_mut() {
-            *v = 0.0;
-        }
-        for &node in &problem.postorder {
-            if problem.children[node].is_empty() {
-                continue;
+        for v in 0..n_variants {
+            // Rebuild the variant's total scale log: postorder sum of the
+            // per-node records of its view.
+            for sl in ws.scale_log.iter_mut() {
+                *sl = 0.0;
             }
-            let rec = &cache.scale[node];
-            for (sl, &v) in ws.scale_log.iter_mut().zip(rec.iter()) {
-                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
-                *sl += v;
+            for &node in &problem.postorder {
+                if problem.children[node].is_empty() {
+                    continue;
+                }
+                let rec = &cache.scale[self.slot(node, v)];
+                for (sl, &r) in ws.scale_log.iter_mut().zip(rec.iter()) {
+                    // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
+                    *sl += r;
+                }
             }
-        }
 
-        // Root combination with π.
-        let root_cpv = cache.cpv[problem.root]
-            .as_ref()
-            // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
-            .expect("root CPV cached or recomputed");
-        for (q, o) in out.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for i in 0..n {
-                // check: allow(det-float-accum) 61-term per-pattern dot with π; fixed order is the determinism contract
-                s += problem.pi[i] * root_cpv[(i, q)];
+            // Root combination with π.
+            let root_cpv = cache.cpv[self.slot(problem.root, v)]
+                .as_ref()
+                // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
+                .expect("root CPV cached or recomputed");
+            let out = &mut cache.out[v * bw..(v + 1) * bw];
+            for (q, o) in out.iter_mut().enumerate() {
+                let mut s = 0.0;
+                for i in 0..n {
+                    // check: allow(det-float-accum) 61-term per-pattern dot with π; fixed order is the determinism contract
+                    s += problem.pi[i] * root_cpv[(i, q)];
+                }
+                *o = if s > 0.0 {
+                    s.ln() + ws.scale_log[q]
+                } else {
+                    f64::NEG_INFINITY
+                };
             }
-            *o = if s > 0.0 {
-                s.ln() + ws.scale_log[q]
-            } else {
-                f64::NEG_INFINITY
-            };
+            #[cfg(feature = "sanitize")]
+            sanitize_hooks::root_outputs(
+                out,
+                problem.root,
+                self.group.bg,
+                self.group.fg()[v],
+                self.lo,
+            );
         }
-        #[cfg(feature = "sanitize")]
-        sanitize_hooks::root_outputs(out, problem.root, self.bg_omega, self.fg_omega, self.lo);
     }
 
-    /// The per-node body: internal `node`'s post-rescale CPV block into
-    /// `dest` and its per-column ln-rescale contributions into `rec`
-    /// (`0.0` where the column was not rescaled). Internal children are
-    /// read from `cpvs`; leaf children gather operator columns. The first
-    /// child lands straight in `dest`, later children through staging
-    /// with an elementwise multiply.
+    /// The per-node combine: internal `node`'s pre-rescale CPV block for
+    /// variants `first..first + dests.len()` into `dests`, one child at a
+    /// time in child order. The first child's message lands straight in
+    /// each destination, later children's through staging with an
+    /// elementwise multiply. A message every variant shares is computed
+    /// once, into staging, and copied or multiplied into each.
     // check: allow(panic-free-hot-path) children precede parents in postorder, so child CPVs are present; indices bounded by block width
-    fn node_cpv(
+    fn combine_children(
         &self,
         node: usize,
+        first: usize,
         cpvs: &[Option<Mat>],
-        dest: &mut Mat,
-        rec: &mut Vec<f64>,
+        dests: &mut [Mat],
         ws: &mut PruneScratch,
     ) {
-        let (&first, rest) = self.problem.children[node]
-            .split_first()
-            // check: allow(rob-unwrap) callers dispatch internal nodes only
-            .expect("internal node has children");
-        self.child_block(first, dest, &mut ws.col, cpvs, &mut ws.scratch);
-        for &child in rest {
-            self.child_block(child, &mut ws.tmp, &mut ws.col, cpvs, &mut ws.scratch);
-            // Whole-storage elementwise combine (dispatched kernel): `dest`
-            // and `tmp` share the same padded layout, and pad columns are
-            // 0·0 = 0, so logical values match the per-element loop.
-            slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), dest.as_mut_slice());
+        let share = dests.len() > 1;
+        for (j, &child) in self.problem.children[node].iter().enumerate() {
+            if share && self.shared_message(child) {
+                self.child_block(
+                    child,
+                    first,
+                    &mut ws.tmp,
+                    &mut ws.col,
+                    cpvs,
+                    &mut ws.scratch,
+                );
+                for dest in dests.iter_mut() {
+                    if j == 0 {
+                        dest.as_mut_slice().copy_from_slice(ws.tmp.as_slice());
+                    } else {
+                        slim_linalg::vecops::hadamard_in_place(
+                            ws.tmp.as_slice(),
+                            dest.as_mut_slice(),
+                        );
+                    }
+                }
+                continue;
+            }
+            for (v, dest) in (first..).zip(dests.iter_mut()) {
+                if j == 0 {
+                    self.child_block(child, v, dest, &mut ws.col, cpvs, &mut ws.scratch);
+                } else {
+                    self.child_block(child, v, &mut ws.tmp, &mut ws.col, cpvs, &mut ws.scratch);
+                    // Whole-storage elementwise combine (dispatched kernel):
+                    // `dest` and `tmp` share the same padded layout, and pad
+                    // columns are 0·0 = 0, so logical values match the
+                    // per-element loop.
+                    slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), dest.as_mut_slice());
+                }
+            }
         }
-
-        rescale_columns(dest, rec);
-        #[cfg(feature = "sanitize")]
-        sanitize_hooks::node_cpv(
-            "pruning",
-            dest,
-            rec,
-            node,
-            self.bg_omega,
-            self.fg_omega,
-            self.lo,
-        );
     }
 
-    /// Compute one child's contribution to its parent's CPV block into
-    /// `dest` (the accumulator for the first child, staging for the
-    /// rest). Leaf children gather operator columns per pattern; internal
-    /// children apply the operator to their CPV in `cpvs`.
+    /// Compute one child's message to its parent's CPV block, as variant
+    /// `v` sees it, into `dest` (a destination for the first child,
+    /// staging for the rest). Leaf children gather operator columns per
+    /// pattern; internal children apply the operator to their CPV in
+    /// `cpvs`.
     // check: allow(panic-free-hot-path) postorder computes every child before its parent; indices bounded by block width
     fn child_block(
         &self,
         child: usize,
+        v: usize,
         dest: &mut Mat,
         col: &mut [f64],
         cpvs: &[Option<Mat>],
         scratch: &mut CpvScratch,
     ) {
         let (n, bw) = (dest.rows(), dest.cols());
-        let op = self.operator(child);
+        let op = self.operator(child, v);
         if let Some(taxon) = self.problem.leaf_taxon[child] {
             // Leaf: P·e_c collapses to a column gather per pattern. Missing
             // data integrates the state out: P·1 = 1 (rows of P sum to
@@ -421,7 +564,7 @@ impl<'a> Unit<'a> {
                 }
             }
         } else {
-            let child_cpv = cpvs[child]
+            let child_cpv = cpvs[self.slot(child, v)]
                 .as_ref()
                 // check: allow(rob-unwrap) postorder computes every child (or keeps it cached) before its parent
                 .expect("child CPV cached or recomputed in postorder");
@@ -429,16 +572,17 @@ impl<'a> Unit<'a> {
         }
     }
 
-    /// The outside pass over the CPVs this unit's pruning pass kept in
-    /// `cache`, adding each internal node's posterior under this class,
-    /// times the class weight `weights[q]` of pattern `lo + q`, into
-    /// `post`. The root's outside block is π; a child's is its operator,
-    /// transposed, applied to the parent's times its siblings'
-    /// [`child_block`](Unit::child_block) messages. Outside columns are
-    /// rescaled as CPVs are, but not recorded: within a class
+    /// The outside pass of variant `v` over the CPVs this unit's pruning
+    /// pass kept in `cache`, adding each internal node's posterior under
+    /// one class of that variant, times the class weight `weights[q]` of
+    /// pattern `lo + q`, into `post`. The root's outside block is π; a
+    /// child's is its operator, transposed, applied to the parent's times
+    /// its siblings' [`child_block`](Unit::child_block) messages. Outside
+    /// columns are rescaled as CPVs are, but not recorded: within a class
     /// `inside ⊙ outside` is normalized, so every factor cancels.
     pub(crate) fn outside_block(
         &self,
+        v: usize,
         weights: &[f64],
         cache: &UnitCache,
         post: &mut [Option<Mat>],
@@ -455,7 +599,7 @@ impl<'a> Unit<'a> {
         // Depth first, so at most O(depth) outside blocks are live.
         let mut stack = vec![(problem.root, root)];
         while let Some((node, outside)) = stack.pop() {
-            let (inside, dest) = (cache.cpv[node].as_ref(), post[node].as_mut());
+            let (inside, dest) = (cache.cpv[self.slot(node, v)].as_ref(), post[node].as_mut());
             // check: allow(rob-unwrap) pruning kept every internal node's CPV, and the caller gave each a posterior block
             let (inside, dest) = (inside.expect("kept CPV"), dest.expect("posterior block"));
             for (q, &w) in weights.iter().enumerate() {
@@ -476,11 +620,11 @@ impl<'a> Unit<'a> {
             for &child in kids.iter().filter(|&&c| !problem.children[c].is_empty()) {
                 ws.tmp.as_mut_slice().copy_from_slice(outside.as_slice());
                 for &sib in kids.iter().filter(|&&s| s != child) {
-                    self.child_block(sib, &mut msg, &mut ws.col, &cache.cpv, &mut ws.scratch);
+                    self.child_block(sib, v, &mut msg, &mut ws.col, &cache.cpv, &mut ws.scratch);
                     slim_linalg::vecops::hadamard_in_place(msg.as_slice(), ws.tmp.as_mut_slice());
                 }
                 let mut down = Mat::zeros_padded(n, bw);
-                self.operator(child).apply_transposed(&ws.tmp, &mut down);
+                self.operator(child, v).apply_transposed(&ws.tmp, &mut down);
                 rescale_columns(&mut down, &mut ws.scale_log);
                 #[cfg(feature = "sanitize")]
                 sanitize_hooks::node_cpv(
@@ -488,8 +632,8 @@ impl<'a> Unit<'a> {
                     &down,
                     &ws.scale_log,
                     child,
-                    self.bg_omega,
-                    self.fg_omega,
+                    self.group.bg,
+                    &self.group.fg()[v..=v],
                     lo,
                 );
                 stack.push((child, down));
@@ -498,22 +642,26 @@ impl<'a> Unit<'a> {
     }
 
     /// Sanitize tripwire: recompute one *clean* node's CPV and rescale
-    /// record from its (cached) children and panic on any bit mismatch
-    /// with the cached copy — catching invalidation bugs the moment a
-    /// stale value would be served.
+    /// record, as variant `v` sees them, from its (cached) children and
+    /// panic on any bit mismatch with the cached copy — catching
+    /// invalidation bugs the moment a stale value would be served.
     #[cfg(feature = "sanitize")]
     pub(crate) fn sanitize_recheck_node(
         &self,
         node: usize,
+        v: usize,
         cache: &UnitCache,
         ws: &mut PruneScratch,
     ) {
         let (lo, n, bw) = (self.lo, self.problem.pi.len(), cache.dims.1);
         ws.ensure(n, bw);
-        let mut fresh = Mat::zeros_padded(n, bw);
+        let mut fresh = [Mat::zeros_padded(n, bw)];
         let mut fresh_rec = Vec::new();
-        self.node_cpv(node, &cache.cpv, &mut fresh, &mut fresh_rec, ws);
-        let cached = cache.cpv[node]
+        self.combine_children(node, v, &cache.cpv, &mut fresh, ws);
+        let [mut fresh] = fresh;
+        rescale_columns(&mut fresh, &mut fresh_rec);
+        let slot = self.slot(node, v);
+        let cached = cache.cpv[slot]
             .as_ref()
             // check: allow(rob-unwrap) sanitize spot-check picks its target from filled cache slots
             .expect("recheck target has a cached CPV");
@@ -521,8 +669,8 @@ impl<'a> Unit<'a> {
             format!(
                 "reuse spot-check at node {node} (ω classes bg={} fg={}), \
                  pattern block [{lo}, {})",
-                self.bg_omega,
-                self.fg_omega,
+                self.group.bg,
+                self.group.fg()[v],
                 lo + bw
             )
         };
@@ -541,7 +689,7 @@ impl<'a> Unit<'a> {
                 );
             }
         }
-        for (q, (a, b)) in cache.scale[node].iter().zip(fresh_rec.iter()).enumerate() {
+        for (q, (a, b)) in cache.scale[slot].iter().zip(fresh_rec.iter()).enumerate() {
             if a.to_bits() != b.to_bits() {
                 // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
                 panic!(
@@ -587,20 +735,23 @@ fn rescale_columns(dest: &mut Mat, rec: &mut Vec<f64>) {
 pub(crate) mod sanitize_hooks {
     use slim_linalg::Mat;
 
-    /// `what` names the pass: "pruning" or "outside pass".
+    /// `what` names the pass: "pruning" or "outside pass"; `fg` lists
+    /// the foreground slots of the variants that read the block.
     pub(super) fn node_cpv(
         what: &str,
         cpv: &Mat,
         scale_log: &[f64],
         node: usize,
         bg: usize,
-        fg: usize,
+        fg: &[usize],
         lo: usize,
     ) {
         let bw = cpv.cols();
         let ctx = || {
+            let fg: Vec<String> = fg.iter().map(ToString::to_string).collect();
             format!(
-                "{what} node {node} (ω classes bg={bg} fg={fg}), pattern block [{lo}, {})",
+                "{what} node {node} (ω classes bg={bg} fg={}), pattern block [{lo}, {})",
+                fg.join(","),
                 lo + bw
             )
         };
@@ -959,7 +1110,7 @@ mod tests {
     fn sanitize_names_a_bad_outside_block() {
         let mut block = Mat::zeros_padded(61, 2);
         block[(5, 1)] = f64::NAN;
-        sanitize_hooks::node_cpv("outside pass", &block, &[0.0; 2], 3, 0, 2, 4);
+        sanitize_hooks::node_cpv("outside pass", &block, &[0.0; 2], 3, 0, &[2], 4);
     }
 
     #[cfg(feature = "sanitize")]

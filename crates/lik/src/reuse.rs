@@ -18,7 +18,13 @@
 //! The model is a [`Mixture`]: branch-site model A, M1a/M2a, M0 and the
 //! two-ratio model are all site classes over at most three ω matrices.
 //! This module is the one place that decides what an evaluation may
-//! reuse.
+//! reuse, across evaluations and across classes: pruning units are
+//! (group × pattern block), where a [`Group`] holds the classes that
+//! select one background ω slot, and a unit computes a node off the
+//! foreground path once and a node on it once per distinct foreground
+//! slot (see [`crate::pruning`]). The codeml-style preset prunes each
+//! class in a group of its own
+//! ([`EngineConfig::shares_class_pruning`]).
 //!
 //! ## The invalidation contract
 //!
@@ -47,10 +53,10 @@ use crate::mixture::Mixture;
 use crate::obsm;
 use crate::par::{build_eigensystems, build_op, mix_and_reduce};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{LikelihoodValue, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA};
+use crate::pruning::{Group, LikelihoodValue, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA};
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError, Mat};
-use slim_model::BranchSiteModel;
+use slim_model::{BranchSiteModel, SiteClass};
 use slim_obs::trace::{self, Value};
 use std::sync::Arc;
 
@@ -69,6 +75,72 @@ struct EvalState {
     value: LikelihoodValue,
 }
 
+/// How an evaluation's site classes map onto pruning units: fixed pattern
+/// blocks times groups, group-major.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Geometry {
+    groups: Vec<Group>,
+    /// Each class's (group, variant); `None` for a class with proportion
+    /// 0, which is not pruned.
+    class_variant: Vec<Option<(usize, usize)>>,
+    /// (first pattern, width) of each block.
+    blocks: Vec<(usize, usize)>,
+}
+
+impl Geometry {
+    /// A class joins the group of its background slot — or, without
+    /// sharing, a group of its own — as the variant of its foreground
+    /// slot. Depends on the mixture and the configuration alone, never on
+    /// the thread count.
+    fn new(
+        classes: &[SiteClass],
+        slot: &[usize; N_OMEGA],
+        share: bool,
+        n_pat: usize,
+        block: usize,
+    ) -> Geometry {
+        let mut groups: Vec<Group> = Vec::new();
+        let class_variant = classes
+            .iter()
+            .map(|c| {
+                (c.proportion > 0.0).then(|| {
+                    let bg = slot[c.background_omega];
+                    let g = match groups.iter().position(|g| share && g.bg == bg) {
+                        Some(g) => g,
+                        None => {
+                            groups.push(Group::new(bg));
+                            groups.len() - 1
+                        }
+                    };
+                    (g, groups[g].variant(slot[c.foreground_omega]))
+                })
+            })
+            .collect();
+        let blocks = (0..n_pat)
+            .step_by(block)
+            .map(|lo| (lo, block.min(n_pat - lo)))
+            .collect();
+        Geometry {
+            groups,
+            class_variant,
+            blocks,
+        }
+    }
+
+    fn n_units(&self) -> usize {
+        self.groups.len() * self.blocks.len()
+    }
+
+    /// The node blocks a pass over every unit touches at `shared`
+    /// internal nodes off the foreground path and `fg` on it: one per
+    /// unit at the first, one per variant at the second.
+    fn node_blocks(&self, shared: usize, fg: usize) -> u64 {
+        // check: allow(det-float-accum) usize variant count, not a float accumulation
+        let variants: usize = self.groups.iter().map(|g| g.fg().len()).sum();
+        (self.blocks.len() * (self.groups.len() * shared + variants * fg)) as u64
+    }
+}
+
 /// The likelihood evaluator: reuses the previous evaluation's
 /// decompositions, operators and CPVs along clean paths. One per fit (per
 /// hypothesis) or per loop of related evaluations; owns its caches, no
@@ -78,17 +150,20 @@ pub struct ReuseEvaluator<'p> {
     config: EngineConfig,
     /// Branch index → the node *below* that branch.
     branch_node: Vec<usize>,
-    /// Number of internal (non-leaf) nodes — the per-unit CPV count.
-    n_internal: usize,
+    /// Per node: whether a foreground branch lies below it.
+    fg_path: Vec<bool>,
+    /// Internal nodes off and on the foreground path.
+    n_shared: usize,
+    n_fg: usize,
     /// What the previous evaluation computed; `None` marks every unit
     /// dirty.
     state: Option<EvalState>,
-    /// (class index, block start, block width) of each pruning unit — a
-    /// geometry fingerprint for `units`; any change reallocates them.
-    unit_shape: Vec<(usize, usize, usize)>,
-    /// CPV + rescale-record buffers, one per unit in `unit_shape` order.
-    /// They outlive a full invalidation and [`clear`](Self::clear): which
-    /// CPVs are valid is decided by `state` and the dirty set alone.
+    /// The pruning units' geometry; any change reallocates `units`.
+    geometry: Geometry,
+    /// CPV + rescale-record buffers, one per (group × block) unit,
+    /// group-major. They outlive a full invalidation and
+    /// [`clear`](Self::clear): which CPVs are valid is decided by `state`
+    /// and the dirty set alone.
     units: Vec<UnitCache>,
     #[cfg(feature = "sanitize")]
     rng_state: u64,
@@ -99,6 +174,13 @@ impl<'p> ReuseEvaluator<'p> {
     /// [`evaluate`](ReuseEvaluator::evaluate) computes everything.
     pub fn new(problem: &'p LikelihoodProblem, config: EngineConfig) -> ReuseEvaluator<'p> {
         let branch_node = problem.branch_nodes();
+        let mut fg_path = vec![false; problem.children.len()];
+        for &node in &problem.postorder {
+            fg_path[node] = problem.children[node]
+                .iter()
+                .any(|&c| problem.is_foreground[c] || fg_path[c]);
+        }
+        let n_fg = fg_path.iter().filter(|&&f| f).count();
         let n_internal = problem
             .children
             .iter()
@@ -108,9 +190,11 @@ impl<'p> ReuseEvaluator<'p> {
             problem,
             config,
             branch_node,
-            n_internal,
+            fg_path,
+            n_shared: n_internal - n_fg,
+            n_fg,
             state: None,
-            unit_shape: Vec::new(),
+            geometry: Geometry::default(),
             units: Vec::new(),
             #[cfg(feature = "sanitize")]
             rng_state: 0x9e3779b97f4a7c15,
@@ -156,9 +240,10 @@ impl<'p> ReuseEvaluator<'p> {
     /// The marginal posterior of the state at every internal node under
     /// `mixture` (`None` for leaves; columns sum to 1). Evaluates the
     /// mixture — a repeat is served from the kept state — then runs the
-    /// outside pass over every kept unit, in unit order, on the calling
-    /// thread; the classes mix with the NEB weights of the evaluation's own
-    /// per-class output.
+    /// outside pass once per class and block, class-major, through the
+    /// class's variant of the kept unit, on the calling thread; the
+    /// classes mix with the NEB weights of the evaluation's own per-class
+    /// output.
     ///
     /// # Errors
     /// Propagates eigensolver failures.
@@ -173,12 +258,6 @@ impl<'p> ReuseEvaluator<'p> {
         // check: allow(rob-unwrap) a successful evaluation stores its state
         let ops = &self.state.as_ref().expect("evaluation state").ops;
         let weights = slim_stat::class_posteriors(&value.per_class, &value.proportions);
-        let (_, _, slot) = mixture.distinct_omegas();
-        let slots: Vec<(usize, usize)> = mixture
-            .classes()
-            .iter()
-            .map(|c| (slot[c.background_omega], slot[c.foreground_omega]))
-            .collect();
         let (n, n_pat) = (problem.pi.len(), problem.n_patterns());
         let mut post: Vec<Option<Mat>> = problem
             .children
@@ -186,28 +265,41 @@ impl<'p> ReuseEvaluator<'p> {
             .map(|kids| (!kids.is_empty()).then(|| Mat::zeros(n, n_pat)))
             .collect();
         let (config, mut ws) = (&self.config, PruneScratch::new());
+        let geometry = &self.geometry;
+        let n_blocks = geometry.blocks.len();
         simd::with_forced(config.simd, || {
-            for (&(ci, lo, bw), cache) in self.unit_shape.iter().zip(&self.units) {
-                let (bg_omega, fg_omega) = slots[ci];
-                let unit = Unit {
-                    problem,
-                    config,
-                    ops,
-                    bg_omega,
-                    fg_omega,
-                    lo,
-                };
-                let w: Vec<f64> = weights[lo..lo + bw].iter().map(|row| row[ci]).collect();
-                unit.outside_block(&w, cache, &mut post, &mut ws);
+            for (ci, cv) in geometry.class_variant.iter().enumerate() {
+                let Some((g, v)) = *cv else { continue };
+                for (b, &(lo, bw)) in geometry.blocks.iter().enumerate() {
+                    let unit = Unit {
+                        problem,
+                        config,
+                        ops,
+                        fg_path: &self.fg_path,
+                        group: geometry.groups[g],
+                        lo,
+                    };
+                    let w: Vec<f64> = weights[lo..lo + bw].iter().map(|row| row[ci]).collect();
+                    let cache = &self.units[g * n_blocks + b];
+                    unit.outside_block(v, &w, cache, &mut post, &mut ws);
+                }
             }
         });
         #[cfg(feature = "sanitize")]
-        crate::pruning::sanitize_hooks::posterior_columns(
-            &post,
-            &weights,
-            &slots,
-            config.pattern_block.max(1),
-        );
+        {
+            let (_, _, slot) = mixture.distinct_omegas();
+            let slots: Vec<(usize, usize)> = mixture
+                .classes()
+                .iter()
+                .map(|c| (slot[c.background_omega], slot[c.foreground_omega]))
+                .collect();
+            crate::pruning::sanitize_hooks::posterior_columns(
+                &post,
+                &weights,
+                &slots,
+                config.pattern_block.max(1),
+            );
+        }
         Ok(post)
     }
 
@@ -270,9 +362,9 @@ impl<'p> ReuseEvaluator<'p> {
         if let Some(s) = &prev {
             if !globals_changed && dirty_branches.is_empty() {
                 obs.reuse_units_reused
-                    .add((self.unit_shape.len() * self.n_internal) as u64);
+                    .add(self.geometry.node_blocks(self.n_shared, self.n_fg));
                 trace::instant_with("lik.reuse.hit", "lik", || {
-                    vec![("units", Value::U64(self.unit_shape.len() as u64))]
+                    vec![("units", Value::U64(self.geometry.n_units() as u64))]
                 });
                 let value = s.value.clone();
                 self.state = prev;
@@ -368,44 +460,33 @@ impl<'p> ReuseEvaluator<'p> {
 
         // --- Unit geometry + dirty set. ---
         let classes = mixture.classes();
-        let block = config.pattern_block.max(1);
-        let mut unit_shape: Vec<(usize, usize, usize)> = Vec::new();
-        for (ci, class) in classes.iter().enumerate() {
-            if class.proportion <= 0.0 {
-                continue;
-            }
-            let mut lo = 0usize;
-            while lo < n_pat {
-                let bw = block.min(n_pat - lo);
-                unit_shape.push((ci, lo, bw));
-                // check: allow(det-float-accum) usize block cursor, not a float accumulation
-                lo += bw;
-            }
-        }
+        let geometry = Geometry::new(
+            classes,
+            &slot,
+            config.shares_class_pruning(),
+            n_pat,
+            config.pattern_block.max(1),
+        );
         // Full invalidation when the globals moved (no prior state counts
         // as that) or the cached units are addressed under a different
         // geometry (e.g. a proportion hit exactly 0 and dropped a class).
         // Only a new geometry needs new buffers: a full invalidation
         // recomputes every node into the ones already held.
-        let full = globals_changed || self.unit_shape != unit_shape;
+        let full = globals_changed || self.geometry != geometry;
         if full {
             obs.reuse_full_invalidations.inc();
         }
         obs.reuse_dirty_branches.add(dirty_branches.len() as u64);
-        if self.unit_shape != unit_shape {
-            self.units = unit_shape.iter().map(|_| UnitCache::new()).collect();
-            self.unit_shape = unit_shape;
+        if self.geometry != geometry {
+            self.units = (0..geometry.n_units()).map(|_| UnitCache::new()).collect();
+            self.geometry = geometry;
         }
-        let unit_shape = &self.unit_shape;
+        let geometry = &self.geometry;
 
         let mut dirty = vec![false; n_nodes];
-        let mut n_dirty_internal = 0usize;
         if full {
             for node in 0..n_nodes {
-                if !problem.children[node].is_empty() {
-                    dirty[node] = true;
-                    n_dirty_internal += 1;
-                }
+                dirty[node] = !problem.children[node].is_empty();
             }
         } else {
             // A changed branch above node v changes the operator applied
@@ -419,32 +500,29 @@ impl<'p> ReuseEvaluator<'p> {
                         break;
                     }
                     dirty[p] = true;
-                    n_dirty_internal += 1;
                     cur = problem.parent[p];
                 }
             }
         }
-        let n_units = unit_shape.len();
+        let dirty_fg = (0..n_nodes)
+            .filter(|&v| dirty[v] && self.fg_path[v])
+            .count();
+        let dirty_shared = dirty.iter().filter(|&&d| d).count() - dirty_fg;
+        let n_units = geometry.n_units();
+        let recomputed = geometry.node_blocks(dirty_shared, dirty_fg);
+        let reused = geometry.node_blocks(self.n_shared - dirty_shared, self.n_fg - dirty_fg);
         obs.units.add(n_units as u64);
-        obs.reuse_units_recomputed
-            .add((n_units * n_dirty_internal) as u64);
-        obs.reuse_units_reused
-            .add((n_units * (self.n_internal - n_dirty_internal)) as u64);
-        if n_dirty_internal < self.n_internal {
+        obs.reuse_units_recomputed.add(recomputed);
+        obs.reuse_units_reused.add(reused);
+        if reused > 0 {
             trace::instant_with("lik.reuse.hit", "lik", || {
-                vec![(
-                    "cpv_blocks",
-                    Value::U64((n_units * (self.n_internal - n_dirty_internal)) as u64),
-                )]
+                vec![("cpv_blocks", Value::U64(reused))]
             });
         }
-        if n_dirty_internal > 0 {
+        if recomputed > 0 {
             trace::instant_with("lik.reuse.miss", "lik", || {
                 vec![
-                    (
-                        "cpv_blocks",
-                        Value::U64((n_units * n_dirty_internal) as u64),
-                    ),
+                    ("cpv_blocks", Value::U64(recomputed)),
                     ("full", Value::U64(full as u64)),
                 ]
             });
@@ -452,47 +530,23 @@ impl<'p> ReuseEvaluator<'p> {
 
         // --- Phase 3: dirty-path pruning over cached units. ---
         let phase_span = obsm::PHASE_PRUNING.span();
-        let mut per_class: Vec<Vec<f64>> = classes
-            .iter()
-            .map(|class| {
-                if class.proportion <= 0.0 {
-                    vec![f64::NEG_INFINITY; n_pat]
-                } else {
-                    vec![0.0f64; n_pat]
-                }
-            })
-            .collect();
-        // Carve the per-class buffers into per-unit output slices in
-        // `unit_shape` order, pairing each with its cache.
+        let n_blocks = geometry.blocks.len();
         let mut runits: Vec<RUnit> = Vec::with_capacity(n_units);
+        for (&group, caches) in geometry
+            .groups
+            .iter()
+            .zip(self.units.chunks_mut(n_blocks.max(1)))
         {
-            let mut cache_iter = self.units.iter_mut();
-            let mut chunkers: Vec<Option<std::slice::ChunksMut<f64>>> = per_class
-                .iter_mut()
-                .zip(classes.iter())
-                .map(|(buf, class)| (class.proportion > 0.0).then(|| buf.chunks_mut(block)))
-                .collect();
-            for &(ci, lo, _bw) in unit_shape {
-                let chunk = chunkers[ci]
-                    .as_mut()
-                    .and_then(|c| c.next())
-                    // check: allow(rob-unwrap) unit_shape was derived from the same class/block walk that drives the chunkers
-                    .expect("unit_shape matches class chunking");
-                // check: allow(rob-unwrap) units was sized to unit_shape above
-                let cache = cache_iter.next().expect("one cache per unit");
+            for (&(lo, bw), cache) in geometry.blocks.iter().zip(caches) {
                 let unit = Unit {
                     problem,
                     config: &config,
                     ops: &ops,
-                    bg_omega: slot[classes[ci].background_omega],
-                    fg_omega: slot[classes[ci].foreground_omega],
+                    fg_path: &self.fg_path,
+                    group,
                     lo,
                 };
-                runits.push(RUnit {
-                    unit,
-                    out: chunk,
-                    cache,
-                });
+                runits.push(RUnit { unit, bw, cache });
             }
         }
         let dirty_ref: &[bool] = &dirty;
@@ -523,12 +577,22 @@ impl<'p> ReuseEvaluator<'p> {
         } else {
             prune_worker(runits.into_iter(), dirty_ref);
         }
+        // Each class reads its variant's output, block by block; a class
+        // with proportion 0 was not pruned.
+        let mut per_class = vec![vec![f64::NEG_INFINITY; n_pat]; classes.len()];
+        for (out, cv) in per_class.iter_mut().zip(&geometry.class_variant) {
+            let Some((g, v)) = *cv else { continue };
+            for (b, &(lo, bw)) in geometry.blocks.iter().enumerate() {
+                out[lo..lo + bw].copy_from_slice(self.units[g * n_blocks + b].variant_out(v));
+            }
+        }
 
         // Sanitize tripwire: recompute one randomly chosen *reused* CPV
-        // block from its cached children and demand bit equality — a
-        // stale-serve is caught at the evaluation that commits it.
+        // block, as a random variant of a random unit reads it, from its
+        // cached children and demand bit equality — a stale-serve is
+        // caught at the evaluation that commits it.
         #[cfg(feature = "sanitize")]
-        if !full && n_dirty_internal < self.n_internal && !unit_shape.is_empty() {
+        if !full && reused > 0 {
             let clean: Vec<usize> = (0..n_nodes)
                 .filter(|&v| !problem.children[v].is_empty() && !dirty[v])
                 .collect();
@@ -540,17 +604,18 @@ impl<'p> ReuseEvaluator<'p> {
                 (self.rng_state >> 33) as usize
             };
             let node = clean[next() % clean.len()];
-            let ui = next() % unit_shape.len();
-            let (ci, lo, _) = unit_shape[ui];
+            let ui = next() % n_units;
+            let group = geometry.groups[ui / n_blocks];
+            let v = next() % group.fg().len();
             let unit = Unit {
                 problem,
                 config: &config,
                 ops: &ops,
-                bg_omega: slot[classes[ci].background_omega],
-                fg_omega: slot[classes[ci].foreground_omega],
-                lo,
+                fg_path: &self.fg_path,
+                group,
+                lo: geometry.blocks[ui % n_blocks].0,
             };
-            unit.sanitize_recheck_node(node, &self.units[ui], &mut PruneScratch::new());
+            unit.sanitize_recheck_node(node, v, &self.units[ui], &mut PruneScratch::new());
         }
         drop(phase_span);
 
@@ -577,10 +642,10 @@ impl<'p> ReuseEvaluator<'p> {
     }
 }
 
-/// One pruning unit's work order: its inputs, output slice and cache.
+/// One pruning unit's work order: its inputs, block width and cache.
 struct RUnit<'a> {
     unit: Unit<'a>,
-    out: &'a mut [f64],
+    bw: usize,
     cache: &'a mut UnitCache,
 }
 
@@ -590,12 +655,12 @@ struct RUnit<'a> {
 fn prune_worker<'a>(work: impl Iterator<Item = RUnit<'a>>, dirty: &[bool]) {
     let _busy = obsm::WORKER_BUSY.span();
     let mut ws = PruneScratch::new();
-    for RUnit { unit, out, cache } in work {
+    for RUnit { unit, bw, cache } in work {
         let mut block_span = obsm::BLOCK.span();
-        block_span.arg_u64("bg", unit.bg_omega as u64);
-        block_span.arg_u64("fg", unit.fg_omega as u64);
+        block_span.arg_u64("bg", unit.group.bg as u64);
+        block_span.arg_u64("variants", unit.group.fg().len() as u64);
         block_span.arg_u64("lo", unit.lo as u64);
-        unit.prune_block(dirty, out, cache, &mut ws);
+        unit.prune_block(dirty, bw, cache, &mut ws);
     }
 }
 
@@ -613,6 +678,35 @@ mod tests {
         .unwrap();
         let code = GeneticCode::universal();
         LikelihoodProblem::new(&tree, &aln, &code, FreqModel::F3x4).unwrap()
+    }
+
+    /// A foreground leaf three internal nodes below the root: the path
+    /// has a background child with an internal subtree at every level,
+    /// and the root's other child is a background node with an internal
+    /// child.
+    fn deep_problem() -> LikelihoodProblem {
+        let tree = parse_newick(
+            "(((A#1:0.1,B:0.2):0.05,(C:0.3,F:0.1):0.1):0.1,((D:0.25,E:0.15):0.2,G:0.3):0.1);",
+        )
+        .unwrap();
+        let aln = CodonAlignment::from_fasta(
+            ">A\nCCCTACTGCCCCAAGGAG\n>B\nCCCTACTGCCCCAAGGAG\n>C\nCCCTACTGCCCCAAGGAG\n>D\nCCCTATTGCCCCAAGGAG\n>E\nCCCTACTGCACCAAGGAG\n>F\nCCCTACTGCCCCAAGGAA\n>G\nCCTTACTGCCCCAAGGAG\n",
+        )
+        .unwrap();
+        let code = GeneticCode::universal();
+        LikelihoodProblem::new(&tree, &aln, &code, FreqModel::F3x4).unwrap()
+    }
+
+    /// The shared-geometry matrix at `threads`: pattern blocks of 1, 2
+    /// and 256 (one block holds a whole toy alignment).
+    fn slim_configs(threads: usize) -> Vec<EngineConfig> {
+        [1, 2, 256]
+            .map(|block| {
+                EngineConfig::slim()
+                    .with_threads(threads)
+                    .with_pattern_block(block)
+            })
+            .to_vec()
     }
 
     fn assert_bits_equal(a: &LikelihoodValue, b: &LikelihoodValue, step: usize) {
@@ -642,10 +736,13 @@ mod tests {
     }
 
     /// An optimizer-shaped update script: finite-difference probes on
-    /// single branches, an exact repeat, a sparse line-search move, each
-    /// global move in `moves` (the last one together with a branch
-    /// change) and a cleared state — each step checked bit-for-bit
-    /// against a stateless evaluation (a fresh evaluator).
+    /// every single branch, on and off the foreground path, an exact
+    /// repeat, a sparse line-search move, then each global move in
+    /// `moves` (the last one together with a branch change) followed by
+    /// the probes again, and a cleared state — each step checked
+    /// bit-for-bit against a stateless evaluation (a fresh evaluator).
+    /// A move may change the unit geometry (a proportion reaching 0, two
+    /// ω values meeting), so the probes also run under the new one.
     fn run_script<M>(
         config: EngineConfig,
         problem: &LikelihoodProblem,
@@ -671,27 +768,31 @@ mod tests {
         };
 
         check(&mut ev, &model, &bl);
-        // Single-branch finite-difference probes (the numgrad pattern).
-        for i in 0..n_br {
-            let saved = bl[i];
-            bl[i] += 1e-6;
-            check(&mut ev, &model, &bl);
-            bl[i] = saved;
-            check(&mut ev, &model, &bl);
-        }
-        // Exact repeat: the nothing-changed shortcut.
-        check(&mut ev, &model, &bl);
-        // Sparse line-search step over two branches.
-        bl[0] *= 1.25;
-        bl[n_br - 1] *= 0.75;
-        check(&mut ev, &model, &bl);
-        // Global moves: every CPV invalidates.
-        for (k, global) in moves.iter().enumerate() {
-            global(&mut model);
-            if k + 1 == moves.len() {
-                bl[1] += 0.01;
+        for k in 0..=moves.len() {
+            if k > 0 {
+                // A global move: every CPV invalidates.
+                moves[k - 1](&mut model);
+                if k == moves.len() {
+                    bl[1] += 0.01;
+                }
+                check(&mut ev, &model, &bl);
             }
-            check(&mut ev, &model, &bl);
+            // Single-branch finite-difference probes (the numgrad pattern).
+            for i in 0..n_br {
+                let saved = bl[i];
+                bl[i] += 1e-6;
+                check(&mut ev, &model, &bl);
+                bl[i] = saved;
+                check(&mut ev, &model, &bl);
+            }
+            if k == 0 {
+                // Exact repeat: the nothing-changed shortcut.
+                check(&mut ev, &model, &bl);
+                // Sparse line-search step over two branches.
+                bl[0] *= 1.25;
+                bl[n_br - 1] *= 0.75;
+                check(&mut ev, &model, &bl);
+            }
         }
         let (hits, misses) = ev.op_cache_stats();
         assert!(hits > 0, "the script must exercise operator reuse");
@@ -703,35 +804,68 @@ mod tests {
         check(&mut ev, &model, &bl);
     }
 
+    /// H1 and H0 on both toy trees. H1's moves drop classes by setting a
+    /// proportion to exactly 0 — p1 (classes 1 and 2b, a whole group),
+    /// then p0 + p1 = 1 (classes 2a and 2b, a variant of each group) —
+    /// and bring all four back; H0 keeps ω2 = 1, where classes 1 and 2b
+    /// are one variant, except for one move that splits them and one
+    /// that joins them again.
     fn branch_site_script(config: EngineConfig) {
-        run_script(
-            config,
-            &toy_problem(),
-            BranchSiteModel::default_start(Hypothesis::H1),
-            Mixture::branch_site,
-            &[
-                &|m: &mut BranchSiteModel| m.kappa += 0.125,
-                &|m: &mut BranchSiteModel| m.omega2 += 0.25,
-                &|m: &mut BranchSiteModel| m.p0 -= 0.0625,
-            ],
-        );
+        for problem in [toy_problem(), deep_problem()] {
+            run_script(
+                config.clone(),
+                &problem,
+                BranchSiteModel::default_start(Hypothesis::H1),
+                Mixture::branch_site,
+                &[
+                    &|m: &mut BranchSiteModel| m.kappa += 0.125,
+                    &|m: &mut BranchSiteModel| m.omega2 += 0.25,
+                    &|m: &mut BranchSiteModel| m.p1 = 0.0,
+                    &|m: &mut BranchSiteModel| (m.p0, m.p1) = (0.75, 0.25),
+                    &|m: &mut BranchSiteModel| m.p0 -= 0.0625,
+                ],
+            );
+            run_script(
+                config.clone(),
+                &problem,
+                BranchSiteModel::default_start(Hypothesis::H0),
+                Mixture::branch_site,
+                &[
+                    &|m: &mut BranchSiteModel| m.kappa += 0.125,
+                    &|m: &mut BranchSiteModel| m.omega2 = 1.5,
+                    &|m: &mut BranchSiteModel| m.omega2 = 1.0,
+                    &|m: &mut BranchSiteModel| m.p0 -= 0.0625,
+                ],
+            );
+        }
     }
 
     #[test]
     fn reuse_matches_stateless_bit_identically_serial() {
-        // Small blocks force several units per class so root-path
+        // Small blocks force several units per group so root-path
         // invalidation crosses block boundaries.
-        branch_site_script(EngineConfig::slim().with_pattern_block(2));
+        for config in slim_configs(1) {
+            branch_site_script(config);
+        }
     }
 
     #[test]
     fn reuse_matches_stateless_bit_identically_threaded() {
-        branch_site_script(EngineConfig::slim().with_pattern_block(2).with_threads(4));
+        for config in slim_configs(4) {
+            branch_site_script(config);
+        }
     }
 
     #[test]
     fn reuse_matches_stateless_with_bundled_gemm_profile() {
+        // The other kernels; codeml-style prunes every class on its own.
         branch_site_script(EngineConfig::slim_plus().with_pattern_block(3));
+        branch_site_script(EngineConfig::slim_symmetric().with_pattern_block(2));
+        branch_site_script(
+            EngineConfig::codeml_style()
+                .with_pattern_block(2)
+                .with_threads(4),
+        );
     }
 
     #[test]
@@ -770,36 +904,85 @@ mod tests {
     }
 
     #[test]
+    fn m2a_with_omega2_one_collapses_bit_identically() {
+        // ω2 = 1 gives M2a's classes 1 and 2 the slots (1, 1): one group,
+        // one variant. The moves split them, join them again, and drop
+        // class 2 by setting its proportion to exactly 0.
+        let start = SiteModel {
+            omega2: 1.0,
+            ..SiteModel::default_start(SitesHypothesis::M2a)
+        };
+        for threads in [1, 4] {
+            for config in slim_configs(threads) {
+                for problem in [toy_problem(), deep_problem()] {
+                    run_script(
+                        config.clone(),
+                        &problem,
+                        start,
+                        |m| Mixture::sites(m, SitesHypothesis::M2a),
+                        &[
+                            &|m: &mut SiteModel| m.omega2 = 2.0,
+                            &|m: &mut SiteModel| m.omega2 = 1.0,
+                            &|m: &mut SiteModel| (m.p0, m.p1) = (0.75, 0.25),
+                            &|m: &mut SiteModel| m.kappa += 0.125,
+                        ],
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn posteriors_from_kept_state_match_a_fresh_evaluator() {
-        // After a branch probe and its restore (a partial recompute) and
-        // on an exact repeat (served whole), the outside pass reads the
-        // kept CPVs and gives a fresh evaluator's bits.
-        let problem = toy_problem();
-        let config = EngineConfig::slim().with_pattern_block(2);
-        let mixture = Mixture::branch_site(&BranchSiteModel::default_start(Hypothesis::H1));
-        let mut bl: Vec<f64> = (0..problem.n_branches())
-            .map(|i| 0.08 + 0.03 * i as f64)
-            .collect();
-        let fresh = ReuseEvaluator::new(&problem, config.clone())
-            .node_posteriors(&mixture, &bl)
-            .unwrap();
-        let mut ev = ReuseEvaluator::new(&problem, config);
-        ev.evaluate_mixture(&mixture, &bl).unwrap();
-        let saved = bl[2];
-        bl[2] += 0.01;
-        ev.evaluate_mixture(&mixture, &bl).unwrap();
-        bl[2] = saved;
-        for _ in 0..2 {
-            let kept = ev.node_posteriors(&mixture, &bl).unwrap();
-            for (a, b) in fresh.iter().zip(&kept) {
-                match (a, b) {
-                    (Some(a), Some(b)) => assert!(a
-                        .as_slice()
-                        .iter()
-                        .zip(b.as_slice())
-                        .all(|(x, y)| x.to_bits() == y.to_bits())),
-                    (None, None) => {}
-                    _ => panic!("posterior blocks at different nodes"),
+        // After a probe of the foreground branch, a probe off the
+        // foreground path (the branch above an internal node whose parent
+        // has no foreground branch below it), each with its restore (a
+        // partial recompute), and on an exact repeat (served whole), the
+        // outside pass reads the kept CPVs and gives a fresh evaluator's
+        // bits.
+        for problem in [toy_problem(), deep_problem()] {
+            let config = EngineConfig::slim().with_pattern_block(2);
+            let mixture = Mixture::branch_site(&BranchSiteModel::default_start(Hypothesis::H1));
+            let mut bl: Vec<f64> = (0..problem.n_branches())
+                .map(|i| 0.08 + 0.03 * i as f64)
+                .collect();
+            let fresh = ReuseEvaluator::new(&problem, config.clone())
+                .node_posteriors(&mixture, &bl)
+                .unwrap();
+            let mut ev = ReuseEvaluator::new(&problem, config);
+            let branch = |node: usize| problem.branch_index[node].unwrap();
+            let on = (0..problem.children.len())
+                .find(|&v| problem.is_foreground[v])
+                .map(branch)
+                .unwrap();
+            let off = (0..problem.children.len())
+                .find(|&v| {
+                    let parent = problem.parent[v];
+                    !problem.children[v].is_empty()
+                        && parent.is_some_and(|p| p != problem.root && !ev.fg_path[p])
+                })
+                .map(branch)
+                .unwrap();
+            ev.evaluate_mixture(&mixture, &bl).unwrap();
+            for b in [on, off] {
+                let saved = bl[b];
+                bl[b] += 0.01;
+                ev.evaluate_mixture(&mixture, &bl).unwrap();
+                bl[b] = saved;
+                ev.evaluate_mixture(&mixture, &bl).unwrap();
+            }
+            for _ in 0..2 {
+                let kept = ev.node_posteriors(&mixture, &bl).unwrap();
+                for (a, b) in fresh.iter().zip(&kept) {
+                    match (a, b) {
+                        (Some(a), Some(b)) => assert!(a
+                            .as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .all(|(x, y)| x.to_bits() == y.to_bits())),
+                        (None, None) => {}
+                        _ => panic!("posterior blocks at different nodes"),
+                    }
                 }
             }
         }
