@@ -17,7 +17,11 @@ fn bench_eigen(c: &mut Criterion) {
     let mut group = c.benchmark_group("eigen_codon_61");
     group.sample_size(30);
     for (label, method) in [
-        ("householder_ql (tred2+tql2)", EigenMethod::HouseholderQl),
+        ("householder_ql (tuned)", EigenMethod::HouseholderQl),
+        (
+            "householder_ql_naive (tred2+tql2, CodeML)",
+            EigenMethod::HouseholderQlNaive,
+        ),
         (
             "bisection_inverse (dsyevr stand-in)",
             EigenMethod::BisectionInverse,

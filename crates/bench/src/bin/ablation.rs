@@ -8,8 +8,9 @@
 //!    Eq. 12 symmetric symv (the naive row also prunes every site class
 //!    on its own, as the codeml-style preset does; every other row
 //!    shares pruning between classes with one background ω);
-//! 3. eigensolver: Householder+QL vs bisection+inverse-iteration
-//!    (`dsyevr`'s MRRR stand-in) vs Jacobi.
+//! 3. eigensolver: tuned Householder+QL vs the scalar `tred2`/`tql2`
+//!    CodeML runs (same bits) vs bisection+inverse-iteration (`dsyevr`'s
+//!    MRRR stand-in) vs Jacobi.
 //!
 //! ```text
 //! cargo run --release -p slim-bench --bin ablation [--quick]
@@ -107,6 +108,10 @@ fn main() {
     println!("3. symmetric eigensolver (full Slim config):");
     for (label, method) in [
         ("Householder + implicit QL", EigenMethod::HouseholderQl),
+        (
+            "scalar tred2 + tql2 (CodeML)",
+            EigenMethod::HouseholderQlNaive,
+        ),
         (
             "bisection + inverse iteration",
             EigenMethod::BisectionInverse,

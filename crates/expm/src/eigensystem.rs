@@ -128,15 +128,14 @@ impl EigenSystem {
     }
 
     /// `P = Π^{-1/2} · Z · Π^{1/2}` with negative rounding noise clamped to
-    /// zero (probabilities), as CodeML does. `t` is the branch length the
-    /// caller reconstructed at, carried for sanitize-failure context.
-    fn back_transform(&self, z: Mat, t: f64) -> Mat {
-        let mut p = z
-            .mul_diag_left(&self.inv_sqrt_pi)
-            .mul_diag_right(&self.sqrt_pi);
-        for v in p.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
+    /// zero (probabilities), as CodeML does, computed in place in `z` as
+    /// `(z_ij·π_i^{-1/2})·π_j^{1/2}`. `t` is the branch length the caller
+    /// reconstructed at, carried for sanitize-failure context.
+    fn back_transform(&self, mut p: Mat, t: f64) -> Mat {
+        for (i, &r) in self.inv_sqrt_pi.iter().enumerate() {
+            for (v, &c) in p.row_mut(i).iter_mut().zip(&self.sqrt_pi) {
+                let x = *v * r * c;
+                *v = if x < 0.0 { 0.0 } else { x };
             }
         }
         #[cfg(feature = "sanitize")]
@@ -175,11 +174,13 @@ impl EigenSystem {
             .iter()
             .map(|&l| (l * t * 0.5).exp())
             .collect();
-        let y_hat = self
-            .eigen
-            .vectors
-            .mul_diag_left(&self.inv_sqrt_pi)
-            .mul_diag_right(&half);
+        // Ŷ_ij = (X_ij·π_i^{-1/2})·e^{λ_j t/2}, built in one buffer.
+        let mut y_hat = self.eigen.vectors.clone();
+        for (i, &r) in self.inv_sqrt_pi.iter().enumerate() {
+            for (v, &h) in y_hat.row_mut(i).iter_mut().zip(&half) {
+                *v = *v * r * h;
+            }
+        }
         // Lane-padded for the same reason as the Eq. 10 path: `symv` row
         // slices stay logical-width, so values are unchanged.
         let mut m = Mat::zeros_padded(self.order(), self.order());

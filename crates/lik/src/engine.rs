@@ -55,12 +55,14 @@ pub struct EngineConfig {
 pub const DEFAULT_PATTERN_BLOCK: usize = 256;
 
 impl EngineConfig {
-    /// The CodeML v4.4c baseline profile: hand-rolled-loop numerics.
+    /// The CodeML v4.4c baseline profile: hand-rolled-loop numerics — the
+    /// scalar `tred2`/`tql2` eigensolver, the textbook Eq. 9 product and
+    /// per-site CPV loops.
     pub fn codeml_style() -> EngineConfig {
         EngineConfig {
             expm: ExpmPath::Eq9Naive,
             cpv: CpvStrategy::NaivePerSite,
-            eigen: EigenMethod::HouseholderQl,
+            eigen: EigenMethod::HouseholderQlNaive,
             threads: 1,
             pattern_block: DEFAULT_PATTERN_BLOCK,
             simd: SimdMode::Auto,
@@ -69,7 +71,8 @@ impl EngineConfig {
     }
 
     /// The SlimCodeML profile exactly as measured in the paper:
-    /// `dsyevr`-style eigensolve, Eq. 10 `dsyrk` reconstruction, per-site
+    /// `dsyevr`-style eigensolve (the tuned Householder + QL, same bits as
+    /// codeml-style's), Eq. 10 `dsyrk` reconstruction, per-site
     /// `dgemv` CPV products (§III-B: bundling was deliberately left out of
     /// the measured prototype).
     pub fn slim() -> EngineConfig {
@@ -178,6 +181,7 @@ mod tests {
         let base = EngineConfig::codeml_style();
         assert_eq!(base.expm, ExpmPath::Eq9Naive);
         assert_eq!(base.cpv, CpvStrategy::NaivePerSite);
+        assert_eq!(base.eigen, EigenMethod::HouseholderQlNaive);
 
         let slim = EngineConfig::slim();
         assert_eq!(slim.expm, ExpmPath::Eq10Syrk);
@@ -188,6 +192,9 @@ mod tests {
 
         let sym = EngineConfig::slim_symmetric();
         assert_eq!(sym.cpv, CpvStrategy::SymmetricSymv);
+        for tuned in [slim, plus, sym] {
+            assert_eq!(tuned.eigen, EigenMethod::HouseholderQl);
+        }
     }
 
     #[test]

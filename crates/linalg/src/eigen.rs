@@ -2,8 +2,8 @@
 
 use crate::bisect::sym_eigen_bisect;
 use crate::jacobi::jacobi_eigen;
-use crate::ql::{sort_eigenpairs, tql2};
-use crate::tridiag::tred2;
+use crate::ql::{sort_eigenpairs, tql2, tql2_tuned};
+use crate::tridiag::{tred2, tred2_tuned};
 use crate::{LinalgError, Mat, Result};
 
 /// Which algorithm to use for a symmetric eigendecomposition.
@@ -12,15 +12,26 @@ use crate::{LinalgError, Mat, Result};
 /// the eigenspectrum is computed using multiple relatively robust
 /// representations (MRRR) or a QR/QL method otherwise" — here
 /// [`EigenMethod::BisectionInverse`] plays the MRRR role and
-/// [`EigenMethod::HouseholderQl`] the QL role. [`EigenMethod::Jacobi`] is a
-/// slow independent cross-check.
+/// [`EigenMethod::HouseholderQl`] the QL role.
+/// [`EigenMethod::HouseholderQlNaive`] is the same algorithm as CodeML
+/// hand-codes it, and [`EigenMethod::Jacobi`] a slow independent
+/// cross-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EigenMethod {
-    /// Householder tridiagonalization + implicit-shift QL (default).
+    /// Householder tridiagonalization + implicit-shift QL, restructured to
+    /// run its O(n³) loops as SIMD row updates
+    /// ([`crate::tridiag::tred2_tuned`], [`crate::ql::tql2_tuned`]); the
+    /// slim presets' solver (default). Returns exactly the bits of
+    /// [`EigenMethod::HouseholderQlNaive`].
     #[default]
     HouseholderQl,
-    /// Householder tridiagonalization + bisection eigenvalues + inverse
-    /// iteration eigenvectors (`dsyevr`/MRRR stand-in).
+    /// The scalar EISPACK `tred2` + `tql2` that CodeML's `eigenQREV`
+    /// follows: the codeml-style preset's solver, and the bit reference
+    /// for [`EigenMethod::HouseholderQl`].
+    HouseholderQlNaive,
+    /// Householder tridiagonalization (the tuned one) + bisection
+    /// eigenvalues + inverse iteration eigenvectors (`dsyevr`/MRRR
+    /// stand-in).
     BisectionInverse,
     /// Cyclic Jacobi rotations.
     Jacobi,
@@ -75,6 +86,17 @@ pub fn sym_eigen(a: &Mat, method: EigenMethod) -> Result<SymEigen> {
     work.symmetrize();
     match method {
         EigenMethod::HouseholderQl => {
+            let tri = tred2_tuned(&work);
+            let mut d = tri.d;
+            let mut e = tri.e;
+            let mut z = tri.q;
+            tql2_tuned(&mut d, &mut e, &mut z)?;
+            Ok(SymEigen {
+                values: d,
+                vectors: z,
+            })
+        }
+        EigenMethod::HouseholderQlNaive => {
             let tri = tred2(&work);
             let mut d = tri.d;
             let mut e = tri.e;
@@ -87,7 +109,7 @@ pub fn sym_eigen(a: &Mat, method: EigenMethod) -> Result<SymEigen> {
             })
         }
         EigenMethod::BisectionInverse => {
-            let tri = tred2(&work);
+            let tri = tred2_tuned(&work);
             let (values, vectors) = sym_eigen_bisect(&tri)?;
             Ok(SymEigen { values, vectors })
         }
@@ -102,6 +124,7 @@ pub fn sym_eigen(a: &Mat, method: EigenMethod) -> Result<SymEigen> {
 mod tests {
     use super::*;
     use crate::gemm::{matmul, Transpose};
+    use crate::SimdMode;
 
     fn random_symmetric(n: usize, seed: u64) -> Mat {
         let mut state = seed;
@@ -113,6 +136,114 @@ mod tests {
         });
         m.symmetrize();
         m
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        (0..m.rows())
+            .flat_map(|i| m.row(i).iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// The tuned solver returns the naive one's eigenvalue and eigenvector
+    /// bits, with dispatch forced to scalar and on the host's best backend.
+    fn assert_tuned_bits(a: &Mat, what: &str) {
+        let naive = sym_eigen(a, EigenMethod::HouseholderQlNaive).unwrap();
+        for mode in [SimdMode::ForceScalar, SimdMode::Auto] {
+            let tuned = crate::simd::with_forced(mode, || sym_eigen(a, EigenMethod::HouseholderQl))
+                .unwrap();
+            let values = |e: &SymEigen| e.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(values(&tuned), values(&naive), "{what} {mode:?}: values");
+            assert_eq!(
+                bits(&tuned.vectors),
+                bits(&naive.vectors),
+                "{what} {mode:?}: vectors"
+            );
+        }
+    }
+
+    /// `A = Π^{1/2} S Π^{1/2}` of the universal-code GY94 model (61 sense
+    /// codons, skewed π, mean rate 1), built here because this crate sits
+    /// below the model crate.
+    fn codon_a(kappa: f64, omega: f64) -> Mat {
+        const AA: &[u8; 64] = b"FFLLSSSSYY**CC*WLLLLPPPPHHQQRRRRIIIMTTTTNNKKSSRRVVVVAAAADDEEGGGG";
+        let sense: Vec<usize> = (0..64).filter(|&c| AA[c] != b'*').collect();
+        let n = sense.len();
+        let raw: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 5) % 11) as f64).collect();
+        let total: f64 = raw.iter().sum();
+        let pi: Vec<f64> = raw.iter().map(|p| p / total).collect();
+        let nuc = |c: usize, pos: usize| (c >> (4 - 2 * pos)) & 3;
+        let mut q = Mat::from_fn(n, n, |i, j| {
+            let (ci, cj) = (sense[i], sense[j]);
+            let diff: Vec<usize> = (0..3).filter(|&p| nuc(ci, p) != nuc(cj, p)).collect();
+            if i == j || diff.len() != 1 {
+                return 0.0;
+            }
+            // TCAG order: T↔C and A↔G are the transitions.
+            let (x, y) = (nuc(ci, diff[0]), nuc(cj, diff[0]));
+            let mut rate = if x / 2 == y / 2 { kappa } else { 1.0 };
+            if AA[ci] != AA[cj] {
+                rate *= omega;
+            }
+            rate * pi[j]
+        });
+        let mut mean = 0.0;
+        for i in 0..n {
+            let out: f64 = q.row(i).iter().sum();
+            q[(i, i)] = -out;
+            mean += pi[i] * out;
+        }
+        Mat::from_fn(n, n, |i, j| q[(i, j)] / mean * (pi[i] / pi[j]).sqrt())
+    }
+
+    #[test]
+    fn tuned_ql_matches_naive_bits_on_random_orders() {
+        for n in [1, 2, 3, 4, 5, 8, 60, 61, 64, 65] {
+            assert_tuned_bits(&random_symmetric(n, 1000 + n as u64), &format!("order {n}"));
+        }
+    }
+
+    #[test]
+    fn tuned_ql_matches_naive_bits_on_codon_generators() {
+        for (kappa, omega) in [(2.5, 0.0), (2.5, 999.0), (1e-3, 0.4), (150.0, 1.7)] {
+            let a = codon_a(kappa, omega);
+            let top = sym_eigen(&a, EigenMethod::HouseholderQl).unwrap().values[60];
+            assert!(
+                top.abs() < 1e-10,
+                "κ {kappa} ω {omega}: stationary mode {top}"
+            );
+            assert_tuned_bits(&a, &format!("κ {kappa} ω {omega}"));
+        }
+    }
+
+    #[test]
+    fn tuned_ql_matches_naive_bits_on_structured_matrices() {
+        assert_tuned_bits(&Mat::from_diag(&[3.0, -1.0, 4.0, 1.5, -9.0]), "diagonal");
+        let d = [1.0, 2.0, 3.0, -4.0, 0.5, 6.0];
+        let mut tri = Mat::from_diag(&d);
+        for i in 1..d.len() {
+            let c = 0.25 * i as f64 - 0.6;
+            tri[(i, i - 1)] = c;
+            tri[(i - 1, i)] = c;
+        }
+        assert_tuned_bits(&tri, "tridiagonal");
+        // Eigenvalues {1, 1, 1, -1, -1}: identity plus two reflections.
+        let mut rep = Mat::identity(5);
+        rep[(1, 1)] = 0.0;
+        rep[(2, 2)] = 0.0;
+        rep[(1, 2)] = 1.0;
+        rep[(2, 1)] = 1.0;
+        rep[(3, 3)] = 0.0;
+        rep[(4, 4)] = 0.0;
+        rep[(3, 4)] = 1.0;
+        rep[(4, 3)] = 1.0;
+        assert_tuned_bits(&rep, "repeated eigenvalues");
+        // Row 5 is zero left of the diagonal: tred2's `scale == 0` branch.
+        let mut zero_row = random_symmetric(9, 31);
+        for k in 0..5 {
+            zero_row[(5, k)] = 0.0;
+            zero_row[(k, 5)] = 0.0;
+        }
+        assert_tuned_bits(&zero_row, "zero row");
     }
 
     #[test]

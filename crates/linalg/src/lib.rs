@@ -14,7 +14,12 @@
 //! * **Naive kernels** (`naive` module): textbook triple loops standing in
 //!   for CodeML's hand-rolled C.
 //! * **Symmetric eigensolvers**: Householder tridiagonalization + implicit
-//!   QL with shifts (the LAPACK `tred2`/`tql2` lineage), a bisection +
+//!   QL with shifts (the EISPACK `tred2`/`tql2` lineage) in two forms with
+//!   the same bits — the scalar `tred2`/`tql2` CodeML hand-codes
+//!   ([`EigenMethod::HouseholderQlNaive`]) and `tred2_tuned`/`tql2_tuned`,
+//!   which run the O(n³) loops as SIMD row updates on a full symmetric
+//!   working copy and on transposed eigenvectors
+//!   ([`EigenMethod::HouseholderQl`]) — plus a bisection +
 //!   inverse-iteration solver (stand-in for `dsyevr`'s MRRR path), and a
 //!   cyclic Jacobi solver used for cross-checking.
 //!

@@ -311,7 +311,6 @@ impl Mat {
 
     /// Multiply this matrix by a diagonal matrix from the **left**:
     /// `diag(d) · self` — scales row `i` by `d[i]`. O(n²).
-    // check: allow(panic-free-hot-path) length assert is the documented contract for diagonal scaling
     pub fn mul_diag_left(&self, d: &[f64]) -> Mat {
         assert_eq!(self.rows, d.len(), "mul_diag_left: dimension mismatch");
         let mut out = self.clone();

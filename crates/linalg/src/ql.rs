@@ -4,8 +4,11 @@
 //! paper's LAPACK `dsyevr` falls back to "a QR/QL method" when MRRR is not
 //! applicable, §III-A step 2). Eigenvectors are accumulated by applying the
 //! rotations to the Householder transformation from [`crate::tridiag`].
+//! [`tql2`] is the scalar EISPACK routine; [`tql2_tuned`] computes the
+//! same bits (and sorts) with each rotation applied to two contiguous
+//! rows of the transposed eigenvectors.
 
-use crate::{LinalgError, Mat, Result};
+use crate::{simd, LinalgError, Mat, Result};
 
 /// `sqrt(a² + b²)` without destructive underflow or overflow.
 #[inline]
@@ -145,6 +148,118 @@ pub fn sort_eigenpairs(d: &mut [f64], z: &mut Mat) {
             }
         }
     }
+}
+
+/// [`tql2`] followed by [`sort_eigenpairs`], with exactly their bits, on a
+/// transposed copy of `z`.
+///
+/// Holding the eigenvectors as rows turns each Givens rotation's update
+/// of two strided columns into one `simd::rotate_rows_with` call on two
+/// contiguous rows, with separate multiply and add. The scalar
+/// recurrence (the shift, `hypot2`, the two divisions) stays serial and
+/// is `tql2`'s line for line. The sort swaps rows, and `z` is written
+/// back transposed once at the end; on error `z` is left as it came.
+///
+/// # Errors
+/// [`LinalgError::NoConvergence`] exactly when [`tql2`] returns it.
+pub fn tql2_tuned(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
+    let n = d.len();
+    assert_eq!(e.len(), n, "tql2_tuned: e length mismatch");
+    assert!(z.rows() == n && z.cols() == n, "tql2_tuned: z must be n×n");
+    if n <= 1 {
+        return Ok(());
+    }
+    let be = simd::active();
+    let mut zt = z.transpose();
+
+    for i in 1..n {
+        e[i - 1] = e[i];
+    }
+    e[n - 1] = 0.0;
+
+    for l in 0..n {
+        let mut iter = 0usize;
+        loop {
+            let mut m = l;
+            while m + 1 < n {
+                let dd = d[m].abs() + d[m + 1].abs();
+                if e[m].abs() <= f64::EPSILON * dd {
+                    break;
+                }
+                m += 1;
+            }
+            if m == l {
+                break;
+            }
+            iter += 1;
+            if iter > MAX_ITER {
+                return Err(LinalgError::NoConvergence {
+                    op: "tql2",
+                    iterations: MAX_ITER,
+                });
+            }
+
+            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            let mut r = hypot2(g, 1.0);
+            g = d[m] - d[l] + e[l] / (g + r.copysign(g));
+            let (mut s, mut c) = (1.0f64, 1.0f64);
+            let mut p = 0.0f64;
+
+            let mut i = m;
+            let mut underflow = false;
+            while i > l {
+                let im1 = i - 1;
+                let f = s * e[im1];
+                let b = c * e[im1];
+                r = hypot2(f, g);
+                e[i] = r;
+                // check: allow(det-float-cmp) tql2's exact underflow test: only r == 0 divides by zero below
+                if r == 0.0 {
+                    d[i] -= p;
+                    e[m] = 0.0;
+                    underflow = true;
+                    break;
+                }
+                s = f / r;
+                c = g / r;
+                g = d[i] - p;
+                r = (d[im1] - g) * s + 2.0 * c * b;
+                p = s * r;
+                d[i] = g + p;
+                g = c * r - b;
+                let (x, y) = zt.two_rows_mut(im1, i);
+                simd::rotate_rows_with(be, x, y, c, s);
+                i -= 1;
+            }
+            if underflow {
+                continue;
+            }
+            d[l] -= p;
+            e[l] = g;
+            e[m] = 0.0;
+        }
+    }
+
+    // `sort_eigenpairs`' selection sort, swapping rows instead of columns.
+    for i in 0..n {
+        let mut kmin = i;
+        for j in (i + 1)..n {
+            if d[j] < d[kmin] {
+                kmin = j;
+            }
+        }
+        if kmin != i {
+            d.swap(i, kmin);
+            let (a, b) = zt.two_rows_mut(i, kmin);
+            a.swap_with_slice(b);
+        }
+    }
+    for r in 0..n {
+        for (c, &v) in zt.row(r).iter().enumerate() {
+            z[(c, r)] = v;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

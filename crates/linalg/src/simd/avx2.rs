@@ -17,8 +17,9 @@
 //! module after `is_x86_feature_detected!("avx2")` succeeds.
 
 use std::arch::x86_64::{
-    _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_mul_pd,
-    _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm_cvtsd_f64, _mm_hadd_pd,
+    __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_hadd_pd,
+    _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setzero_pd,
+    _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtsd_f64, _mm_hadd_pd,
 };
 
 /// Dot product, bit-identical to the canonical scalar order.
@@ -92,6 +93,95 @@ pub unsafe fn dot2(x0: &[f64], x1: &[f64], y: &[f64]) -> (f64, f64) {
             s1 += x1[i] * y[i];
         }
         (s0, s1)
+    }
+}
+
+/// A 2 × 4 tile of dot products; each output is bit-identical to [`dot`].
+/// Output `(r, c)` owns one accumulator whose lane `k` is the scalar
+/// partial sum `s_k`, so a tile holds eight chains and loads each of its
+/// six rows once per four columns. The horizontal combine builds
+/// `s0+s1` and `s2+s3` with `hadd`, then adds them: `(s0+s1)+(s2+s3)`.
+// SAFETY: callers must have AVX2 available; the dispatcher only selects
+// this backend after `is_x86_feature_detected!("avx2")` succeeds.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dot_tile(x: [&[f64]; 2], y: [&[f64]; 4]) -> [[f64; 4]; 2] {
+    debug_assert!(x.iter().chain(&y).all(|v| v.len() == y[0].len()));
+    let n = x
+        .iter()
+        .chain(&y)
+        .map(|v| v.len())
+        .fold(usize::MAX, usize::min);
+    let chunks = n / 4;
+    let mut out = [[0.0; 4]; 2];
+    let [y0, y1, y2, y3] = y;
+    // SAFETY: every `loadu` reads 4 f64s at offset `4k` with
+    // `4k + 3 < 4*chunks <= n`, and `n` is the shortest of the six
+    // slices; each `storeu` writes the 4 f64s of one `out` row.
+    unsafe {
+        let mut acc: [[__m256d; 4]; 2] = [[_mm256_setzero_pd(); 4]; 2];
+        for k in 0..chunks {
+            let i = 4 * k;
+            let vy = [
+                _mm256_loadu_pd(y0.as_ptr().add(i)),
+                _mm256_loadu_pd(y1.as_ptr().add(i)),
+                _mm256_loadu_pd(y2.as_ptr().add(i)),
+                _mm256_loadu_pd(y3.as_ptr().add(i)),
+            ];
+            for (acc_r, xr) in acc.iter_mut().zip(x) {
+                let vx = _mm256_loadu_pd(xr.as_ptr().add(i));
+                for (a, v) in acc_r.iter_mut().zip(vy) {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(vx, v));
+                }
+            }
+        }
+        for (out_r, [a0, a1, a2, a3]) in out.iter_mut().zip(acc) {
+            let t0 = _mm256_hadd_pd(a0, a1); // [a0+a1, b0+b1, a2+a3, b2+b3]
+            let t1 = _mm256_hadd_pd(a2, a3); // [c0+c1, d0+d1, c2+c3, d2+d3]
+            let lo = _mm256_permute2f128_pd::<0x20>(t0, t1); // the s0+s1 of each
+            let hi = _mm256_permute2f128_pd::<0x31>(t0, t1); // the s2+s3 of each
+            _mm256_storeu_pd(out_r.as_mut_ptr(), _mm256_add_pd(lo, hi));
+        }
+    }
+    for (out_r, xr) in out.iter_mut().zip(x) {
+        for (o, yc) in out_r.iter_mut().zip(y) {
+            for i in 4 * chunks..n {
+                *o += xr[i] * yc[i];
+            }
+        }
+    }
+    out
+}
+
+/// Plane rotation of two rows (see `scalar::rotate_rows`), four
+/// columns per step with separate multiply and add/subtract.
+// SAFETY: callers must have AVX2 available; the dispatcher only selects
+// this backend after `is_x86_feature_detected!("avx2")` succeeds.
+#[target_feature(enable = "avx2")]
+pub unsafe fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    debug_assert_eq!(x.len(), y.len());
+    let n = x.len().min(y.len());
+    let chunks = n / 4;
+    // SAFETY: loads/stores touch 4 f64s at offset 4k < n for both slices;
+    // `x` and `y` are distinct `&mut` borrows, so they cannot alias.
+    unsafe {
+        let vc = _mm256_set1_pd(c);
+        let vs = _mm256_set1_pd(s);
+        let xp = x.as_mut_ptr();
+        let yp = y.as_mut_ptr();
+        for k in 0..chunks {
+            let i = 4 * k;
+            let vx = _mm256_loadu_pd(xp.add(i));
+            let vy = _mm256_loadu_pd(yp.add(i));
+            let ny = _mm256_add_pd(_mm256_mul_pd(vs, vx), _mm256_mul_pd(vc, vy));
+            let nx = _mm256_sub_pd(_mm256_mul_pd(vc, vx), _mm256_mul_pd(vs, vy));
+            _mm256_storeu_pd(yp.add(i), ny);
+            _mm256_storeu_pd(xp.add(i), nx);
+        }
+    }
+    for i in 4 * chunks..n {
+        let (xo, yo) = (x[i], y[i]);
+        y[i] = s * xo + c * yo;
+        x[i] = c * xo - s * yo;
     }
 }
 

@@ -3,7 +3,8 @@
 //! The paper attributes SlimCodeML's wins to dense-kernel reorganization;
 //! this module takes the remaining hardware headroom the ROADMAP flags
 //! ("SIMD kernels"): hand-written AVX2 (and NEON) inner loops for `gemm`,
-//! `gemv`, `symv`, `syrk` and the vecops, selected at runtime behind
+//! `gemv`, `symv`, `syrk`, the tuned eigensolver and the vecops, selected
+//! at runtime behind
 //! [`is_x86_feature_detected!`], with a portable scalar fallback.
 //!
 //! ## The determinism contract: vectorize outputs, never reductions
@@ -244,6 +245,22 @@ pub fn dot2_with(be: SimdBackend, x0: &[f64], x1: &[f64], y: &[f64]) -> (f64, f6
     dispatch!(be, dot2(x0, x1, y))
 }
 
+/// A 2 × 4 tile of dot products, `out[r][c] = x[r]ᵀ·y[c]` — the register
+/// tile of `syrk`. Each output is bit-identical to [`dot`]`(x[r], y[c])`.
+#[inline]
+// check: hot SIMD kernel entry
+pub fn dot_tile_with(be: SimdBackend, x: [&[f64]; 2], y: [&[f64]; 4]) -> [[f64; 4]; 2] {
+    dispatch!(be, dot_tile(x, y))
+}
+
+/// `y[k] ← s·x[k] + c·y[k]`, `x[k] ← c·x[k] − s·y[k]` (old values on the
+/// right) — one QL Givens rotation applied to two eigenvector rows.
+#[inline]
+// check: hot SIMD kernel entry
+pub fn rotate_rows_with(be: SimdBackend, x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    dispatch!(be, rotate_rows(x, y, c, s))
+}
+
 /// `c[j] += a · b[j]` — one axpy row update (independent outputs).
 #[inline]
 // check: hot SIMD kernel entry
@@ -341,6 +358,26 @@ mod tests {
         });
         assert!(caught.is_err());
         assert_eq!(active(), ambient);
+    }
+
+    /// The rotation kernel on the host's best backend equals the scalar
+    /// loop it replaces in `tql2`, at widths on both sides of the lanes.
+    #[test]
+    fn rotate_rows_matches_scalar_loop() {
+        let be = resolve(SimdMode::ForceAvx2);
+        for n in [1, 2, 3, 4, 5, 60, 61, 64, 65] {
+            let x0: Vec<f64> = (0..n).map(|k| (k as f64 * 0.37).sin()).collect();
+            let y0: Vec<f64> = (0..n).map(|k| (k as f64 * 0.91 + 1.0).cos()).collect();
+            let (c, s) = (0.8f64.cos(), 0.8f64.sin());
+            let (mut x, mut y) = (x0.clone(), y0.clone());
+            rotate_rows_with(be, &mut x, &mut y, c, s);
+            for k in 0..n {
+                let want_y = s * x0[k] + c * y0[k];
+                let want_x = c * x0[k] - s * y0[k];
+                assert_eq!(y[k].to_bits(), want_y.to_bits(), "{be:?} n={n} y[{k}]");
+                assert_eq!(x[k].to_bits(), want_x.to_bits(), "{be:?} n={n} x[{k}]");
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,24 @@ pub unsafe fn dot2(x0: &[f64], x1: &[f64], y: &[f64]) -> (f64, f64) {
     unsafe { (dot(x0, y), dot(x1, y)) }
 }
 
+/// A 2 × 4 tile of dot products. Runs the scalar body, which keeps the
+/// bits; no NEON tile has been built or measured yet.
+// SAFETY: callers need NEON, which is architecturally mandatory on
+// aarch64 — the only target this module compiles for.
+#[target_feature(enable = "neon")]
+pub unsafe fn dot_tile(x: [&[f64]; 2], y: [&[f64]; 4]) -> [[f64; 4]; 2] {
+    super::scalar::dot_tile(x, y)
+}
+
+/// Plane rotation of two rows. Runs the scalar body, which keeps the
+/// bits; no NEON rotation has been built or measured yet.
+// SAFETY: callers need NEON, which is architecturally mandatory on
+// aarch64 — the only target this module compiles for.
+#[target_feature(enable = "neon")]
+pub unsafe fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    super::scalar::rotate_rows(x, y, c, s)
+}
+
 /// `c[j] += a · b[j]`.
 // SAFETY: callers need NEON, which is architecturally mandatory on
 // aarch64 — the only target this module compiles for.

@@ -36,6 +36,21 @@ pub fn dot2(x0: &[f64], x1: &[f64], y: &[f64]) -> (f64, f64) {
     (dot(x0, y), dot(x1, y))
 }
 
+/// A 2 × 4 tile of dot products, `out[r][c] = x[r]ᵀ·y[c]`; each output
+/// accumulates in exactly the order of [`dot`], so every entry equals
+/// `dot(x[r], y[c])` bit for bit. Wide backends keep the eight
+/// accumulator chains in registers and load each row once per tile.
+#[inline]
+pub fn dot_tile(x: [&[f64]; 2], y: [&[f64]; 4]) -> [[f64; 4]; 2] {
+    let mut out = [[0.0; 4]; 2];
+    for (row, xr) in out.iter_mut().zip(x) {
+        for (o, yc) in row.iter_mut().zip(y) {
+            *o = dot(xr, yc);
+        }
+    }
+    out
+}
+
 /// `c[j] += a · b[j]`.
 #[inline]
 pub fn fma_row(c: &mut [f64], a: f64, b: &[f64]) {
@@ -53,6 +68,19 @@ pub fn fma_row2(c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) {
     debug_assert_eq!(c.len(), b1.len());
     for ((cj, b0j), b1j) in c.iter_mut().zip(b0).zip(b1) {
         *cj += a0 * b0j + a1 * b1j;
+    }
+}
+
+/// Plane rotation of two rows: `y[k] ← s·x[k] + c·y[k]` and
+/// `x[k] ← c·x[k] − s·y[k]`, both from the old `x[k]`, `y[k]` — the
+/// eigenvector update of one QL Givens rotation.
+#[inline]
+pub fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    debug_assert_eq!(x.len(), y.len());
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let (xo, yo) = (*xk, *yk);
+        *yk = s * xo + c * yo;
+        *xk = c * xo - s * yo;
     }
 }
 

@@ -15,39 +15,43 @@ use crate::Mat;
 /// multiply-adds — and the strict upper triangle is mirrored afterwards, so
 /// arithmetic cost is half of a general product. In row-major storage each
 /// dot product runs over two contiguous rows of `A`, which streams
-/// perfectly. Within a row of `C`, the `j` outputs are computed in pairs
-/// through the dispatched two-output dot kernel: each dot still
-/// accumulates in the canonical scalar order (bit-identical on every
-/// backend); pairing only doubles the number of independent FP chains.
+/// perfectly. Outputs are computed in register tiles of 2 rows × 4
+/// columns through the dispatched tile kernel, which loads six rows of
+/// `A` for eight dots. Each output still accumulates its own four lane
+/// sums in the canonical scalar order and then takes `α·d + β·c`, so
+/// every entry equals `α·dot(a_i, a_j) + β·c_ij` bit for bit on every
+/// backend. Tiles that cross the diagonal or the last row compute a few
+/// entries they do not store (a repeated row stands in past the edge).
 ///
 /// # Panics
 /// Panics if `C` is not square of order `A.rows()`.
-// check: allow(panic-free-hot-path) square-shape assert is the documented contract; i,j,l bounded by n and a.cols()
+// check: allow(panic-free-hot-path) square-shape assert is the documented contract; i,j bounded by n
 pub fn syrk(alpha: f64, a: &Mat, beta: f64, c: &mut Mat) {
     let n = a.rows();
     assert!(
         c.is_square() && c.rows() == n,
         "syrk: C must be n×n with n = A.rows()"
     );
+    let Some(last) = n.checked_sub(1) else {
+        return;
+    };
 
     let be = simd::active();
-    for i in 0..n {
-        let a_i = a.row(i);
-        let mut j = 0;
-        while j < i {
-            let (d0, d1) = simd::dot2_with(be, a.row(j), a.row(j + 1), a_i);
-            let s0 = alpha * d0;
-            let cij = &mut c[(i, j)];
-            *cij = s0 + beta * *cij;
-            let s1 = alpha * d1;
-            let cij = &mut c[(i, j + 1)];
-            *cij = s1 + beta * *cij;
-            j += 2;
-        }
-        if j <= i {
-            let s = alpha * simd::dot_with(be, a_i, a.row(j));
-            let cij = &mut c[(i, j)];
-            *cij = s + beta * *cij;
+    for i0 in (0..n).step_by(2) {
+        let rows = [i0, (i0 + 1).min(last)];
+        let x = rows.map(|i| a.row(i));
+        for j0 in (0..=rows[1]).step_by(4) {
+            let y = [j0, j0 + 1, j0 + 2, j0 + 3].map(|j| a.row(j.min(last)));
+            let d = simd::dot_tile_with(be, x, y);
+            // A repeated last row (odd n) is stored once, not twice.
+            let live = if rows[0] == rows[1] { 1 } else { 2 };
+            for (&i, d_i) in rows.iter().zip(&d).take(live) {
+                for (j, &dij) in (j0..=i).zip(d_i) {
+                    let s = alpha * dij;
+                    let cij = &mut c[(i, j)];
+                    *cij = s + beta * *cij;
+                }
+            }
         }
     }
     // Mirror the lower triangle into the upper.
@@ -78,6 +82,44 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
         })
+    }
+
+    /// Every output of the tiled kernel, dense or lane-padded, equals
+    /// `α·dot(a_i, a_j) + β·c_ij` bit for bit under forced scalar and auto
+    /// dispatch, at sizes on both sides of the 2-row and 4-column tiles.
+    #[test]
+    fn tiles_match_dot_bits_for_every_output() {
+        let sizes = [1, 2, 3, 4, 5, 60, 61, 64, 65];
+        let (alpha, beta) = (1.25, -0.375);
+        for n in sizes {
+            for k in sizes {
+                let a = rng_mat(n, k, (n * 100 + k) as u64);
+                let mut c0 = rng_mat(n, n, (n * 7 + k) as u64);
+                c0.symmetrize();
+                let mut padded = Mat::zeros_padded(n, k);
+                for i in 0..n {
+                    padded.row_mut(i).copy_from_slice(a.row(i));
+                }
+                for input in [&a, &padded] {
+                    for mode in [crate::SimdMode::ForceScalar, crate::SimdMode::Auto] {
+                        let mut c = c0.clone();
+                        crate::simd::with_forced(mode, || syrk(alpha, input, beta, &mut c));
+                        for i in 0..n {
+                            for j in 0..n {
+                                let want = alpha * crate::vecops::dot(a.row(i), a.row(j))
+                                    + beta * c0[(i, j)];
+                                assert_eq!(
+                                    c[(i, j)].to_bits(),
+                                    want.to_bits(),
+                                    "n={n} k={k} padded={} {mode:?} ({i},{j})",
+                                    input.is_padded()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
