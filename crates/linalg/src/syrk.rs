@@ -40,11 +40,11 @@ pub fn syrk(alpha: f64, a: &Mat, beta: f64, c: &mut Mat) {
     for i0 in (0..n).step_by(2) {
         let rows = [i0, (i0 + 1).min(last)];
         let x = rows.map(|i| a.row(i));
+        // A repeated last row (odd n) is stored once, not twice.
+        let live = if rows[0] == rows[1] { 1 } else { 2 };
         for j0 in (0..=rows[1]).step_by(4) {
             let y = [j0, j0 + 1, j0 + 2, j0 + 3].map(|j| a.row(j.min(last)));
             let d = simd::dot_tile_with(be, x, y);
-            // A repeated last row (odd n) is stored once, not twice.
-            let live = if rows[0] == rows[1] { 1 } else { 2 };
             for (&i, d_i) in rows.iter().zip(&d).take(live) {
                 for (j, &dij) in (j0..=i).zip(d_i) {
                     let s = alpha * dij;

@@ -73,9 +73,10 @@ fn slim_expm_is_faster_than_naive() {
 /// (dataset iv's shape) — the mechanism behind Fig. 3.
 ///
 /// The engines are timed interleaved, one evaluation each per round, and
-/// each keeps its fastest of 5 rounds after a warm-up round, so a burst
+/// each keeps its fastest of 15 rounds after a warm-up round, so a burst
 /// of load on a shared host slows a round of both engines rather than a
-/// whole block of one.
+/// whole block of one. A slim evaluation at 10 species takes about 1 ms,
+/// so its fastest round needs that many draws to settle.
 #[test]
 fn eval_speedup_grows_with_species() {
     use slimcodeml::sim::subsample_dataset;
@@ -89,7 +90,7 @@ fn eval_speedup_grows_with_species() {
         let bl = ds.tree.branch_lengths();
         let engines = [EngineConfig::codeml_style(), EngineConfig::slim()];
         let mut fastest = [f64::INFINITY; 2];
-        for round in 0..6 {
+        for round in 0..16 {
             for (best, cfg) in fastest.iter_mut().zip(&engines) {
                 let start = Instant::now();
                 std::hint::black_box(log_likelihood(&problem, cfg, &model, &bl).unwrap());
