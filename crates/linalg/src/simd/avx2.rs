@@ -152,6 +152,36 @@ pub unsafe fn dot_tile(x: [&[f64]; 2], y: [&[f64]; 4]) -> [[f64; 4]; 2] {
     out
 }
 
+/// `c[j] −= a0·b0[j] + a1·b1[j]`, same association as the scalar kernel.
+// SAFETY: callers must have AVX2 available; the dispatcher only selects
+// this backend after `is_x86_feature_detected!("avx2")` succeeds.
+#[target_feature(enable = "avx2")]
+pub unsafe fn fms_row2(c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) {
+    debug_assert_eq!(c.len(), b0.len());
+    debug_assert_eq!(c.len(), b1.len());
+    let n = c.len().min(b0.len()).min(b1.len());
+    let chunks = n / 4;
+    // SAFETY: loads/stores touch 4 f64s at offset 4k < n, in bounds for
+    // all three slices; `c` cannot alias `b0`/`b1`; unaligned ops.
+    unsafe {
+        let va0 = _mm256_set1_pd(a0);
+        let va1 = _mm256_set1_pd(a1);
+        let cp = c.as_mut_ptr();
+        let p0 = b0.as_ptr();
+        let p1 = b1.as_ptr();
+        for k in 0..chunks {
+            let i = 4 * k;
+            let t0 = _mm256_mul_pd(va0, _mm256_loadu_pd(p0.add(i)));
+            let t1 = _mm256_mul_pd(va1, _mm256_loadu_pd(p1.add(i)));
+            let vc = _mm256_loadu_pd(cp.add(i));
+            _mm256_storeu_pd(cp.add(i), _mm256_sub_pd(vc, _mm256_add_pd(t0, t1)));
+        }
+    }
+    for i in 4 * chunks..n {
+        c[i] -= a0 * b0[i] + a1 * b1[i];
+    }
+}
+
 /// Plane rotation of two rows (see `scalar::rotate_rows`), four
 /// columns per step with separate multiply and add/subtract.
 // SAFETY: callers must have AVX2 available; the dispatcher only selects

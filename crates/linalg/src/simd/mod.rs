@@ -275,6 +275,15 @@ pub fn fma_row2_with(be: SimdBackend, c: &mut [f64], a0: f64, b0: &[f64], a1: f6
     dispatch!(be, fma_row2(c, a0, b0, a1, b1))
 }
 
+/// `c[j] −= a0·b0[j] + a1·b1[j]` — the tuned tridiagonalization's rank-2
+/// update, subtracting like `tred2` does so that even the sign of a zero
+/// result matches it.
+#[inline]
+// check: hot SIMD kernel entry
+pub fn fms_row2_with(be: SimdBackend, c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) {
+    dispatch!(be, fms_row2(c, a0, b0, a1, b1))
+}
+
 /// `y[j] *= x[j]` — the pruning combine step (independent outputs).
 #[inline]
 // check: hot SIMD kernel entry

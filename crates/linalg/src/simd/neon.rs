@@ -63,6 +63,15 @@ pub unsafe fn dot_tile(x: [&[f64]; 2], y: [&[f64]; 4]) -> [[f64; 4]; 2] {
     super::scalar::dot_tile(x, y)
 }
 
+/// `c[j] −= a0·b0[j] + a1·b1[j]`. Runs the scalar body, which keeps the
+/// bits; no NEON version has been built or measured yet.
+// SAFETY: callers need NEON, which is architecturally mandatory on
+// aarch64 — the only target this module compiles for.
+#[target_feature(enable = "neon")]
+pub unsafe fn fms_row2(c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) {
+    super::scalar::fms_row2(c, a0, b0, a1, b1)
+}
+
 /// Plane rotation of two rows. Runs the scalar body, which keeps the
 /// bits; no NEON rotation has been built or measured yet.
 // SAFETY: callers need NEON, which is architecturally mandatory on

@@ -71,6 +71,18 @@ pub fn fma_row2(c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) {
     }
 }
 
+/// `c[j] −= a0·b0[j] + a1·b1[j]` — the products are added to each other
+/// first, then subtracted from `c` (`tred2`'s rank-2 update, whose sign
+/// of a zero result `fma_row2` with negated scalars would not keep).
+#[inline]
+pub fn fms_row2(c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) {
+    debug_assert_eq!(c.len(), b0.len());
+    debug_assert_eq!(c.len(), b1.len());
+    for ((cj, b0j), b1j) in c.iter_mut().zip(b0).zip(b1) {
+        *cj -= a0 * b0j + a1 * b1j;
+    }
+}
+
 /// Plane rotation of two rows: `y[k] ← s·x[k] + c·y[k]` and
 /// `x[k] ← c·x[k] − s·y[k]`, both from the old `x[k]`, `y[k]` — the
 /// eigenvector update of one QL Givens rotation.

@@ -137,13 +137,11 @@ pub fn tred2(a: &Mat) -> Tridiag {
 /// * **Mat-vec.** `p = A·u` over the active block is one `fma_row` per
 ///   `k`, so each output is still summed in `tred2`'s `k` order.
 /// * **Rank-2 update.** `A ← A − (u·gᵀ + g·uᵀ)` updates both triangles
-///   with one `fma_row2` per row and negated scalars:
-///   `c + ((−u_r)·g_c + (−g_r)·u_c)` is `tred2`'s
-///   `c − (u_r·g_c + g_r·u_c)`, and a mirrored element gets the same two
-///   products summed in the other order, so both triangles carry
-///   `tred2`'s bits. (The one exception would be a `−0.0` element meeting
-///   two products that cancel exactly; neither form produces `−0.0` from
-///   a working copy that holds none.)
+///   with one `fms_row2` per row, `c − (u_r·g_c + g_r·u_c)` as in `tred2`.
+///   A mirrored element gets the same two products summed in the other
+///   order, so both triangles carry `tred2`'s bits. (`fma_row2` with
+///   negated scalars would give the same values, but turns a `−0.0`
+///   element into `+0.0` when the two products cancel exactly.)
 /// * **Accumulation.** Each `g_j = Σ_k u_k·Q_kj` reads only column `j`,
 ///   which no other `j` writes, so every `g_j` is computed first as row
 ///   axpys and then each row of `Q` is updated with one `fma_row`.
@@ -216,7 +214,7 @@ pub fn tred2_tuned(a: &Mat) -> Tridiag {
                 }
                 let g = &e[..=l];
                 for r in 0..=l {
-                    simd::fma_row2_with(be, &mut z.row_mut(r)[..=l], -u[r], g, -g[r], u);
+                    simd::fms_row2_with(be, &mut z.row_mut(r)[..=l], u[r], g, g[r], u);
                 }
             }
         } else {
@@ -307,10 +305,31 @@ mod tests {
     }
 
     /// `tred2_tuned` reproduces `tred2`'s d, e and Q bits under forced
-    /// scalar and auto dispatch. The input is deliberately asymmetric:
-    /// both read only its lower triangle.
+    /// scalar and auto dispatch. The random inputs are deliberately
+    /// asymmetric: both read only the lower triangle. The small-integer
+    /// inputs hold `±0.0` and cancel exactly, where only a true
+    /// subtraction in the rank-2 update keeps the sign of a zero.
     #[test]
     fn tuned_reduction_matches_tred2_bits_and_ignores_upper_triangle() {
+        for seed in 0..400u64 {
+            let n = 3 + (seed % 9) as usize;
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let a = Mat::from_fn(n, n, |_, _| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match (state >> 11) % 5 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    r => r as f64 - 3.0,
+                }
+            });
+            let reference = tri_bits(&tred2(&a));
+            for mode in [crate::SimdMode::ForceScalar, crate::SimdMode::Auto] {
+                let tuned = crate::simd::with_forced(mode, || tred2_tuned(&a));
+                assert_eq!(tri_bits(&tuned), reference, "seed {seed} {mode:?}");
+            }
+        }
         for n in [1, 2, 3, 4, 5, 8, 60, 61, 64, 65] {
             let mut a = random_symmetric(n, 40 + n as u64);
             let mut state = n as u64;

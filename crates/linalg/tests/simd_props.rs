@@ -76,7 +76,7 @@ proptest! {
         // dot2 is exactly two dots sharing the rhs.
         prop_assert_eq!(a_s.to_bits(), d_s.to_bits());
 
-        // fma_row / fma_row2: independent outputs.
+        // fma_row / fma_row2 / fms_row2: independent outputs.
         let (mut c_s, mut c_f) = (y.clone(), y.clone());
         simd::fma_row_with(SimdBackend::Scalar, &mut c_s, alpha, &x);
         simd::fma_row_with(be, &mut c_f, alpha, &x);
@@ -85,6 +85,10 @@ proptest! {
         simd::fma_row2_with(SimdBackend::Scalar, &mut c2_s, alpha, &x, -alpha, &z);
         simd::fma_row2_with(be, &mut c2_f, alpha, &x, -alpha, &z);
         prop_assert_eq!(bits(&c2_s), bits(&c2_f));
+        let (mut c3_s, mut c3_f) = (y.clone(), y.clone());
+        simd::fms_row2_with(SimdBackend::Scalar, &mut c3_s, alpha, &x, -alpha, &z);
+        simd::fms_row2_with(be, &mut c3_f, alpha, &x, -alpha, &z);
+        prop_assert_eq!(bits(&c3_s), bits(&c3_f));
 
         // mul_row / mul_into / scale_row.
         let (mut m_s, mut m_f) = (y.clone(), y.clone());
