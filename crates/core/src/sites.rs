@@ -286,6 +286,33 @@ mod tests {
         }
     }
 
+    /// Iterations and f_evals of the same fits: the whole trajectory, not
+    /// only its endpoint.
+    #[test]
+    fn sites_fit_iterations_and_evaluations_are_pinned() {
+        let tree = parse_newick("((A:0.2,B:0.2):0.1,C:0.3);").unwrap();
+        let aln = CodonAlignment::from_fasta(
+            ">A\nATGCCCAAATTTGGG\n>B\nATGCCAAAATTTGGA\n>C\nATGCCCAAGTTCGGG\n",
+        )
+        .unwrap();
+        for (backend, want) in [
+            (Backend::SlimPlus, ((25, 208), (25, 260))),
+            (Backend::CodeMlStyle, ((25, 208), (25, 260))),
+        ] {
+            let r = sites_test(
+                &tree,
+                &aln,
+                &AnalysisOptions {
+                    backend,
+                    ..options()
+                },
+            )
+            .unwrap();
+            let counts = |f: &SitesFit| (f.iterations, f.f_evals);
+            assert_eq!((counts(&r.m1a), counts(&r.m2a)), want, "{backend:?}");
+        }
+    }
+
     #[test]
     fn works_without_foreground_mark() {
         // The whole point: no #1 in the tree.
