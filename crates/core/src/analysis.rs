@@ -1,18 +1,14 @@
 //! The analysis driver: wiring model, likelihood engine, transforms and
 //! optimizer into the H0/H1 fits and the LRT.
 
-use crate::obsm::{self, H1Outcome};
+use crate::fit::{self, branch_site_model, Maximum, OMEGA0_HI, OMEGA0_LO};
+use crate::obsm;
 use crate::{Backend, CoreError, Fit};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use slim_bio::{CodonAlignment, FreqModel, GeneticCode, Tree};
-use slim_lik::{
-    log_likelihood, site_class_log_likelihoods, LikelihoodProblem, ReuseEvaluator, SimdMode,
-};
+use slim_lik::{log_likelihood, site_class_log_likelihoods, LikelihoodProblem, SimdMode};
 use slim_model::{BranchSiteModel, Hypothesis};
-use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, GradMode};
+use slim_opt::{Block, GradMode};
 use slim_stat::{lrt_pvalue, positive_selection_posteriors, LrtResult};
-use std::time::Instant;
 
 /// Options controlling an analysis run.
 #[derive(Debug, Clone)]
@@ -111,13 +107,6 @@ pub struct Analysis {
     init_branch_lengths: Vec<f64>,
 }
 
-/// Bounds shared with CodeML's defaults.
-const KAPPA_LO: f64 = 1e-3;
-const OMEGA0_LO: f64 = 1e-6;
-const OMEGA0_HI: f64 = 1.0 - 1e-6;
-const BL_LO: f64 = 1e-6;
-const BL_HI: f64 = 50.0;
-
 impl Analysis {
     /// Build an analysis from a foreground-marked tree and an alignment.
     ///
@@ -159,20 +148,11 @@ impl Analysis {
     }
 
     fn from_problem(problem: LikelihoodProblem, tree: &Tree, options: AnalysisOptions) -> Analysis {
-        let mut init = tree.branch_lengths();
-        if let Some(l) = options.initial_branch_length {
-            init = vec![l; init.len()];
-        }
-        // Clamp into the optimizer's box.
-        for v in &mut init {
-            *v = v.clamp(BL_LO * 10.0, BL_HI / 10.0);
-        }
-        let engine_config = options.engine_config();
         Analysis {
             problem,
+            engine_config: options.engine_config(),
+            init_branch_lengths: fit::initial_branch_lengths(tree, &options),
             options,
-            engine_config,
-            init_branch_lengths: init,
         }
     }
 
@@ -226,68 +206,21 @@ impl Analysis {
             .collect())
     }
 
-    /// Parameter layout: `[κ, ω0, ω2, p0, p1, branch lengths…]`.
-    fn transform(&self, hypothesis: Hypothesis) -> BlockTransform {
-        BlockTransform::new(vec![
-            Block::LowerBounded { lo: KAPPA_LO },
-            Block::BoxBounded {
-                lo: OMEGA0_LO,
-                hi: OMEGA0_HI,
-            },
-            match hypothesis {
-                Hypothesis::H0 => Block::Fixed { value: 1.0 },
-                Hypothesis::H1 => Block::LowerBounded { lo: 1.0 },
-            },
-            Block::SimplexWithRest { dim: 2 },
-            Block::BoxBoundedVec {
-                lo: BL_LO,
-                hi: BL_HI,
-                count: self.problem.n_branches(),
-            },
-        ])
-    }
-
-    /// Starting parameter vector with seeded jitter (both engines get the
-    /// identical start for a given seed, as in the paper's protocol).
+    /// Starting parameter vector with seeded jitter.
     fn start_vector(&self, hypothesis: Hypothesis) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-        let mut jitter = |v: f64| -> f64 {
-            let factor = 1.0 + self.options.jitter * (rng.gen::<f64>() - 0.5) * 2.0;
-            v * factor
-        };
-        let m = BranchSiteModel::default_start(hypothesis);
-        let mut x = vec![
-            jitter(m.kappa),
-            jitter(m.omega0).clamp(OMEGA0_LO * 2.0, OMEGA0_HI / 2.0),
-            match hypothesis {
-                Hypothesis::H0 => 1.0,
-                Hypothesis::H1 => 1.0 + jitter(m.omega2 - 1.0).max(1e-3),
-            },
-            (jitter(m.p0)).clamp(0.05, 0.9),
-            (jitter(m.p1)).clamp(0.05, 0.9),
-        ];
-        // Keep (p0, p1) inside the simplex after jitter.
-        let s = x[3] + x[4];
-        if s > 0.95 {
-            x[3] *= 0.9 / s;
-            x[4] *= 0.9 / s;
-        }
-        for &b in &self.init_branch_lengths {
-            x.push(jitter(b).clamp(BL_LO * 2.0, BL_HI / 2.0));
-        }
-        x
-    }
-
-    /// Unpack an optimizer vector into model + branch lengths.
-    fn unpack(&self, x: &[f64]) -> (BranchSiteModel, Vec<f64>) {
-        let model = BranchSiteModel {
-            kappa: x[0],
-            omega0: x[1],
-            omega2: x[2],
-            p0: x[3],
-            p1: x[4],
-        };
-        (model, x[5..].to_vec())
+        fit::start_vector(&self.options, &self.init_branch_lengths, |jitter| {
+            let m = BranchSiteModel::default_start(hypothesis);
+            [
+                jitter(m.kappa),
+                jitter(m.omega0).clamp(OMEGA0_LO * 2.0, OMEGA0_HI / 2.0),
+                match hypothesis {
+                    Hypothesis::H0 => 1.0,
+                    Hypothesis::H1 => 1.0 + jitter(m.omega2 - 1.0).max(1e-3),
+                },
+                jitter(m.p0).clamp(0.05, 0.9),
+                jitter(m.p1).clamp(0.05, 0.9),
+            ]
+        })
     }
 
     /// Maximize one hypothesis.
@@ -296,72 +229,25 @@ impl Analysis {
     /// [`CoreError::Optimization`] if no finite starting likelihood can be
     /// found; numerical errors propagate as [`CoreError::Linalg`].
     pub fn fit(&self, hypothesis: Hypothesis) -> Result<Fit, CoreError> {
-        self.fit_from(hypothesis, self.start_vector(hypothesis))
+        let maximum = self.fit_from(hypothesis, &self.start_vector(hypothesis))?;
+        Ok(Fit::new(hypothesis, maximum))
     }
 
     /// Maximize one hypothesis from an explicit starting vector (same
     /// layout as [`Analysis::start_vector`]); every coordinate must be
     /// strictly inside the hypothesis' feasible region.
-    fn fit_from(&self, hypothesis: Hypothesis, x0: Vec<f64>) -> Result<Fit, CoreError> {
-        let transform = self.transform(hypothesis);
-        let z0 = transform.to_unconstrained(&x0);
-
-        // One evaluator per fit. It diffs parameters bitwise against its
-        // previous call, so kept and cleared state give the same bits
-        // (see slim-lik's reuse module docs); the codeml-style backend
-        // clears it before every call.
-        let reuse = self.options.backend.reuses_likelihoods();
-        let mut evaluator = ReuseEvaluator::new(&self.problem, self.engine_config.clone());
-        let mut objective = |z: &[f64]| -> f64 {
-            let x = transform.to_constrained(z);
-            let (model, bl) = self.unpack(&x);
-            if !reuse {
-                evaluator.clear();
-            }
-            match evaluator.evaluate(&model, &bl) {
-                Ok(v) if v.lnl.is_finite() => -v.lnl,
-                _ => f64::INFINITY,
-            }
+    fn fit_from(&self, hypothesis: Hypothesis, x0: &[f64]) -> Result<Maximum, CoreError> {
+        let omega2 = match hypothesis {
+            Hypothesis::H0 => Block::Fixed { value: 1.0 },
+            Hypothesis::H1 => Block::LowerBounded { lo: 1.0 },
         };
-
-        // Sanity: the start must be evaluable.
-        if !objective(&z0).is_finite() {
-            return Err(CoreError::Optimization(
-                "likelihood not finite at the starting point".into(),
-            ));
-        }
-
-        let opts = BfgsOptions {
-            max_iterations: self.options.max_iterations,
-            grad_mode: self.options.grad_mode,
-            grad_tol: 1e-6,
-            f_tol: 1e-10,
-            ..Default::default()
-        };
-        // check: allow(det-wallclock) feeds the report wall_time field only
-        let started = Instant::now();
-        let result = minimize(&mut objective, &z0, &opts);
-        let wall_time = started.elapsed();
-
-        let x = transform.to_constrained(&result.x);
-        let (model, branch_lengths) = self.unpack(&x);
-        #[cfg(feature = "sanitize")]
-        slim_linalg::sanitize::check_finite("fitted lnL", -result.f, || {
-            format!(
-                "fit({hypothesis:?}) after {} iterations ({} evaluations)",
-                result.iterations, result.f_evals
-            )
-        });
-        Ok(Fit {
-            hypothesis,
-            lnl: -result.f,
-            model,
-            branch_lengths,
-            iterations: result.iterations,
-            f_evals: result.f_evals,
-            wall_time,
-            termination: result.reason,
-        })
+        fit::maximize(
+            &self.problem,
+            &self.options,
+            &[omega2, Block::SimplexWithRest { dim: 2 }],
+            x0,
+            |evaluator, x| Ok(evaluator.evaluate(&branch_site_model(x), &x[5..])?.lnl),
+        )
     }
 
     /// Run the full positive-selection test: fit H0 and H1, compute the
@@ -373,36 +259,12 @@ impl Analysis {
     /// Propagates fit errors.
     pub fn test_positive_selection(&self) -> Result<TestResult, CoreError> {
         let mut test_span = obsm::TEST.span();
-        let h0 = self.fit(Hypothesis::H0)?;
-        let mut h1 = self.fit(Hypothesis::H1)?;
-        let mut outcome = H1Outcome::Jitter;
-        if h1.lnl < h0.lnl {
-            // H0 is a boundary point of H1 (ω2 = 1), so lnL1 ≥ lnL0 at
-            // the true optima; landing below means the jittered H1 start
-            // found a worse local optimum. Re-polish from the H0
-            // solution, with ω2 nudged off the bound so the
-            // log-transform stays finite.
-            let mut warm = Vec::with_capacity(5 + h0.branch_lengths.len());
-            warm.extend([
-                h0.model.kappa,
-                h0.model.omega0,
-                1.0 + 1e-3,
-                h0.model.p0,
-                h0.model.p1,
-            ]);
-            warm.extend(h0.branch_lengths.iter().copied());
-            let polished = self.fit_from(Hypothesis::H1, warm)?;
-            if polished.lnl > h1.lnl {
-                h1 = polished;
-            }
-            outcome = if h1.lnl < h0.lnl {
-                H1Outcome::H0
-            } else {
-                H1Outcome::Polished
-            };
-            h1 = nest_h0(h1, &h0);
-        }
+        let h0 = self.fit_from(Hypothesis::H0, &self.start_vector(Hypothesis::H0))?;
+        let h1 = self.fit_from(Hypothesis::H1, &self.start_vector(Hypothesis::H1))?;
+        let (h1, outcome) =
+            fit::nest(&h0, h1, lift_h0, |warm| self.fit_from(Hypothesis::H1, warm))?;
         obsm::record_h1(&mut test_span, outcome);
+        let (h0, h1) = (Fit::new(Hypothesis::H0, h0), Fit::new(Hypothesis::H1, h1));
         let lrt = lrt_pvalue(h0.lnl, h1.lnl);
 
         let value = site_class_log_likelihoods(
@@ -425,20 +287,12 @@ impl Analysis {
     }
 }
 
-/// H1 nests H0 (ω2 = 1 lies in H1's closed space), so H1's estimate is
-/// never worse than H0's: if `h1` still landed below `h0`, report H0's
-/// point as the H1 estimate, keeping H1's own iteration, evaluation,
-/// wall-time and termination accounting.
-fn nest_h0(h1: Fit, h0: &Fit) -> Fit {
-    if h1.lnl >= h0.lnl {
-        return h1;
-    }
-    Fit {
-        lnl: h0.lnl,
-        model: h0.model,
-        branch_lengths: h0.branch_lengths.clone(),
-        ..h1
-    }
+/// H0's point in H1's layout, ω2 = 1 + `eps` (H0 fixes ω2 = 1), for
+/// [`fit::nest`].
+fn lift_h0(x: &[f64], eps: f64) -> Vec<f64> {
+    let mut x = x.to_vec();
+    x[2] = 1.0 + eps;
+    x
 }
 
 #[cfg(test)]
@@ -492,6 +346,26 @@ mod tests {
         for &p in &r.site_posteriors {
             assert!((0.0..=1.0).contains(&p));
         }
+    }
+
+    /// [`fit::nest`] on branch-site fits, with a re-polish that finds
+    /// nothing better than `h1`.
+    fn nest_h0(h1: Fit, h0: &Fit) -> Fit {
+        let maximum = |f: &Fit| Maximum {
+            x: [f.model.kappa, f.model.omega0, f.model.omega2]
+                .into_iter()
+                .chain([f.model.p0, f.model.p1])
+                .chain(f.branch_lengths.iter().copied())
+                .collect(),
+            lnl: f.lnl,
+            iterations: f.iterations,
+            f_evals: f.f_evals,
+            wall_time: f.wall_time,
+            termination: f.termination,
+        };
+        let alt = maximum(&h1);
+        let (nested, _) = fit::nest(&maximum(h0), alt.clone(), lift_h0, |_| Ok(alt)).unwrap();
+        Fit::new(Hypothesis::H1, nested)
     }
 
     #[test]

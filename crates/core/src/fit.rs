@@ -1,8 +1,22 @@
-//! The result of maximizing one hypothesis.
+//! The one fit driver every model runs, and the result of maximizing one
+//! branch-site hypothesis.
+//!
+//! Every fit optimizes one parameter layout, `[κ, ω0, ω2, p0, p1, t…]`,
+//! through one BFGS run on one evaluator ([`maximize`]). A model supplies
+//! only what differs: its ω2 and proportion blocks, the five-parameter
+//! head of its seeded start ([`start_vector`]), and which mixture it
+//! evaluates.
 
+use crate::obsm::H1Outcome;
+use crate::{AnalysisOptions, CoreError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use slim_bio::Tree;
+use slim_lik::{LikelihoodProblem, ReuseEvaluator};
+use slim_linalg::LinalgError;
 use slim_model::{BranchSiteModel, Hypothesis};
-use slim_opt::TerminationReason;
-use std::time::Duration;
+use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, TerminationReason};
+use std::time::{Duration, Instant};
 
 /// A maximized branch-site model fit.
 #[derive(Debug, Clone)]
@@ -26,6 +40,22 @@ pub struct Fit {
 }
 
 impl Fit {
+    /// The fit of `hypothesis` at the driver's maximum.
+    pub(crate) fn new(hypothesis: Hypothesis, maximum: Maximum) -> Fit {
+        let mut model = maximum.x;
+        let branch_lengths = model.split_off(5);
+        Fit {
+            hypothesis,
+            lnl: maximum.lnl,
+            model: branch_site_model(&model),
+            branch_lengths,
+            iterations: maximum.iterations,
+            f_evals: maximum.f_evals,
+            wall_time: maximum.wall_time,
+            termination: maximum.termination,
+        }
+    }
+
     /// Wall-time per optimizer iteration (used for the paper's
     /// per-iteration speedups, Table IV).
     pub fn seconds_per_iteration(&self) -> f64 {
@@ -51,6 +81,200 @@ impl Fit {
             self.wall_time.as_secs_f64()
         )
     }
+}
+
+/// The branch-site model in the head of a fit's parameter vector.
+pub(crate) fn branch_site_model(x: &[f64]) -> BranchSiteModel {
+    BranchSiteModel {
+        kappa: x[0],
+        omega0: x[1],
+        omega2: x[2],
+        p0: x[3],
+        p1: x[4],
+    }
+}
+
+/// Bounds shared with CodeML's defaults.
+const KAPPA_LO: f64 = 1e-3;
+pub(crate) const OMEGA0_LO: f64 = 1e-6;
+pub(crate) const OMEGA0_HI: f64 = 1.0 - 1e-6;
+const BL_LO: f64 = 1e-6;
+const BL_HI: f64 = 50.0;
+
+/// The branch lengths a fit starts from: the tree's, or
+/// `options.initial_branch_length` on every branch, clamped into the
+/// optimizer's box.
+pub(crate) fn initial_branch_lengths(tree: &Tree, options: &AnalysisOptions) -> Vec<f64> {
+    let mut init = tree.branch_lengths();
+    if let Some(l) = options.initial_branch_length {
+        init = vec![l; init.len()];
+    }
+    for v in &mut init {
+        *v = v.clamp(BL_LO * 10.0, BL_HI / 10.0);
+    }
+    init
+}
+
+/// The seeded start of a fit (both engines get the identical start for a
+/// given seed, as in the paper's protocol). `head` draws the model's five
+/// parameters through the jitter, in the model's own draw order; then
+/// (p0, p1) are pulled back inside the simplex and each initial branch
+/// length is jittered.
+pub(crate) fn start_vector(
+    options: &AnalysisOptions,
+    init_branch_lengths: &[f64],
+    head: impl FnOnce(&mut dyn FnMut(f64) -> f64) -> [f64; 5],
+) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(options.seed);
+    let mut jitter = |v: f64| v * (1.0 + options.jitter * (rng.gen::<f64>() - 0.5) * 2.0);
+    let mut x = head(&mut jitter).to_vec();
+    let s = x[3] + x[4];
+    if s > 0.95 {
+        x[3] *= 0.9 / s;
+        x[4] *= 0.9 / s;
+    }
+    for &b in init_branch_lengths {
+        x.push(jitter(b).clamp(BL_LO * 2.0, BL_HI / 2.0));
+    }
+    x
+}
+
+/// One maximized fit, in the `[κ, ω0, ω2, p0, p1, t…]` layout; [`Fit`]
+/// and [`SitesFit`](crate::SitesFit) are filled from it.
+#[derive(Debug, Clone)]
+pub(crate) struct Maximum {
+    /// The fitted point.
+    pub(crate) x: Vec<f64>,
+    /// Maximized log-likelihood.
+    pub(crate) lnl: f64,
+    pub(crate) iterations: usize,
+    pub(crate) f_evals: usize,
+    pub(crate) wall_time: Duration,
+    pub(crate) termination: TerminationReason,
+}
+
+/// Maximize `lnl` from `x0` (strictly inside the feasible region) over the
+/// layout `[κ, ω0, ω2, p0, p1, t…]`, where `omega2_and_proportions` bound
+/// the ω2, p0 and p1 slots.
+///
+/// One evaluator serves the whole fit. It diffs parameters bitwise
+/// against its previous call, so kept and cleared state give the same
+/// bits (see slim-lik's reuse module docs); the codeml-style backend
+/// clears it before every call.
+///
+/// # Errors
+/// [`CoreError::Optimization`] if the likelihood is not finite at `x0`.
+pub(crate) fn maximize(
+    problem: &LikelihoodProblem,
+    options: &AnalysisOptions,
+    omega2_and_proportions: &[Block],
+    x0: &[f64],
+    mut lnl: impl FnMut(&mut ReuseEvaluator<'_>, &[f64]) -> Result<f64, LinalgError>,
+) -> Result<Maximum, CoreError> {
+    let mut blocks = vec![
+        Block::LowerBounded { lo: KAPPA_LO },
+        Block::BoxBounded {
+            lo: OMEGA0_LO,
+            hi: OMEGA0_HI,
+        },
+    ];
+    blocks.extend_from_slice(omega2_and_proportions);
+    blocks.push(Block::BoxBoundedVec {
+        lo: BL_LO,
+        hi: BL_HI,
+        count: problem.n_branches(),
+    });
+    let transform = BlockTransform::new(blocks);
+    let z0 = transform.to_unconstrained(x0);
+
+    let reuse = options.backend.reuses_likelihoods();
+    let mut evaluator = ReuseEvaluator::new(problem, options.engine_config());
+    let mut objective = |z: &[f64]| -> f64 {
+        let x = transform.to_constrained(z);
+        if !reuse {
+            evaluator.clear();
+        }
+        match lnl(&mut evaluator, &x) {
+            Ok(v) if v.is_finite() => -v,
+            _ => f64::INFINITY,
+        }
+    };
+    if !objective(&z0).is_finite() {
+        return Err(CoreError::Optimization(
+            "likelihood not finite at the starting point".into(),
+        ));
+    }
+
+    let opts = BfgsOptions {
+        max_iterations: options.max_iterations,
+        grad_mode: options.grad_mode,
+        grad_tol: 1e-6,
+        f_tol: 1e-10,
+        ..Default::default()
+    };
+    // check: allow(det-wallclock) feeds the report wall_time field only
+    let started = Instant::now();
+    let result = minimize(&mut objective, &z0, &opts);
+    let wall_time = started.elapsed();
+
+    let x = transform.to_constrained(&result.x);
+    #[cfg(feature = "sanitize")]
+    slim_linalg::sanitize::check_finite("fitted lnL", -result.f, || {
+        format!(
+            "fit ending at [κ, ω0, ω2, p0, p1] = {:?} after {} iterations ({} evaluations)",
+            &x[..5],
+            result.iterations,
+            result.f_evals
+        )
+    });
+    Ok(Maximum {
+        x,
+        lnl: -result.f,
+        iterations: result.iterations,
+        f_evals: result.f_evals,
+        wall_time,
+        termination: result.reason,
+    })
+}
+
+/// Keep a nesting hypothesis' estimate at least as good as its null's.
+///
+/// `lift(x, ε)` maps the null's fitted point `x` into the alternative's
+/// layout, `ε` inside the alternative's open space; at `ε = 0` it is the
+/// null's point itself, which the alternative's closed space contains. So
+/// at the true optima the alternative's lnL is at least the null's, and an
+/// `alt` below `null` found a worse local optimum. It is re-polished by
+/// `refit` from `lift(x, 1e-3)`; if the better of the two is still below,
+/// the null's point and lnL are reported as the alternative's estimate,
+/// with the alternative's own iteration, evaluation, wall-time and
+/// termination accounting.
+///
+/// # Errors
+/// Propagates `refit`'s error.
+pub(crate) fn nest(
+    null: &Maximum,
+    alt: Maximum,
+    lift: impl Fn(&[f64], f64) -> Vec<f64>,
+    refit: impl FnOnce(&[f64]) -> Result<Maximum, CoreError>,
+) -> Result<(Maximum, H1Outcome), CoreError> {
+    if alt.lnl < null.lnl {
+        let polished = refit(&lift(&null.x, 1e-3))?;
+        let alt = if polished.lnl > alt.lnl {
+            polished
+        } else {
+            alt
+        };
+        if alt.lnl < null.lnl {
+            let at_null = Maximum {
+                x: lift(&null.x, 0.0),
+                lnl: null.lnl,
+                ..alt
+            };
+            return Ok((at_null, H1Outcome::H0));
+        }
+        return Ok((alt, H1Outcome::Polished));
+    }
+    Ok((alt, H1Outcome::Jitter))
 }
 
 #[cfg(test)]

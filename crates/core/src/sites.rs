@@ -1,16 +1,15 @@
 //! The M1a-vs-M2a *sites* test driver: positive selection affecting sites
 //! across the whole tree (no foreground branch).
 
+use crate::fit::{self, Maximum};
 use crate::{AnalysisOptions, CoreError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use slim_bio::{CodonAlignment, Tree};
 use slim_lik::site_models::{evaluate_site_model, site_model_log_likelihood};
-use slim_lik::{LikelihoodProblem, ReuseEvaluator};
+use slim_lik::LikelihoodProblem;
 use slim_model::{SiteModel, SitesHypothesis};
-use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, TerminationReason};
+use slim_opt::{Block, TerminationReason};
 use slim_stat::{chi2_sf, class_posteriors};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One maximized site-model fit.
 #[derive(Debug, Clone)]
@@ -48,6 +47,24 @@ pub struct SitesTestResult {
     pub site_posteriors: Vec<f64>,
 }
 
+impl SitesFit {
+    /// The fit of `hypothesis` at the driver's maximum.
+    fn new(hypothesis: SitesHypothesis, maximum: Maximum) -> SitesFit {
+        let mut model = maximum.x;
+        let branch_lengths = model.split_off(5);
+        SitesFit {
+            hypothesis,
+            lnl: maximum.lnl,
+            model: site_model(&model),
+            branch_lengths,
+            iterations: maximum.iterations,
+            f_evals: maximum.f_evals,
+            wall_time: maximum.wall_time,
+            termination: maximum.termination,
+        }
+    }
+}
+
 /// Run the sites test on an alignment and (unmarked) tree.
 ///
 /// # Errors
@@ -59,14 +76,16 @@ pub fn sites_test(
 ) -> Result<SitesTestResult, CoreError> {
     let problem =
         LikelihoodProblem::new_unmarked(tree, aln, &options.genetic_code, options.freq_model)?;
-    let init_bl: Vec<f64> = tree
-        .branch_lengths()
-        .into_iter()
-        .map(|v| v.clamp(1e-5, 5.0))
-        .collect();
+    let init_bl = fit::initial_branch_lengths(tree, options);
+    let fit_seeded = |hypothesis| {
+        let x0 = start_vector(options, &init_bl, hypothesis);
+        fit_sites(&problem, options, hypothesis, &x0)
+    };
 
-    let m1a = fit_sites(&problem, options, SitesHypothesis::M1a, &init_bl)?;
-    let m2a = fit_sites(&problem, options, SitesHypothesis::M2a, &init_bl)?;
+    let m1a = fit_seeded(SitesHypothesis::M1a)?;
+    let m2a = fit_seeded(SitesHypothesis::M2a)?;
+    let m1a = SitesFit::new(SitesHypothesis::M1a, m1a);
+    let m2a = SitesFit::new(SitesHypothesis::M2a, m2a);
 
     let statistic = (2.0 * (m2a.lnl - m1a.lnl)).max(0.0);
     let p_value = chi2_sf(statistic, 2);
@@ -94,127 +113,71 @@ pub fn sites_test(
     })
 }
 
-fn transform(hypothesis: SitesHypothesis, n_branches: usize) -> BlockTransform {
-    let mut blocks = vec![
-        Block::LowerBounded { lo: 1e-3 }, // κ
-        Block::BoxBounded {
-            lo: 1e-6,
-            hi: 1.0 - 1e-6,
-        }, // ω0
-    ];
-    match hypothesis {
-        SitesHypothesis::M1a => {
-            blocks.push(Block::Fixed { value: 1.0 }); // ω2 unused
-            blocks.push(Block::BoxBounded {
-                lo: 1e-6,
-                hi: 1.0 - 1e-6,
-            }); // p0
-            blocks.push(Block::Fixed { value: 0.0 }); // p1 implied
-        }
-        SitesHypothesis::M2a => {
-            blocks.push(Block::LowerBounded { lo: 1.0 }); // ω2
-            blocks.push(Block::SimplexWithRest { dim: 2 }); // (p0, p1)
-        }
+/// The site model in the head of a fit's parameter vector.
+fn site_model(x: &[f64]) -> SiteModel {
+    SiteModel {
+        kappa: x[0],
+        omega0: x[1],
+        omega2: x[2],
+        p0: x[3],
+        p1: x[4],
     }
-    blocks.push(Block::BoxBoundedVec {
-        lo: 1e-6,
-        hi: 50.0,
-        count: n_branches,
-    });
-    BlockTransform::new(blocks)
 }
 
+/// Starting parameter vector with seeded jitter; M1a fixes ω2 = 1 and
+/// p1 = 0 without drawing.
+fn start_vector(
+    options: &AnalysisOptions,
+    init_branch_lengths: &[f64],
+    hypothesis: SitesHypothesis,
+) -> Vec<f64> {
+    fit::start_vector(options, init_branch_lengths, |jitter| {
+        let m = SiteModel::default_start(hypothesis);
+        [
+            jitter(m.kappa),
+            jitter(m.omega0).clamp(1e-3, 0.9),
+            match hypothesis {
+                SitesHypothesis::M1a => 1.0,
+                SitesHypothesis::M2a => 1.0 + jitter(m.omega2 - 1.0).max(1e-3),
+            },
+            jitter(m.p0).clamp(0.05, 0.9),
+            match hypothesis {
+                SitesHypothesis::M1a => 0.0,
+                SitesHypothesis::M2a => jitter(m.p1).clamp(0.05, 0.9),
+            },
+        ]
+    })
+}
+
+/// Maximize one site model from `x0`. M1a's p1 is implied (1 − p0) and
+/// its ω2 unused, so both are fixed.
 fn fit_sites(
     problem: &LikelihoodProblem,
     options: &AnalysisOptions,
     hypothesis: SitesHypothesis,
-    init_bl: &[f64],
-) -> Result<SitesFit, CoreError> {
-    let t = transform(hypothesis, problem.n_branches());
-
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut jitter = |v: f64| v * (1.0 + options.jitter * (rng.gen::<f64>() - 0.5) * 2.0);
-    let start_model = SiteModel::default_start(hypothesis);
-    let mut x0 = vec![
-        jitter(start_model.kappa),
-        jitter(start_model.omega0).clamp(1e-3, 0.9),
-        match hypothesis {
-            SitesHypothesis::M1a => 1.0,
-            SitesHypothesis::M2a => 1.0 + jitter(start_model.omega2 - 1.0).max(1e-3),
-        },
-        jitter(start_model.p0).clamp(0.05, 0.9),
-        match hypothesis {
-            SitesHypothesis::M1a => 0.0,
-            SitesHypothesis::M2a => jitter(start_model.p1).clamp(0.05, 0.9),
-        },
-    ];
-    if x0[3] + x0[4] > 0.95 {
-        let s = x0[3] + x0[4];
-        x0[3] *= 0.9 / s;
-        x0[4] *= 0.9 / s;
-    }
-    for &b in init_bl {
-        x0.push(jitter(b).clamp(2e-6, 25.0));
-    }
-    let z0 = t.to_unconstrained(&x0);
-
-    let unpack = |x: &[f64]| -> (SiteModel, Vec<f64>) {
-        (
-            SiteModel {
-                kappa: x[0],
-                omega0: x[1],
-                omega2: x[2],
-                p0: x[3],
-                p1: x[4],
+    x0: &[f64],
+) -> Result<Maximum, CoreError> {
+    let omega2_and_proportions = match hypothesis {
+        SitesHypothesis::M1a => vec![
+            Block::Fixed { value: 1.0 },
+            Block::BoxBounded {
+                lo: 1e-6,
+                hi: 1.0 - 1e-6,
             },
-            x[5..].to_vec(),
-        )
+            Block::Fixed { value: 0.0 },
+        ],
+        SitesHypothesis::M2a => vec![
+            Block::LowerBounded { lo: 1.0 },
+            Block::SimplexWithRest { dim: 2 },
+        ],
     };
-
-    // One evaluator per fit, kept between calls except on the
-    // codeml-style backend, as `Analysis::fit_from` does.
-    let reuse = options.backend.reuses_likelihoods();
-    let mut evaluator = ReuseEvaluator::new(problem, options.engine_config());
-    let mut objective = |z: &[f64]| -> f64 {
-        let x = t.to_constrained(z);
-        let (model, bl) = unpack(&x);
-        if !reuse {
-            evaluator.clear();
-        }
-        match evaluate_site_model(&mut evaluator, &model, hypothesis, &bl) {
-            Ok(v) if v.lnl.is_finite() => -v.lnl,
-            _ => f64::INFINITY,
-        }
-    };
-    if !objective(&z0).is_finite() {
-        return Err(CoreError::Optimization(
-            "sites model not finite at start".into(),
-        ));
-    }
-
-    let opts = BfgsOptions {
-        max_iterations: options.max_iterations,
-        grad_mode: options.grad_mode,
-        grad_tol: 1e-6,
-        f_tol: 1e-10,
-        ..Default::default()
-    };
-    // check: allow(det-wallclock) feeds the report wall_time field only
-    let started = Instant::now();
-    let result = minimize(&mut objective, &z0, &opts);
-    let wall_time = started.elapsed();
-    let x = t.to_constrained(&result.x);
-    let (model, branch_lengths) = unpack(&x);
-    Ok(SitesFit {
-        hypothesis,
-        lnl: -result.f,
-        model,
-        branch_lengths,
-        iterations: result.iterations,
-        f_evals: result.f_evals,
-        wall_time,
-        termination: result.reason,
-    })
+    fit::maximize(
+        problem,
+        options,
+        &omega2_and_proportions,
+        x0,
+        |evaluator, x| Ok(evaluate_site_model(evaluator, &site_model(x), hypothesis, &x[5..])?.lnl),
+    )
 }
 
 #[cfg(test)]
