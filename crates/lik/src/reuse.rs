@@ -56,7 +56,7 @@ use crate::problem::LikelihoodProblem;
 use crate::pruning::{Group, LikelihoodValue, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA};
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError, Mat};
-use slim_model::{BranchSiteModel, SiteClass};
+use slim_model::{BranchSiteModel, ScalePolicy, SiteClass};
 use slim_obs::trace::{self, Value};
 use std::sync::Arc;
 
@@ -389,6 +389,16 @@ impl<'p> ReuseEvaluator<'p> {
                     None => PtCache::new(0),
                 };
                 let policy = mixture.scale_policy(&problem.code, &problem.pi);
+                // A line-search step far out (κ and ω2 near e^510, or
+                // proportions of 0/0) can overflow the shared scale; no
+                // rate matrix is defined there, so the point is rejected.
+                if let ScalePolicy::External(scale) = policy {
+                    if !(scale.is_finite() && scale > 0.0) {
+                        return Err(LinalgError::InvalidScale {
+                            op: "shared rate scale",
+                        });
+                    }
+                }
                 let distinct = &distinct[..n_distinct];
                 let es =
                     build_eigensystems(problem, &config, mixture.kappa, distinct, policy, threads)?;

@@ -133,6 +133,29 @@ mod tests {
     }
 
     #[test]
+    fn overflowed_shared_scale_is_an_error() {
+        // κ and ω2 at e^510 overflow ω2's class flux to ∞, and its zero
+        // proportion turns that into 0·∞ = NaN in the shared scale.
+        let p = problem();
+        let bl = vec![0.1; p.n_branches()];
+        let m = SiteModel {
+            kappa: 510f64.exp(),
+            omega0: 0.5,
+            omega2: 510f64.exp(),
+            p0: 0.5,
+            p1: 0.5,
+        };
+        for config in [EngineConfig::slim(), EngineConfig::codeml_style()] {
+            let e = site_model_log_likelihood(&p, &config, &m, SitesHypothesis::M2a, &bl);
+            assert!(
+                matches!(e, Err(LinalgError::InvalidScale { .. })),
+                "{}: {e:?}",
+                config.label
+            );
+        }
+    }
+
+    #[test]
     fn omega2_moves_likelihood() {
         // Unlike the branch-site model with a zero-length foreground
         // branch, ω2 in M2a acts on every branch: changing it must change

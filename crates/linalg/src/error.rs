@@ -23,6 +23,11 @@ pub enum LinalgError {
         /// Short name of the operation.
         op: &'static str,
     },
+    /// A scale factor is not a finite positive number.
+    InvalidScale {
+        /// Short name of the scale.
+        op: &'static str,
+    },
     /// The operation requires a square matrix.
     NotSquare {
         /// Short name of the operation.
@@ -44,6 +49,7 @@ impl fmt::Display for LinalgError {
                 write!(f, "{op}: no convergence after {iterations} iterations")
             }
             LinalgError::Singular { op } => write!(f, "{op}: singular matrix"),
+            LinalgError::InvalidScale { op } => write!(f, "{op}: not a finite positive number"),
             LinalgError::NotSquare { op, rows, cols } => {
                 write!(f, "{op}: expected square matrix, got {rows}x{cols}")
             }
@@ -71,6 +77,8 @@ mod tests {
         assert!(e.to_string().contains("30"));
         let e = LinalgError::Singular { op: "lu" };
         assert!(e.to_string().contains("singular"));
+        let e = LinalgError::InvalidScale { op: "rate scale" };
+        assert!(e.to_string().contains("finite positive"));
         let e = LinalgError::NotSquare {
             op: "eigen",
             rows: 2,
