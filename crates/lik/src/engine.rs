@@ -26,10 +26,11 @@ pub struct EngineConfig {
     /// Symmetric eigensolver.
     pub eigen: EigenMethod,
     /// Worker threads for one likelihood evaluation (the `slim-par`
-    /// intra-gene engine, §V-B's FastCodeML direction): eigendecompositions
-    /// and per-branch `exp(Qt)` reconstructions are fanned across
-    /// branches × ω-classes, and pruning is fanned across
-    /// (background-ω group × pattern block) units. `1` = serial, `0` = auto
+    /// intra-gene engine, §V-B's FastCodeML direction): per-branch
+    /// `exp(Qt)` reconstructions are fanned across branches × ω-classes,
+    /// and pruning is fanned across (background-ω group × pattern block)
+    /// units; the at most three eigendecompositions run on the calling
+    /// thread. `1` = serial, `0` = auto
     /// (`available_parallelism`). Any value produces **bit-identical**
     /// results: block boundaries are fixed by [`EngineConfig::pattern_block`]
     /// alone, every unit is computed independently, and the final reduction

@@ -3,8 +3,10 @@
 //!
 //! One evaluation runs as four phases:
 //!
-//! 1. **eigen** — one rate matrix per distinct ω is built and decomposed,
-//!    each independent, fanned one-per-thread ([`build_eigensystems`]);
+//! 1. **eigen** — one rate matrix per distinct ω is built and decomposed
+//!    on the calling thread ([`build_eigensystems`]). A mixture has at
+//!    most three, and a thread per ω was slower on three of the four
+//!    Table II analogs on a 2-core host (EXPERIMENTS.md);
 //! 2. **expm** — one transition operator per (branch, needed ω) pair
 //!    ([`build_op`]), all independent, chunked across threads;
 //! 3. **pruning** — units of (background-ω group × pattern block) stream
@@ -17,10 +19,10 @@
 //!
 //! ## Why every thread count gives the same bits
 //!
-//! Phases 1–2 compute each item identically regardless of which thread
-//! runs it. Phase 3's block boundaries depend only on
-//! [`EngineConfig::pattern_block`], never on the thread count, and each
-//! block's values are bit-identical to a full-width pass (see
+//! Phase 1 runs serially, and phase 2 computes each item identically
+//! regardless of which thread runs it. Phase 3's block boundaries depend
+//! only on [`EngineConfig::pattern_block`], never on the thread count, and
+//! each block's values are bit-identical to a full-width pass (see
 //! [`crate::pruning`]). Phase 4 is the only order-sensitive step — a sum
 //! over patterns — and it always runs serially in pattern order. Hence
 //! `threads = 1` and `threads = N` agree to the last bit, which the
@@ -30,45 +32,27 @@ use crate::engine::{EngineConfig, ExpmPath};
 use crate::problem::LikelihoodProblem;
 use crate::pruning::TransOp;
 use slim_expm::{CpvStrategy, EigenSystem};
-use slim_linalg::{simd, LinalgError, NeumaierSum};
+use slim_linalg::{LinalgError, NeumaierSum};
 use slim_model::{build_rate_matrix, ScalePolicy};
 use std::sync::Arc;
 
 /// Phase 1: build and decompose one rate matrix per ω in `omegas` (a
-/// mixture's distinct ω values), all under `scale` (one-per-spawn when
-/// `threads >= 2`); the evaluator reruns it when globals change.
+/// mixture's distinct ω values), all under `scale`, on the calling
+/// thread; the evaluator reruns it when globals change.
 pub(crate) fn build_eigensystems(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
     kappa: f64,
     omegas: &[f64],
     scale: ScalePolicy,
-    threads: usize,
 ) -> Result<Vec<Arc<EigenSystem>>, LinalgError> {
-    let eigen_for = |omega: f64| {
-        let rm = build_rate_matrix(&problem.code, kappa, omega, &problem.pi, scale);
-        EigenSystem::from_rate_matrix(&rm, config.eigen).map(Arc::new)
-    };
-    if threads >= 2 && omegas.len() >= 2 {
-        let simd_mode = config.simd;
-        let mut slots: Vec<Option<Result<Arc<EigenSystem>, LinalgError>>> =
-            omegas.iter().map(|_| None).collect();
-        let eigen_for = &eigen_for;
-        crossbeam::thread::scope(|scope| {
-            for (slot, &omega) in slots.iter_mut().zip(omegas.iter()) {
-                scope.spawn(move |_| {
-                    simd::with_forced(simd_mode, || *slot = Some(eigen_for(omega)));
-                });
-            }
+    omegas
+        .iter()
+        .map(|&omega| {
+            let rm = build_rate_matrix(&problem.code, kappa, omega, &problem.pi, scale);
+            EigenSystem::from_rate_matrix(&rm, config.eigen).map(Arc::new)
         })
-        .expect("eigen scope");
-        slots
-            .into_iter()
-            .map(|s| s.expect("eigen thread filled its slot"))
-            .collect()
-    } else {
-        omegas.iter().map(|&omega| eigen_for(omega)).collect()
-    }
+        .collect()
 }
 
 /// Phase 4: per-pattern class mixing (log-sum-exp) and the weighted

@@ -400,8 +400,7 @@ impl<'p> ReuseEvaluator<'p> {
                     }
                 }
                 let distinct = &distinct[..n_distinct];
-                let es =
-                    build_eigensystems(problem, &config, mixture.kappa, distinct, policy, threads)?;
+                let es = build_eigensystems(problem, &config, mixture.kappa, distinct, policy)?;
                 (ops, es)
             }
         };
