@@ -40,7 +40,6 @@ pub mod ctl;
 use ctl::CtlMode;
 use slim_bio::{parse_newick, CodonAlignment, FreqModel, Tree};
 use slim_core::{sites_test, Analysis, AnalysisOptions, Backend};
-use slim_lik::SimdMode;
 use slim_obs::trace::report::{render_report, RecordedEvent};
 use slim_obs::Snapshot;
 use slim_opt::GradMode;
@@ -214,15 +213,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                         .parse()
                         .map_err(|_| "bad --threads value (need an integer, 0 = auto)")?,
                 );
-            }
-            "--simd" => {
-                // Forcing any mode is safe: every backend computes
-                // bit-identical likelihoods (the kernels vectorize across
-                // independent outputs only), and an unsupported force
-                // falls back to scalar.
-                let v = take_value("--simd")?;
-                options.simd = SimdMode::parse(&v)
-                    .ok_or_else(|| format!("unknown simd mode {v:?} (auto|scalar|avx2|neon)"))?;
             }
             "--timing" => timing = true,
             "--metrics" => metrics_path = Some(take_value("--metrics")?),
@@ -625,8 +615,7 @@ fn timing_report(analysis: &Analysis, baseline: &Snapshot) -> String {
 pub fn usage() -> String {
     "usage: slimcodeml --seq <aln.fasta|aln.phy> --tree <tree.nwk> \
      [--backend codeml|slim|slim+|eq12] [--freq equal|f1x4|f3x4|f61] \
-     [--seed N] [--max-iter N] [--forward-grad] [--threads N] \
-     [--simd auto|scalar|avx2|neon] [--timing] \
+     [--seed N] [--max-iter N] [--forward-grad] [--threads N] [--timing] \
      [--metrics <path>] [--metrics-format json|prom] [--trace <path>] \
      [--scan] [--workers N] [--sites]\n\
        or: slimcodeml --ctl <codeml.ctl>\n\
@@ -1073,20 +1062,6 @@ mod tests {
         assert_eq!(auto.options.threads, Some(0), "0 means auto");
         assert!(parse_args(&args(&["--seq", "a", "--tree", "t", "--threads", "x"])).is_err());
         assert!(parse_args(&args(&["--seq", "a", "--tree", "t", "--threads"])).is_err());
-    }
-
-    #[test]
-    fn simd_flag() {
-        let forced =
-            direct(parse_args(&args(&["--seq", "a", "--tree", "t", "--simd", "scalar"])).unwrap());
-        assert_eq!(forced.options.simd, SimdMode::ForceScalar);
-        let auto =
-            direct(parse_args(&args(&["--seq", "a", "--tree", "t", "--simd", "auto"])).unwrap());
-        assert_eq!(auto.options.simd, SimdMode::Auto);
-        let default = direct(parse_args(&args(&["--seq", "a", "--tree", "t"])).unwrap());
-        assert_eq!(default.options.simd, SimdMode::Auto);
-        assert!(parse_args(&args(&["--seq", "a", "--tree", "t", "--simd", "sse9"])).is_err());
-        assert!(parse_args(&args(&["--seq", "a", "--tree", "t", "--simd"])).is_err());
     }
 
     #[test]

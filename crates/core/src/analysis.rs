@@ -5,7 +5,7 @@ use crate::fit::{self, branch_site_model, Maximum, OMEGA0_HI, OMEGA0_LO};
 use crate::obsm;
 use crate::{Backend, CoreError, Fit};
 use slim_bio::{CodonAlignment, FreqModel, GeneticCode, Tree};
-use slim_lik::{log_likelihood, site_class_log_likelihoods, LikelihoodProblem, SimdMode};
+use slim_lik::{log_likelihood, site_class_log_likelihoods, LikelihoodProblem};
 use slim_model::{BranchSiteModel, Hypothesis};
 use slim_opt::{Block, GradMode};
 use slim_stat::{lrt_pvalue, positive_selection_posteriors, LrtResult};
@@ -40,9 +40,6 @@ pub struct AnalysisOptions {
     /// setting. Defaults from the `SLIMCODEML_THREADS` environment
     /// variable when set (how CI runs the whole suite at 4 threads).
     pub threads: Option<usize>,
-    /// SIMD kernel dispatch ([`SimdMode::Auto`] honors `SLIMCODEML_SIMD`,
-    /// else CPU detection). Every mode computes bit-identical likelihoods.
-    pub simd: SimdMode,
 }
 
 impl Default for AnalysisOptions {
@@ -57,7 +54,6 @@ impl Default for AnalysisOptions {
             jitter: 0.05,
             genetic_code: GeneticCode::universal(),
             threads: threads_from_env(),
-            simd: SimdMode::Auto,
         }
     }
 }
@@ -78,7 +74,6 @@ impl AnalysisOptions {
         if let Some(threads) = self.threads {
             config.threads = threads;
         }
-        config.simd = self.simd;
         config
     }
 }
@@ -444,22 +439,6 @@ mod tests {
         let f2 = cloned.fit(Hypothesis::H0).unwrap();
         assert_eq!(f1.lnl, f2.lnl);
         assert_eq!(f1.branch_lengths, f2.branch_lengths);
-    }
-
-    #[test]
-    fn simd_option_lands_in_the_engine_config() {
-        let tree = parse_newick("((A:0.2,B:0.2)#1:0.1,C:0.3);").unwrap();
-        let aln = CodonAlignment::from_fasta(">A\nATGCCC\n>B\nATGCCA\n>C\nATGCCC\n").unwrap();
-        let forced = Analysis::new(
-            &tree,
-            &aln,
-            AnalysisOptions {
-                simd: SimdMode::ForceScalar,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(forced.engine_config().simd, SimdMode::ForceScalar);
     }
 
     #[test]
