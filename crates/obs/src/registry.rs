@@ -58,7 +58,7 @@ impl Registry {
     }
 
     /// Freeze every registered metric, sorted by name. Derived gauges
-    /// (see [`add_derived_gauges`]) are computed here, so they appear in
+    /// (see `add_derived_gauges`) are computed here, so they appear in
     /// both the JSON and Prometheus renderings without a recording site.
     pub fn snapshot(&self) -> Snapshot {
         let counters: Vec<(String, u64)> = self
