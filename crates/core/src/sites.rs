@@ -326,7 +326,16 @@ mod tests {
             r.m2a.lnl,
             r.m1a.lnl
         );
+        // So M1a's point is reported, with M1a's lnL.
+        let at_m1a = SiteModel {
+            omega2: 1.0,
+            p1: 1.0 - r.m1a.model.p0,
+            ..r.m1a.model
+        };
+        assert_eq!(r.m2a.model, at_m1a);
         assert!(r.m2a.model.is_valid(SitesHypothesis::M2a));
+        assert_eq!(r.m2a.branch_lengths, r.m1a.branch_lengths);
+        assert_eq!(r.m2a.lnl.to_bits(), r.m1a.lnl.to_bits());
         // The reported lnL replays bit-exactly at the reported point.
         let problem =
             LikelihoodProblem::new_unmarked(&tree, &aln, &options.genetic_code, options.freq_model)
