@@ -238,6 +238,7 @@ impl Analysis {
         };
         fit::maximize(
             &self.problem,
+            &self.engine_config,
             &self.options,
             &[omega2, Block::SimplexWithRest { dim: 2 }],
             x0,

@@ -12,7 +12,7 @@ use crate::{AnalysisOptions, CoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slim_bio::Tree;
-use slim_lik::{LikelihoodProblem, ReuseEvaluator};
+use slim_lik::{EngineConfig, LikelihoodProblem, ReuseEvaluator};
 use slim_linalg::LinalgError;
 use slim_model::{BranchSiteModel, Hypothesis};
 use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, TerminationReason};
@@ -157,7 +157,8 @@ pub(crate) struct Maximum {
 /// layout `[κ, ω0, ω2, p0, p1, t…]`, where `omega2_and_proportions` bound
 /// the ω2, p0 and p1 slots.
 ///
-/// One evaluator serves the whole fit. It diffs parameters bitwise
+/// One evaluator, under the analysis' one `config`, serves the whole fit.
+/// It diffs parameters bitwise
 /// against its previous call, so kept and cleared state give the same
 /// bits (see slim-lik's reuse module docs); the codeml-style backend
 /// clears it before every call.
@@ -166,6 +167,7 @@ pub(crate) struct Maximum {
 /// [`CoreError::Optimization`] if the likelihood is not finite at `x0`.
 pub(crate) fn maximize(
     problem: &LikelihoodProblem,
+    config: &EngineConfig,
     options: &AnalysisOptions,
     omega2_and_proportions: &[Block],
     x0: &[f64],
@@ -188,7 +190,7 @@ pub(crate) fn maximize(
     let z0 = transform.to_unconstrained(x0);
 
     let reuse = options.backend.reuses_likelihoods();
-    let mut evaluator = ReuseEvaluator::new(problem, options.engine_config());
+    let mut evaluator = ReuseEvaluator::new(problem, config.clone());
     let mut objective = |z: &[f64]| -> f64 {
         let x = transform.to_constrained(z);
         if !reuse {

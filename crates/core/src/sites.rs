@@ -5,7 +5,7 @@ use crate::fit::{self, Maximum};
 use crate::{AnalysisOptions, CoreError};
 use slim_bio::{CodonAlignment, Tree};
 use slim_lik::site_models::{evaluate_site_model, site_model_log_likelihood};
-use slim_lik::LikelihoodProblem;
+use slim_lik::{EngineConfig, LikelihoodProblem};
 use slim_model::{SiteModel, SitesHypothesis};
 use slim_opt::{Block, TerminationReason};
 use slim_stat::{chi2_sf, class_posteriors};
@@ -79,16 +79,16 @@ pub fn sites_test(
 ) -> Result<SitesTestResult, CoreError> {
     let problem =
         LikelihoodProblem::new_unmarked(tree, aln, &options.genetic_code, options.freq_model)?;
+    let config = options.engine_config();
     let init_bl = fit::initial_branch_lengths(tree, options);
-    let fit_seeded = |hypothesis| {
-        let x0 = start_vector(options, &init_bl, hypothesis);
-        fit_sites(&problem, options, hypothesis, &x0)
-    };
+    let fit_from = |hypothesis, x0: &[f64]| fit_sites(&problem, &config, options, hypothesis, x0);
+    let fit_seeded =
+        |hypothesis| fit_from(hypothesis, &start_vector(options, &init_bl, hypothesis));
 
     let m1a = fit_seeded(SitesHypothesis::M1a)?;
     let m2a = fit_seeded(SitesHypothesis::M2a)?;
     let (m2a, _) = fit::nest(&m1a, m2a, lift_m1a, |warm| {
-        fit_sites(&problem, options, SitesHypothesis::M2a, warm)
+        fit_from(SitesHypothesis::M2a, warm)
     })?;
     let m1a = SitesFit::new(SitesHypothesis::M1a, m1a);
     let m2a = SitesFit::new(SitesHypothesis::M2a, m2a);
@@ -99,7 +99,7 @@ pub fn sites_test(
     // NEB site posteriors for the ω2 class at the M2a optimum.
     let value = site_model_log_likelihood(
         &problem,
-        &options.engine_config(),
+        &config,
         &m2a.model,
         SitesHypothesis::M2a,
         &m2a.branch_lengths,
@@ -169,6 +169,7 @@ fn lift_m1a(x: &[f64], eps: f64) -> Vec<f64> {
 /// its ω2 unused, so both are fixed.
 fn fit_sites(
     problem: &LikelihoodProblem,
+    config: &EngineConfig,
     options: &AnalysisOptions,
     hypothesis: SitesHypothesis,
     x0: &[f64],
@@ -189,6 +190,7 @@ fn fit_sites(
     };
     fit::maximize(
         problem,
+        config,
         options,
         &omega2_and_proportions,
         x0,
