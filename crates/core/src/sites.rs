@@ -356,8 +356,10 @@ mod tests {
     #[test]
     fn overflowing_line_search_step_backtracks() {
         // A line-search step of this fixture's M2a fit sends κ and ω2 to
-        // e^510, where the shared rate scale is not finite: the step must
-        // be rejected, not abort the test.
+        // e^510, where the shared rate scale is not finite, and its
+        // backtracking then reaches κ 3e29, ω2 7e50, p2 1e-11, where P(t)
+        // on the branches of 50 would not be stochastic: both points must
+        // be rejected, not abort the test (a sanitize build included).
         let (tree, aln) = simulated(4, 9, 8);
         for options in [
             AnalysisOptions {

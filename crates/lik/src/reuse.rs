@@ -51,7 +51,7 @@
 use crate::engine::EngineConfig;
 use crate::mixture::Mixture;
 use crate::obsm;
-use crate::par::{build_eigensystems, build_op, mix_and_reduce};
+use crate::par::{build_eigensystems, build_op, mix_and_reduce, stochastic_horizon};
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{Group, LikelihoodValue, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA};
 use slim_expm::{EigenSystem, PtCache, PtKey};
@@ -68,6 +68,8 @@ struct EvalState {
     branch_lengths: Vec<f64>,
     /// One decomposition per distinct ω.
     eigensystems: Vec<Arc<EigenSystem>>,
+    /// Each decomposition's [`stochastic_horizon`].
+    horizons: Vec<f64>,
     /// Per-(node × ω slot) transition operators, validity-keyed on
     /// (decomposition id, branch-length bits).
     ops: PtCache<TransOp>,
@@ -211,7 +213,10 @@ impl<'p> ReuseEvaluator<'p> {
     /// phase runs inside its `lik.phase.*` span.
     ///
     /// # Errors
-    /// Propagates eigensolver failures.
+    /// Propagates eigensolver failures. Rejects a point whose shared rate
+    /// scale is not finite and positive ([`LinalgError::InvalidScale`]),
+    /// or with a branch past its decomposition's stochastic horizon, where
+    /// P(t) would not be stochastic ([`LinalgError::IllConditioned`]).
     ///
     /// # Panics
     /// Panics if `branch_lengths.len()` mismatches the problem.
@@ -376,8 +381,8 @@ impl<'p> ReuseEvaluator<'p> {
         // wholesale unless a global changed. ---
         let phase_span = obsm::PHASE_EIGEN.span();
         let (distinct, n_distinct, slot) = mixture.distinct_omegas();
-        let (mut ops, eigensystems) = match prev {
-            Some(s) if !globals_changed => (s.ops, s.eigensystems),
+        let (mut ops, eigensystems, horizons) = match prev {
+            Some(s) if !globals_changed => (s.ops, s.eigensystems, s.horizons),
             other => {
                 // First call or globals changed: new decompositions, and
                 // no CPV survives (the mixture itself moved). The operator
@@ -401,7 +406,8 @@ impl<'p> ReuseEvaluator<'p> {
                 }
                 let distinct = &distinct[..n_distinct];
                 let es = build_eigensystems(problem, &config, mixture.kappa, distinct, policy)?;
-                (ops, es)
+                let horizons = es.iter().map(|e| stochastic_horizon(e)).collect();
+                (ops, es, horizons)
             }
         };
         drop(phase_span);
@@ -429,6 +435,13 @@ impl<'p> ReuseEvaluator<'p> {
                 }
                 let key = PtKey::new(&eigensystems[w], t);
                 if !ops.probe(node * N_OMEGA + w, key) {
+                    // Past its horizon the decomposition cannot give a
+                    // stochastic P(t), so the point is rejected instead.
+                    if t > horizons[w] {
+                        return Err(LinalgError::IllConditioned {
+                            op: "P(t) reconstruction",
+                        });
+                    }
                     stale.push((node, w, t));
                 }
             }
@@ -644,6 +657,7 @@ impl<'p> ReuseEvaluator<'p> {
             mixture: *mixture,
             branch_lengths: branch_lengths.to_vec(),
             eigensystems,
+            horizons,
             ops,
             value: value.clone(),
         });

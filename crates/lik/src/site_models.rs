@@ -156,6 +156,40 @@ mod tests {
     }
 
     #[test]
+    fn stiff_mixture_is_an_error_on_long_branches() {
+        // A point a sites fit's line search reaches: ω2's class, at
+        // proportion 1e-11, carries a spectrum down to -1e11, which the
+        // eigensolver resolves only to ~1e-5 absolute. On branches of 50
+        // its P(t) rows would miss 1 by 1e-3; on branches of 1e-6 they
+        // hold.
+        let p = problem();
+        let m = SiteModel {
+            kappa: 3.1e29,
+            omega0: 0.999999,
+            omega2: 6.6e50,
+            p0: 2.2e-31,
+            p1: 1.0 - 1.1e-11,
+        };
+        for config in [
+            EngineConfig::codeml_style(),
+            EngineConfig::slim(),
+            EngineConfig::slim_plus(),
+            EngineConfig::slim_symmetric(),
+        ] {
+            let long = vec![50.0; p.n_branches()];
+            let e = site_model_log_likelihood(&p, &config, &m, SitesHypothesis::M2a, &long);
+            assert!(
+                matches!(e, Err(LinalgError::IllConditioned { .. })),
+                "{}: {e:?}",
+                config.label
+            );
+            let short = vec![1e-6; p.n_branches()];
+            let v = site_model_log_likelihood(&p, &config, &m, SitesHypothesis::M2a, &short);
+            assert!(v.unwrap().lnl.is_finite(), "{}", config.label);
+        }
+    }
+
+    #[test]
     fn omega2_moves_likelihood() {
         // Unlike the branch-site model with a zero-length foreground
         // branch, ω2 in M2a acts on every branch: changing it must change

@@ -28,6 +28,12 @@ pub enum LinalgError {
         /// Short name of the scale.
         op: &'static str,
     },
+    /// The input is too ill-conditioned for the operation to meet its
+    /// accuracy contract, so no result is returned.
+    IllConditioned {
+        /// Short name of the operation.
+        op: &'static str,
+    },
     /// The operation requires a square matrix.
     NotSquare {
         /// Short name of the operation.
@@ -50,6 +56,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular { op } => write!(f, "{op}: singular matrix"),
             LinalgError::InvalidScale { op } => write!(f, "{op}: not a finite positive number"),
+            LinalgError::IllConditioned { op } => {
+                write!(f, "{op}: too ill-conditioned to compute accurately")
+            }
             LinalgError::NotSquare { op, rows, cols } => {
                 write!(f, "{op}: expected square matrix, got {rows}x{cols}")
             }
@@ -79,6 +88,8 @@ mod tests {
         assert!(e.to_string().contains("singular"));
         let e = LinalgError::InvalidScale { op: "rate scale" };
         assert!(e.to_string().contains("finite positive"));
+        let e = LinalgError::IllConditioned { op: "P(t)" };
+        assert!(e.to_string().contains("ill-conditioned"));
         let e = LinalgError::NotSquare {
             op: "eigen",
             rows: 2,
