@@ -84,7 +84,7 @@ pub(crate) fn stochastic_horizon(es: &EigenSystem) -> f64 {
     let mut c = vec![NeumaierSum::new(); n];
     let mut reach = vec![0.0f64; n];
     for j in 0..n {
-        for (k, &xjk) in x.row(j).iter().take(n).enumerate() {
+        for (k, &xjk) in x.row(j).iter().enumerate() {
             c[k].add(xjk * es.sqrt_pi[j]);
             reach[k] = reach[k].max(xjk.abs() * es.inv_sqrt_pi[j]);
         }
