@@ -74,7 +74,9 @@ pub struct ManifestEntry {
     pub freq: FreqModel,
     /// `true` selects the vertebrate mitochondrial code.
     pub mito: bool,
-    /// Finite-difference gradient flavor.
+    /// Where BFGS takes its gradients (`"grad"`: `analytic`, `central`
+    /// or `forward`); a manifest without it follows
+    /// [`AnalysisOptions::default`], the exact gradient.
     pub grad: GradMode,
     /// Base RNG seed (retries reseed deterministically from this).
     pub seed: u64,
@@ -145,6 +147,7 @@ fn grad_token(g: GradMode) -> &'static str {
     match g {
         GradMode::Forward => "forward",
         GradMode::Central => "central",
+        GradMode::Analytic => "analytic",
     }
 }
 
@@ -152,8 +155,9 @@ fn parse_grad(s: &str, ctx: &str) -> Result<GradMode> {
     match s.to_ascii_lowercase().as_str() {
         "forward" => Ok(GradMode::Forward),
         "central" => Ok(GradMode::Central),
+        "analytic" => Ok(GradMode::Analytic),
         _ => Err(BatchError::Manifest(format!(
-            "{ctx}: unknown grad mode {s:?} (forward|central)"
+            "{ctx}: unknown grad mode {s:?} (analytic|central|forward)"
         ))),
     }
 }
@@ -679,6 +683,28 @@ mod tests {
         assert_eq!(reparsed, m);
         assert_eq!(reparsed.canonical_json(), canon);
         assert_eq!(reparsed.fingerprint(), m.fingerprint());
+    }
+
+    #[test]
+    fn grad_tokens_roundtrip_and_default_to_the_exact_gradient() {
+        for (token, mode) in [
+            ("analytic", GradMode::Analytic),
+            ("central", GradMode::Central),
+            ("forward", GradMode::Forward),
+        ] {
+            let doc = format!(
+                r#"{{"version": 1, "genes": [{{"id":"g","alignment":"a","tree":"t","grad":"{token}"}}]}}"#
+            );
+            let m = BatchManifest::parse(&doc).unwrap();
+            assert_eq!(m.entries[0].grad, mode);
+            assert_eq!(BatchManifest::parse(&m.canonical_json()).unwrap(), m);
+        }
+        let m = BatchManifest::parse(&minimal("\"all\"")).unwrap();
+        assert_eq!(m.entries[0].grad, GradMode::Analytic);
+        let bad =
+            r#"{"version": 1, "genes": [{"id":"g","alignment":"a","tree":"t","grad":"secant"}]}"#;
+        let err = BatchManifest::parse(bad).unwrap_err().to_string();
+        assert!(err.contains("analytic|central|forward"), "{err}");
     }
 
     #[test]

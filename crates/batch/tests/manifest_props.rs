@@ -13,6 +13,7 @@ const BACKENDS: [Backend; 4] = [
     Backend::SlimPlus,
     Backend::SlimSymmetric,
 ];
+const GRADS: [GradMode; 3] = [GradMode::Analytic, GradMode::Central, GradMode::Forward];
 const FREQS: [FreqModel; 4] = [
     FreqModel::Equal,
     FreqModel::F1x4,
@@ -47,7 +48,7 @@ fn branches() -> impl Strategy<Value = BranchSpec> {
 
 fn entry() -> impl Strategy<Value = ManifestEntry> {
     let paths = (ident(), ident());
-    let model = (0..BACKENDS.len(), 0..FREQS.len(), 0..2usize, 0..2usize);
+    let model = (0..BACKENDS.len(), 0..FREQS.len(), 0..2usize, 0..GRADS.len());
     // Seeds stay below 2^53 so the value survives any f64-based JSON
     // number representation; the manifest schema allows the full range.
     let numbers = (
@@ -72,11 +73,7 @@ fn entry() -> impl Strategy<Value = ManifestEntry> {
                 backend: BACKENDS[b],
                 freq: FREQS[f],
                 mito: mito == 1,
-                grad: if grad == 0 {
-                    GradMode::Forward
-                } else {
-                    GradMode::Central
-                },
+                grad: GRADS[grad],
                 seed,
                 max_iterations: max_it as usize,
                 jitter,

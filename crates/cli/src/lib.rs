@@ -83,8 +83,8 @@ pub struct CliConfig {
     /// file with `model = 0` selects M1a/M2a).
     pub mode: CtlMode,
     /// Print a per-phase wall-clock breakdown (eigen / expm / pruning /
-    /// reduction) accumulated over every likelihood evaluation of the
-    /// whole H0 + H1 fit.
+    /// reduction, and the exact gradients' adjoint passes) accumulated
+    /// over the whole H0 + H1 fit.
     pub timing: bool,
     /// Write a metrics snapshot to this path after the run.
     pub metrics_path: Option<String>,
@@ -557,24 +557,28 @@ fn timing_report(analysis: &Analysis, baseline: &Snapshot) -> String {
     let expm = sum("lik.phase.expm_seconds");
     let pruning = sum("lik.phase.pruning_seconds");
     let reduction = sum("lik.phase.reduction_seconds");
+    let gradient = sum("lik.phase.gradient_seconds");
     let threads = analysis.engine_config().resolved_threads();
     let simd = slim_lik::simd::resolve(analysis.engine_config().simd);
     let mut out = format!(
         "\ntiming (cumulative over the H0 + H1 fits, {} likelihood evaluations, \
-         {} thread{}):\n  \
+         {} gradients, {} thread{}):\n  \
          eigen      {:>9.3} ms\n  \
          expm       {:>9.3} ms\n  \
          pruning    {:>9.3} ms\n  \
          reduction  {:>9.3} ms\n  \
+         gradient   {:>9.3} ms\n  \
          total      {:>9.3} ms\n",
         count("lik.evaluations"),
+        count("opt.grad_evals"),
         threads,
         if threads == 1 { "" } else { "s" },
         eigen * 1e3,
         expm * 1e3,
         pruning * 1e3,
         reduction * 1e3,
-        (eigen + expm + pruning + reduction) * 1e3,
+        gradient * 1e3,
+        (eigen + expm + pruning + reduction + gradient) * 1e3,
     );
     if analysis.options().backend.reuses_likelihoods() {
         let reused = count("lik.reuse.units_reused");
@@ -1086,7 +1090,7 @@ mod tests {
             "((A:0.2,B:0.2)#1:0.1,C:0.3);",
         )
         .unwrap();
-        for phase in ["eigen", "expm", "pruning", "reduction", "total"] {
+        for phase in ["eigen", "expm", "pruning", "reduction", "gradient", "total"] {
             assert!(report.contains(phase), "missing {phase} in: {report}");
         }
         assert!(report.contains("2 threads"), "{report}");

@@ -4,8 +4,8 @@
 //! Every fit optimizes one parameter layout, `[κ, ω0, ω2, p0, p1, t…]`,
 //! through one BFGS run on one evaluator ([`maximize`]). A model supplies
 //! only what differs: its ω2 and proportion blocks, the five-parameter
-//! head of its seeded start ([`start_vector`]), and which mixture it
-//! evaluates.
+//! head of its seeded start ([`start_vector`]), and its lnL and that
+//! lnL's exact gradient ([`Likelihood`]).
 
 use crate::obsm::H1Outcome;
 use crate::{AnalysisOptions, CoreError};
@@ -15,7 +15,7 @@ use slim_bio::Tree;
 use slim_lik::{EngineConfig, LikelihoodProblem, ReuseEvaluator};
 use slim_linalg::LinalgError;
 use slim_model::{BranchSiteModel, Hypothesis};
-use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, TerminationReason};
+use slim_opt::{minimize, BfgsOptions, Block, BlockTransform, Objective, TerminationReason};
 use std::time::{Duration, Instant};
 
 /// A maximized branch-site model fit.
@@ -31,7 +31,9 @@ pub struct Fit {
     pub branch_lengths: Vec<f64>,
     /// Optimizer iterations (the paper's Table III "Iterations" column).
     pub iterations: usize,
-    /// Total likelihood evaluations, including finite differences.
+    /// Likelihood evaluations: the start, every line-search trial and,
+    /// under a finite-difference [`GradMode`](crate::GradMode), every
+    /// probe. An analytic gradient adds none.
     pub f_evals: usize,
     /// Wall-clock time of the fit.
     pub wall_time: Duration,
@@ -153,15 +155,63 @@ pub(crate) struct Maximum {
     pub(crate) termination: TerminationReason,
 }
 
-/// Maximize `lnl` from `x0` (strictly inside the feasible region) over the
-/// layout `[κ, ω0, ω2, p0, p1, t…]`, where `omega2_and_proportions` bound
-/// the ω2, p0 and p1 slots.
+/// What a model gives [`maximize`], at a point of the layout
+/// `[κ, ω0, ω2, p0, p1, t…]`.
+pub(crate) trait Likelihood {
+    /// The log-likelihood.
+    fn lnl(&self, evaluator: &mut ReuseEvaluator<'_>, x: &[f64]) -> Result<f64, LinalgError>;
+
+    /// The gradient of [`lnl`](Likelihood::lnl) over the layout, taken at
+    /// the point the evaluator last evaluated.
+    fn gradient(
+        &self,
+        evaluator: &mut ReuseEvaluator<'_>,
+        x: &[f64],
+    ) -> Result<Vec<f64>, LinalgError>;
+}
+
+/// The negative log-likelihood over BFGS's unconstrained coordinates.
+struct NegLnl<'p, L> {
+    transform: BlockTransform,
+    evaluator: ReuseEvaluator<'p>,
+    model: L,
+    /// Whether the evaluator keeps its state between calls.
+    reuse: bool,
+}
+
+impl<L: Likelihood> Objective for NegLnl<'_, L> {
+    fn cost(&mut self, z: &[f64]) -> f64 {
+        let x = self.transform.to_constrained(z);
+        if !self.reuse {
+            self.evaluator.clear();
+        }
+        match self.model.lnl(&mut self.evaluator, &x) {
+            Ok(v) if v.is_finite() => -v,
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// The exact gradient, pulled back through the transform. BFGS takes
+    /// it right after the point's own evaluation, whose state serves it
+    /// on every backend.
+    fn gradient(&mut self, z: &[f64]) -> Vec<f64> {
+        let x = self.transform.to_constrained(z);
+        match self.model.gradient(&mut self.evaluator, &x) {
+            Ok(g) => self.transform.pull_back(z, &g).iter().map(|v| -v).collect(),
+            Err(_) => vec![f64::NAN; z.len()],
+        }
+    }
+}
+
+/// Maximize `model`'s lnL from `x0` (strictly inside the feasible region)
+/// over the layout `[κ, ω0, ω2, p0, p1, t…]`, where
+/// `omega2_and_proportions` bound the ω2, p0 and p1 slots.
 ///
 /// One evaluator, under the analysis' one `config`, serves the whole fit.
 /// It diffs parameters bitwise
 /// against its previous call, so kept and cleared state give the same
 /// bits (see slim-lik's reuse module docs); the codeml-style backend
-/// clears it before every call.
+/// clears it before every evaluation.
 ///
 /// # Errors
 /// [`CoreError::Optimization`] if the likelihood is not finite at `x0`.
@@ -171,7 +221,7 @@ pub(crate) fn maximize(
     options: &AnalysisOptions,
     omega2_and_proportions: &[Block],
     x0: &[f64],
-    mut lnl: impl FnMut(&mut ReuseEvaluator<'_>, &[f64]) -> Result<f64, LinalgError>,
+    model: impl Likelihood,
 ) -> Result<Maximum, CoreError> {
     let mut blocks = vec![
         Block::LowerBounded { lo: KAPPA_LO },
@@ -189,19 +239,13 @@ pub(crate) fn maximize(
     let transform = BlockTransform::new(blocks);
     let z0 = transform.to_unconstrained(x0);
 
-    let reuse = options.backend.reuses_likelihoods();
-    let mut evaluator = ReuseEvaluator::new(problem, config.clone());
-    let mut objective = |z: &[f64]| -> f64 {
-        let x = transform.to_constrained(z);
-        if !reuse {
-            evaluator.clear();
-        }
-        match lnl(&mut evaluator, &x) {
-            Ok(v) if v.is_finite() => -v,
-            _ => f64::INFINITY,
-        }
+    let mut objective = NegLnl {
+        transform: transform.clone(),
+        evaluator: ReuseEvaluator::new(problem, config.clone()),
+        model,
+        reuse: options.backend.reuses_likelihoods(),
     };
-    if !objective(&z0).is_finite() {
+    if !objective.cost(&z0).is_finite() {
         return Err(CoreError::Optimization(
             "likelihood not finite at the starting point".into(),
         ));
@@ -216,7 +260,7 @@ pub(crate) fn maximize(
     };
     // check: allow(det-wallclock) feeds the report wall_time field only
     let started = Instant::now();
-    let result = minimize(&mut objective, &z0, &opts);
+    let result = minimize(objective, &z0, &opts);
     let wall_time = started.elapsed();
 
     let x = transform.to_constrained(&result.x);

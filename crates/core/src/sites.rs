@@ -4,8 +4,9 @@
 use crate::fit::{self, Maximum};
 use crate::{AnalysisOptions, CoreError};
 use slim_bio::{CodonAlignment, Tree};
-use slim_lik::site_models::{evaluate_site_model, site_model_log_likelihood};
-use slim_lik::{EngineConfig, LikelihoodProblem};
+use slim_lik::site_models::{evaluate_site_model, site_model_gradient, site_model_log_likelihood};
+use slim_lik::{EngineConfig, LikelihoodProblem, ReuseEvaluator};
+use slim_linalg::LinalgError;
 use slim_model::{SiteModel, SitesHypothesis};
 use slim_opt::{Block, TerminationReason};
 use slim_stat::{chi2_sf, class_posteriors};
@@ -194,8 +195,23 @@ fn fit_sites(
         options,
         &omega2_and_proportions,
         x0,
-        |evaluator, x| Ok(evaluate_site_model(evaluator, &site_model(x), hypothesis, &x[5..])?.lnl),
+        hypothesis,
     )
+}
+
+/// Either hypothesis is a site model at the head of the layout.
+impl fit::Likelihood for SitesHypothesis {
+    fn lnl(&self, evaluator: &mut ReuseEvaluator<'_>, x: &[f64]) -> Result<f64, LinalgError> {
+        Ok(evaluate_site_model(evaluator, &site_model(x), *self, &x[5..])?.lnl)
+    }
+
+    fn gradient(
+        &self,
+        evaluator: &mut ReuseEvaluator<'_>,
+        x: &[f64],
+    ) -> Result<Vec<f64>, LinalgError> {
+        site_model_gradient(evaluator, &site_model(x), *self, &x[5..])
+    }
 }
 
 #[cfg(test)]
@@ -235,7 +251,8 @@ mod tests {
     }
 
     /// M1a/M2a lnL bits of the end-to-end fixture's fits, kept state
-    /// (slim+) and cleared state (codeml) alike.
+    /// (slim+) and cleared state (codeml) alike, and under the exact
+    /// gradient.
     #[test]
     fn sites_test_lnl_bits_are_pinned() {
         let tree = parse_newick("((A:0.2,B:0.2):0.1,C:0.3);").unwrap();
@@ -243,11 +260,21 @@ mod tests {
             ">A\nATGCCCAAATTTGGG\n>B\nATGCCAAAATTTGGA\n>C\nATGCCCAAGTTCGGG\n",
         )
         .unwrap();
-        for (backend, want) in [
-            (Backend::SlimPlus, (0xc03a6e5aa7cdc308, 0xc03a6e5a573925c6)),
+        for (backend, grad_mode, want) in [
+            (
+                Backend::SlimPlus,
+                GradMode::Forward,
+                (0xc03a6e5aa7cdc308, 0xc03a6e5a573925c6),
+            ),
             (
                 Backend::CodeMlStyle,
+                GradMode::Forward,
                 (0xc03a6e5aa7d56e4f, 0xc03a6e5a572cc384),
+            ),
+            (
+                Backend::SlimPlus,
+                GradMode::Analytic,
+                (0xc03a6e5aa80fe6c5, 0xc03a6e5a5781f673),
             ),
         ] {
             let r = sites_test(
@@ -255,6 +282,7 @@ mod tests {
                 &aln,
                 &AnalysisOptions {
                     backend,
+                    grad_mode,
                     ..options()
                 },
             )
@@ -262,7 +290,7 @@ mod tests {
             assert_eq!(
                 (r.m1a.lnl.to_bits(), r.m2a.lnl.to_bits()),
                 want,
-                "{backend:?}"
+                "{backend:?} {grad_mode:?}"
             );
         }
     }
@@ -276,21 +304,31 @@ mod tests {
             ">A\nATGCCCAAATTTGGG\n>B\nATGCCAAAATTTGGA\n>C\nATGCCCAAGTTCGGG\n",
         )
         .unwrap();
-        for (backend, want) in [
-            (Backend::SlimPlus, ((25, 208), (25, 260))),
-            (Backend::CodeMlStyle, ((25, 208), (25, 260))),
+        for (backend, grad_mode, want) in [
+            (Backend::SlimPlus, GradMode::Forward, ((25, 208), (25, 260))),
+            (
+                Backend::CodeMlStyle,
+                GradMode::Forward,
+                ((25, 208), (25, 260)),
+            ),
+            (Backend::SlimPlus, GradMode::Analytic, ((25, 26), (25, 26))),
         ] {
             let r = sites_test(
                 &tree,
                 &aln,
                 &AnalysisOptions {
                     backend,
+                    grad_mode,
                     ..options()
                 },
             )
             .unwrap();
             let counts = |f: &SitesFit| (f.iterations, f.f_evals);
-            assert_eq!((counts(&r.m1a), counts(&r.m2a)), want, "{backend:?}");
+            assert_eq!(
+                (counts(&r.m1a), counts(&r.m2a)),
+                want,
+                "{backend:?} {grad_mode:?}"
+            );
         }
     }
 

@@ -40,6 +40,31 @@ pub fn log_likelihood_branch(
     Ok(problem.weighted_sum(&value.per_pattern))
 }
 
+/// The gradient of [`log_likelihood_branch`] over
+/// `[κ, ω_background, ω_foreground, t…]`, from one evaluation and one
+/// adjoint pass on a fresh evaluator.
+///
+/// # Errors
+/// Propagates eigensolver failures.
+///
+/// # Panics
+/// As [`log_likelihood_branch`].
+pub fn gradient_branch(
+    problem: &LikelihoodProblem,
+    config: &EngineConfig,
+    kappa: f64,
+    omega_background: f64,
+    omega_foreground: f64,
+    branch_lengths: &[f64],
+) -> Result<Vec<f64>, LinalgError> {
+    let mixture = Mixture::two_ratio(kappa, omega_background, omega_foreground);
+    let g =
+        ReuseEvaluator::new(problem, config.clone()).mixture_gradient(&mixture, branch_lengths)?;
+    let mut out = vec![g.kappa, g.omegas[0], g.omegas[1]];
+    out.extend_from_slice(&g.branch_lengths);
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

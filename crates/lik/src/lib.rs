@@ -45,6 +45,7 @@
 pub mod ancestral;
 pub mod branch_model;
 mod engine;
+mod gradient;
 pub mod m0;
 mod mixture;
 mod obsm;

@@ -19,6 +19,8 @@ pub(crate) static PHASE_PRUNING: Site = Site::new("lik.phase.pruning", "lik");
 pub(crate) static PHASE_REDUCTION: Site = Site::new("lik.phase.reduction", "lik");
 /// `lik.phase.outside` — the outside pass (ancestral reconstruction).
 pub(crate) static PHASE_OUTSIDE: Site = Site::new("lik.phase.outside", "lik");
+/// `lik.phase.gradient` — the adjoint pass of one exact gradient.
+pub(crate) static PHASE_GRADIENT: Site = Site::new("lik.phase.gradient", "lik");
 /// `lik.pruning.worker_busy` — one pruning worker's loop over its units
 /// (one span per worker per evaluation, serial path included), so the
 /// spread shows pruning load balance.
@@ -80,6 +82,7 @@ pub fn register_metrics() {
         &PHASE_PRUNING,
         &PHASE_REDUCTION,
         &PHASE_OUTSIDE,
+        &PHASE_GRADIENT,
         &WORKER_BUSY,
         &BLOCK,
     ] {

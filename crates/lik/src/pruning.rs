@@ -7,8 +7,9 @@
 //! node runs through the one per-node body, `combine_children` followed by
 //! a rescale. The evaluator in [`crate::reuse`] fans units across worker
 //! threads; a stateless evaluation is that evaluator with empty state, so
-//! every unit is fully dirty. [`Unit::outside_block`] is the preorder
-//! counterpart over a unit's kept CPVs, for ancestral posteriors.
+//! every unit is fully dirty. [`Unit::outside_pass`] is the preorder
+//! counterpart over a unit's kept CPVs, for ancestral posteriors and the
+//! exact gradient ([`crate::gradient`]).
 //!
 //! ## What a group shares
 //!
@@ -49,6 +50,10 @@ pub(crate) const N_OMEGA: usize = 3;
 /// Rescale a pattern column when its largest conditional probability
 /// drops below this.
 const SCALE_THRESHOLD: f64 = 1e-100;
+
+/// The outside pass works on column chunks of at most this many patterns,
+/// so its blocks stay small whatever the pattern block.
+pub(crate) const OUTSIDE_CHUNK: usize = 32;
 
 /// A per-branch transition operator, in whichever representation the
 /// engine's CPV strategy needs.
@@ -335,7 +340,7 @@ impl<'a> Unit<'a> {
     /// The cache slot variant `v` reads `node`'s CPV and rescale record
     /// from.
     // check: allow(panic-free-hot-path) node < n_nodes by tree construction
-    fn slot(&self, node: usize, v: usize) -> usize {
+    pub(crate) fn slot(&self, node: usize, v: usize) -> usize {
         if self.fg_path[node] {
             (1 + v) * self.problem.children.len() + node
         } else {
@@ -497,6 +502,7 @@ impl<'a> Unit<'a> {
                 self.child_block(
                     child,
                     first,
+                    self.config.cpv,
                     &mut ws.tmp,
                     &mut ws.col,
                     cpvs,
@@ -515,10 +521,12 @@ impl<'a> Unit<'a> {
                 continue;
             }
             for (v, dest) in (first..).zip(dests.iter_mut()) {
+                let cpv = self.config.cpv;
                 if j == 0 {
-                    self.child_block(child, v, dest, &mut ws.col, cpvs, &mut ws.scratch);
+                    self.child_block(child, v, cpv, dest, &mut ws.col, cpvs, &mut ws.scratch);
                 } else {
-                    self.child_block(child, v, &mut ws.tmp, &mut ws.col, cpvs, &mut ws.scratch);
+                    let tmp = &mut ws.tmp;
+                    self.child_block(child, v, cpv, tmp, &mut ws.col, cpvs, &mut ws.scratch);
                     // Whole-storage elementwise combine (dispatched kernel):
                     // `dest` and `tmp` share the same padded layout, and pad
                     // columns are 0·0 = 0, so logical values match the
@@ -533,12 +541,14 @@ impl<'a> Unit<'a> {
     /// `v` sees it, into `dest` (a destination for the first child,
     /// staging for the rest). Leaf children gather operator columns per
     /// pattern; internal children apply the operator to their CPV in
-    /// `cpvs`.
+    /// `cpvs`, a dense one by `strategy`.
+    #[allow(clippy::too_many_arguments)]
     // check: allow(panic-free-hot-path) postorder computes every child before its parent; indices bounded by block width
     fn child_block(
         &self,
         child: usize,
         v: usize,
+        strategy: CpvStrategy,
         dest: &mut Mat,
         col: &mut [f64],
         cpvs: &[Option<Mat>],
@@ -568,75 +578,125 @@ impl<'a> Unit<'a> {
                 .as_ref()
                 // check: allow(rob-unwrap) postorder computes every child (or keeps it cached) before its parent
                 .expect("child CPV cached or recomputed in postorder");
-            op.apply_dense(self.config.cpv, child_cpv, dest, scratch);
+            op.apply_dense(strategy, child_cpv, dest, scratch);
         }
     }
 
-    /// The outside pass of variant `v` over the CPVs this unit's pruning
-    /// pass kept in `cache`, adding each internal node's posterior under
-    /// one class of that variant, times the class weight `weights[q]` of
-    /// pattern `lo + q`, into `post`. The root's outside block is π; a
-    /// child's is its operator, transposed, applied to the parent's times
-    /// its siblings' [`child_block`](Unit::child_block) messages. Outside
-    /// columns are rescaled as CPVs are, but not recorded: within a class
-    /// `inside ⊙ outside` is normalized, so every factor cancels.
-    pub(crate) fn outside_block(
-        &self,
-        v: usize,
-        weights: &[f64],
-        cache: &UnitCache,
-        post: &mut [Option<Mat>],
-        ws: &mut PruneScratch,
-    ) {
-        let (problem, lo) = (self.problem, self.lo);
-        let (n, bw) = (problem.pi.len(), weights.len());
-        ws.ensure(n, bw);
-        let mut msg = Mat::zeros_padded(n, bw);
+    /// The outside pass over the CPVs this unit's pruning pass kept in
+    /// `cache`, for every variant in lock step, handing each internal
+    /// node and each edge to `visit`. It runs on column chunks of at most
+    /// [`OUTSIDE_CHUNK`] patterns (a chunk of a wider block copies its
+    /// columns of the kept CPVs); every per-pattern value depends on its
+    /// own column only, so chunking changes no bit of one.
+    pub(crate) fn outside_pass(&self, cache: &UnitCache, visit: &mut impl OutsideVisitor) {
+        let bw = cache.dims.1;
+        visit.begin_unit(bw);
+        if bw <= OUTSIDE_CHUNK {
+            self.outside_chunk(&cache.cpv, bw, visit);
+            return;
+        }
+        for c0 in (0..bw).step_by(OUTSIDE_CHUNK) {
+            let cw = OUTSIDE_CHUNK.min(bw - c0);
+            let cpvs: Vec<Option<Mat>> = cache
+                .cpv
+                .iter()
+                .map(|m| m.as_ref().map(|m| column_chunk(m, c0, cw)))
+                .collect();
+            let chunk = Unit {
+                lo: self.lo + c0,
+                ..*self
+            };
+            chunk.outside_chunk(&cpvs, cw, visit);
+        }
+    }
+
+    /// The outside pass over one `bw`-column chunk of kept CPVs, starting
+    /// at pattern `self.lo`: preorder and depth first, so O(depth) outside
+    /// blocks per variant are live. The root's outside block is π. At
+    /// each internal node every child's message is computed once — once
+    /// for all variants when they share it, as in
+    /// [`combine_children`](Unit::combine_children) — and the block above
+    /// a child's edge is the node's outside block times every sibling's
+    /// message, in child order; the child's own outside block is its
+    /// operator, transposed, applied to that. Messages take the bundled
+    /// `gemm` whatever the preset's pruning kernel: the pass is not part
+    /// of the cost profile the presets compare. Blocks are rescaled per
+    /// column as CPVs are, but not recorded: every consumer takes ratios
+    /// within one column of one variant, where the factors cancel.
+    fn outside_chunk(&self, cpvs: &[Option<Mat>], bw: usize, visit: &mut impl OutsideVisitor) {
+        let problem = self.problem;
+        let (n, n_variants) = (problem.pi.len(), self.group.fg().len());
+        let (mut col, mut scratch, mut rec) = (vec![0.0; n], CpvScratch::new(), Vec::new());
         let mut root = Mat::zeros_padded(n, bw);
         for (i, &pi) in problem.pi.iter().enumerate() {
             root.row_mut(i).fill(pi);
         }
-        // Depth first, so at most O(depth) outside blocks are live.
-        let mut stack = vec![(problem.root, root)];
+        let mut stack = vec![(problem.root, vec![root; n_variants])];
         while let Some((node, outside)) = stack.pop() {
-            let (inside, dest) = (cache.cpv[self.slot(node, v)].as_ref(), post[node].as_mut());
-            // check: allow(rob-unwrap) pruning kept every internal node's CPV, and the caller gave each a posterior block
-            let (inside, dest) = (inside.expect("kept CPV"), dest.expect("posterior block"));
-            for (q, &w) in weights.iter().enumerate() {
-                let mut total = 0.0;
-                for i in 0..n {
-                    // check: allow(det-float-accum) per-column sum over the states in fixed order
-                    total += inside[(i, q)] * outside[(i, q)];
-                }
-                // A class that cannot produce the pattern has weight 0.
-                if total > 0.0 {
-                    for i in 0..n {
-                        // check: allow(det-float-accum) one term per site class, added in unit order
-                        dest[(i, lo + q)] += w * (inside[(i, q)] * outside[(i, q)] / total);
-                    }
-                }
-            }
+            let inside: Vec<&Mat> = (0..n_variants)
+                // check: allow(rob-unwrap) pruning kept every internal node's CPV
+                .map(|v| cpvs[self.slot(node, v)].as_ref().expect("kept CPV"))
+                .collect();
+            visit.node(self, node, &inside, &outside);
             let kids = &problem.children[node];
-            for &child in kids.iter().filter(|&&c| !problem.children[c].is_empty()) {
-                ws.tmp.as_mut_slice().copy_from_slice(outside.as_slice());
-                for &sib in kids.iter().filter(|&&s| s != child) {
-                    self.child_block(sib, v, &mut msg, &mut ws.col, &cache.cpv, &mut ws.scratch);
-                    slim_linalg::vecops::hadamard_in_place(msg.as_slice(), ws.tmp.as_mut_slice());
+            let messages: Vec<Vec<Mat>> = kids
+                .iter()
+                .map(|&child| {
+                    let count = if self.shared_message(child) {
+                        1
+                    } else {
+                        n_variants
+                    };
+                    (0..count)
+                        .map(|v| {
+                            let mut m = Mat::zeros_padded(n, bw);
+                            let gemm = CpvStrategy::BundledGemm;
+                            self.child_block(child, v, gemm, &mut m, &mut col, cpvs, &mut scratch);
+                            m
+                        })
+                        .collect()
+                })
+                .collect();
+            let message = |j: usize, v: usize| &messages[j][v.min(messages[j].len() - 1)];
+            for (k, &child) in kids.iter().enumerate() {
+                let above: Vec<Mat> = (0..n_variants)
+                    .map(|v| {
+                        let mut u = outside[v].clone();
+                        for j in (0..kids.len()).filter(|&j| j != k) {
+                            slim_linalg::vecops::hadamard_in_place(
+                                message(j, v).as_slice(),
+                                u.as_mut_slice(),
+                            );
+                        }
+                        rescale_columns(&mut u, &mut rec);
+                        u
+                    })
+                    .collect();
+                let own: Vec<&Mat> = (0..n_variants).map(|v| message(k, v)).collect();
+                visit.edge(self, child, &above, &own, cpvs);
+                if !problem.children[child].is_empty() {
+                    let down = above
+                        .iter()
+                        .enumerate()
+                        .map(|(v, u)| {
+                            let mut d = Mat::zeros_padded(n, bw);
+                            self.operator(child, v).apply_transposed(u, &mut d);
+                            rescale_columns(&mut d, &mut rec);
+                            #[cfg(feature = "sanitize")]
+                            sanitize_hooks::node_cpv(
+                                "outside pass",
+                                &d,
+                                &rec,
+                                child,
+                                self.group.bg,
+                                &self.group.fg()[v..=v],
+                                self.lo,
+                            );
+                            d
+                        })
+                        .collect();
+                    stack.push((child, down));
                 }
-                let mut down = Mat::zeros_padded(n, bw);
-                self.operator(child, v).apply_transposed(&ws.tmp, &mut down);
-                rescale_columns(&mut down, &mut ws.scale_log);
-                #[cfg(feature = "sanitize")]
-                sanitize_hooks::node_cpv(
-                    "outside pass",
-                    &down,
-                    &ws.scale_log,
-                    child,
-                    self.group.bg,
-                    &self.group.fg()[v..=v],
-                    lo,
-                );
-                stack.push((child, down));
             }
         }
     }
@@ -700,6 +760,44 @@ impl<'a> Unit<'a> {
             }
         }
     }
+}
+
+/// A consumer of the outside pass. The evaluator announces each group's
+/// classes per variant before the group's units; the other calls cover
+/// one column chunk of one unit: `unit.lo` is the chunk's first pattern,
+/// and every slice holds one block per variant of `unit.group`.
+pub(crate) trait OutsideVisitor {
+    /// A group begins: `members[v]` lists the classes of its variant `v`.
+    fn begin_group(&mut self, members: Vec<Vec<usize>>);
+
+    /// A unit of `bw` patterns begins.
+    fn begin_unit(&mut self, _bw: usize) {}
+
+    /// Internal `node`: each variant's kept CPV and outside block.
+    fn node(&mut self, _unit: &Unit<'_>, _node: usize, _inside: &[&Mat], _outside: &[Mat]) {}
+
+    /// The edge above `child`: the block above it (its parent's outside
+    /// block times every sibling's message) and the child's own message.
+    /// Their column dot is the edge's share of the pattern likelihood, up
+    /// to the column's factors; `cpvs` holds the chunk's kept CPVs.
+    fn edge(
+        &mut self,
+        _unit: &Unit<'_>,
+        _child: usize,
+        _above: &[Mat],
+        _message: &[&Mat],
+        _cpvs: &[Option<Mat>],
+    ) {
+    }
+}
+
+/// Columns `[c0, c0 + cw)` of `m`, as a lane-padded block.
+fn column_chunk(m: &Mat, c0: usize, cw: usize) -> Mat {
+    let mut out = Mat::zeros_padded(m.rows(), cw);
+    for i in 0..m.rows() {
+        out.row_mut(i).copy_from_slice(&m.row(i)[c0..c0 + cw]);
+    }
+    out
 }
 
 /// Divide each column whose largest entry is below [`SCALE_THRESHOLD`] by

@@ -49,14 +49,17 @@
 //! update sequences to enforce.
 
 use crate::engine::EngineConfig;
-use crate::mixture::Mixture;
+use crate::gradient::{Adjoint, MixtureGradient};
+use crate::mixture::{Mixture, RateScale};
 use crate::obsm;
 use crate::par::{build_eigensystems, build_op, mix_and_reduce, stochastic_horizon};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{Group, LikelihoodValue, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA};
+use crate::pruning::{
+    Group, LikelihoodValue, OutsideVisitor, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA,
+};
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError, Mat};
-use slim_model::{BranchSiteModel, ScalePolicy, SiteClass};
+use slim_model::{BranchSiteModel, RateComponents, ScalePolicy, SiteClass};
 use slim_obs::trace::{self, Value};
 use std::sync::Arc;
 
@@ -133,6 +136,19 @@ impl Geometry {
         self.groups.len() * self.blocks.len()
     }
 
+    /// The classes of each variant of group `g`, in class order.
+    fn members(&self, g: usize) -> Vec<Vec<usize>> {
+        let mut members = vec![Vec::new(); self.groups[g].fg().len()];
+        for (c, cv) in self.class_variant.iter().enumerate() {
+            if let Some((cg, v)) = *cv {
+                if cg == g {
+                    members[v].push(c);
+                }
+            }
+        }
+        members
+    }
+
     /// The node blocks a pass over every unit touches at `shared`
     /// internal nodes off the foreground path and `fg` on it: one per
     /// unit at the first, one per variant at the second.
@@ -167,6 +183,8 @@ pub struct ReuseEvaluator<'p> {
     /// [`clear`](Self::clear): which CPVs are valid is decided by `state`
     /// and the dirty set alone.
     units: Vec<UnitCache>,
+    /// The problem's rate components, built on the first gradient.
+    components: Option<RateComponents>,
     #[cfg(feature = "sanitize")]
     rng_state: u64,
 }
@@ -198,6 +216,7 @@ impl<'p> ReuseEvaluator<'p> {
             state: None,
             geometry: Geometry::default(),
             units: Vec::new(),
+            components: None,
             #[cfg(feature = "sanitize")]
             rng_state: 0x9e3779b97f4a7c15,
         }
@@ -245,10 +264,9 @@ impl<'p> ReuseEvaluator<'p> {
     /// The marginal posterior of the state at every internal node under
     /// `mixture` (`None` for leaves; columns sum to 1). Evaluates the
     /// mixture — a repeat is served from the kept state — then runs the
-    /// outside pass once per class and block, class-major, through the
-    /// class's variant of the kept unit, on the calling thread; the
-    /// classes mix with the NEB weights of the evaluation's own per-class
-    /// output.
+    /// outside pass once per unit, every variant in lock step, on the
+    /// calling thread; each class adds its variant's posterior times the
+    /// class's NEB weight from the evaluation's own per-class output.
     ///
     /// # Errors
     /// Propagates eigensolver failures.
@@ -260,36 +278,18 @@ impl<'p> ReuseEvaluator<'p> {
         let value = self.evaluate_mixture(mixture, branch_lengths)?;
         let _span = obsm::PHASE_OUTSIDE.span();
         let problem = self.problem;
-        // check: allow(rob-unwrap) a successful evaluation stores its state
-        let ops = &self.state.as_ref().expect("evaluation state").ops;
-        let weights = slim_stat::class_posteriors(&value.per_class, &value.proportions);
         let (n, n_pat) = (problem.pi.len(), problem.n_patterns());
-        let mut post: Vec<Option<Mat>> = problem
-            .children
-            .iter()
-            .map(|kids| (!kids.is_empty()).then(|| Mat::zeros(n, n_pat)))
-            .collect();
-        let (config, mut ws) = (&self.config, PruneScratch::new());
-        let geometry = &self.geometry;
-        let n_blocks = geometry.blocks.len();
-        simd::with_forced(config.simd, || {
-            for (ci, cv) in geometry.class_variant.iter().enumerate() {
-                let Some((g, v)) = *cv else { continue };
-                for (b, &(lo, bw)) in geometry.blocks.iter().enumerate() {
-                    let unit = Unit {
-                        problem,
-                        config,
-                        ops,
-                        fg_path: &self.fg_path,
-                        group: geometry.groups[g],
-                        lo,
-                    };
-                    let w: Vec<f64> = weights[lo..lo + bw].iter().map(|row| row[ci]).collect();
-                    let cache = &self.units[g * n_blocks + b];
-                    unit.outside_block(v, &w, cache, &mut post, &mut ws);
-                }
-            }
-        });
+        let mut visitor = Posteriors {
+            weights: slim_stat::class_posteriors(&value.per_class, &value.proportions),
+            members: Vec::new(),
+            post: problem
+                .children
+                .iter()
+                .map(|kids| (!kids.is_empty()).then(|| Mat::zeros(n, n_pat)))
+                .collect(),
+        };
+        self.outside_passes(&mut visitor);
+        let post = visitor.post;
         #[cfg(feature = "sanitize")]
         {
             let (_, _, slot) = mixture.distinct_omegas();
@@ -300,12 +300,108 @@ impl<'p> ReuseEvaluator<'p> {
                 .collect();
             crate::pruning::sanitize_hooks::posterior_columns(
                 &post,
-                &weights,
+                &visitor.weights,
                 &slots,
-                config.pattern_block.max(1),
+                self.config.pattern_block.max(1),
             );
         }
         Ok(post)
+    }
+
+    /// The gradient of the branch-site log-likelihood over
+    /// `[κ, ω0, ω2, p0, p1, t…]` (the fit layout) at `model` and
+    /// `branch_lengths`. Evaluates first — the point a fit just
+    /// evaluated is served from the kept state — then runs one adjoint
+    /// pass over that state (DESIGN.md §6b); the pass writes
+    /// none of it, so no later evaluation moves a bit. Under H0 the ω2
+    /// entry is the derivative the classes selecting ω2 would see.
+    ///
+    /// # Errors
+    /// Propagates evaluation errors.
+    ///
+    /// # Panics
+    /// Panics if `branch_lengths.len()` mismatches the problem.
+    pub fn gradient(
+        &mut self,
+        model: &BranchSiteModel,
+        branch_lengths: &[f64],
+    ) -> Result<Vec<f64>, LinalgError> {
+        let g = self.mixture_gradient(&Mixture::branch_site(model), branch_lengths)?;
+        Ok(g.fit_layout(&model.proportion_jacobian()))
+    }
+
+    /// `∂lnL` of a shared-scale mixture at `branch_lengths`, in the
+    /// mixture's own terms, from one adjoint pass on the calling thread.
+    ///
+    /// # Errors
+    /// Propagates evaluation errors.
+    pub(crate) fn mixture_gradient(
+        &mut self,
+        mixture: &Mixture,
+        branch_lengths: &[f64],
+    ) -> Result<MixtureGradient, LinalgError> {
+        debug_assert_eq!(mixture.scale, RateScale::Shared, "M0's per-class scale");
+        let value = self.evaluate_mixture(mixture, branch_lengths)?;
+        let _span = obsm::PHASE_GRADIENT.span();
+        let problem = self.problem;
+        let components = self
+            .components
+            .take()
+            .unwrap_or_else(|| RateComponents::new(&problem.code, &problem.pi));
+        let scale = match mixture.scale_policy(&problem.code, &problem.pi) {
+            ScalePolicy::External(scale) => scale,
+            _ => 1.0,
+        };
+        let (_, _, slot) = mixture.distinct_omegas();
+        let gradient = simd::with_forced(self.config.simd, || {
+            // check: allow(rob-unwrap) a successful evaluation stores its state
+            let eigensystems = &self.state.as_ref().expect("evaluation state").eigensystems;
+            let mut adjoint = Adjoint::new(problem, mixture, eigensystems, branch_lengths, &value);
+            self.outside_passes(&mut adjoint);
+            adjoint.finish(&value, &components, scale, &slot)
+        });
+        self.components = Some(components);
+        #[cfg(feature = "sanitize")]
+        for (k, &g) in [gradient.kappa]
+            .iter()
+            .chain(&gradient.omegas)
+            .chain(&gradient.proportions)
+            .chain(&gradient.branch_lengths)
+            .enumerate()
+        {
+            slim_linalg::sanitize::check_finite("gradient entry", g, || {
+                format!(
+                    "adjoint pass, entry {k} of [κ, ω…, π…, t…] at lnL {}",
+                    value.lnl
+                )
+            });
+        }
+        Ok(gradient)
+    }
+
+    /// Run the outside pass over every kept unit, group-major, on the
+    /// calling thread, announcing each group's classes to `visitor` first.
+    fn outside_passes(&self, visitor: &mut impl OutsideVisitor) {
+        // check: allow(rob-unwrap) callers evaluate first, and a successful evaluation stores its state
+        let ops = &self.state.as_ref().expect("evaluation state").ops;
+        let geometry = &self.geometry;
+        let n_blocks = geometry.blocks.len();
+        simd::with_forced(self.config.simd, || {
+            for (g, &group) in geometry.groups.iter().enumerate() {
+                visitor.begin_group(geometry.members(g));
+                for (b, &(lo, _)) in geometry.blocks.iter().enumerate() {
+                    let unit = Unit {
+                        problem: self.problem,
+                        config: &self.config,
+                        ops,
+                        fg_path: &self.fg_path,
+                        group,
+                        lo,
+                    };
+                    unit.outside_pass(&self.units[g * n_blocks + b], visitor);
+                }
+            }
+        });
     }
 
     /// Forget the kept state, so the next evaluation recomputes everything
@@ -662,6 +758,51 @@ impl<'p> ReuseEvaluator<'p> {
             value: value.clone(),
         });
         Ok(value)
+    }
+}
+
+/// The outside-pass visitor behind
+/// [`node_posteriors`](ReuseEvaluator::node_posteriors).
+struct Posteriors {
+    /// `[pattern][class]` NEB weights.
+    weights: Vec<Vec<f64>>,
+    /// The classes of each variant of the group being visited.
+    members: Vec<Vec<usize>>,
+    /// Per node: the posterior block being summed.
+    post: Vec<Option<Mat>>,
+}
+
+impl OutsideVisitor for Posteriors {
+    fn begin_group(&mut self, members: Vec<Vec<usize>>) {
+        self.members = members;
+    }
+
+    /// Each class of each variant adds its weight times the variant's
+    /// normalized `inside ⊙ outside` column.
+    fn node(&mut self, unit: &Unit<'_>, node: usize, inside: &[&Mat], outside: &[Mat]) {
+        // check: allow(rob-unwrap) node_posteriors gives every internal node a posterior block
+        let dest = self.post[node].as_mut().expect("posterior block");
+        let n = inside[0].rows();
+        for ((inside, outside), classes) in inside.iter().zip(outside).zip(&self.members) {
+            for q in 0..inside.cols() {
+                let mut total = 0.0;
+                for i in 0..n {
+                    // check: allow(det-float-accum) per-column sum over the states in fixed order
+                    total += inside[(i, q)] * outside[(i, q)];
+                }
+                // A class that cannot produce the pattern has weight 0.
+                if total <= 0.0 {
+                    continue;
+                }
+                for &c in classes {
+                    let w = self.weights[unit.lo + q][c];
+                    for i in 0..n {
+                        // check: allow(det-float-accum) one term per site class, added in unit order
+                        dest[(i, unit.lo + q)] += w * (inside[(i, q)] * outside[(i, q)] / total);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -52,6 +52,27 @@ pub fn evaluate_site_model(
     Ok(value)
 }
 
+/// The gradient of the M1a or M2a log-likelihood over
+/// `[κ, ω0, ω2, p0, p1, t…]` (the fit layout) on a caller-held evaluator,
+/// from one adjoint pass over its state at this point (see
+/// [`ReuseEvaluator::gradient`]). M1a's ω2 and p1 entries are 0: its
+/// classes ignore both.
+///
+/// # Errors
+/// Propagates evaluation errors.
+///
+/// # Panics
+/// Panics if `branch_lengths.len()` mismatches the problem.
+pub fn site_model_gradient(
+    evaluator: &mut ReuseEvaluator,
+    model: &SiteModel,
+    hypothesis: SitesHypothesis,
+    branch_lengths: &[f64],
+) -> Result<Vec<f64>, LinalgError> {
+    let g = evaluator.mixture_gradient(&Mixture::sites(model, hypothesis), branch_lengths)?;
+    Ok(g.fit_layout(&model.proportion_jacobian(hypothesis)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

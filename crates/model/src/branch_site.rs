@@ -125,6 +125,29 @@ impl BranchSiteModel {
         ]
     }
 
+    /// `∂(class proportion)/∂(p0, p1)` for each of Table I's classes, in
+    /// [`site_classes`](Self::site_classes) order. Where the remainder
+    /// `1 − p0 − p1` is clamped at 0, it is flat.
+    pub fn proportion_jacobian(&self) -> [[f64; 2]; N_SITE_CLASSES] {
+        let (p0, p1) = (self.p0, self.p1);
+        let raw = 1.0 - p0 - p1;
+        let (rest, drest) = if raw > 0.0 { (raw, -1.0) } else { (0.0, 0.0) };
+        let s = p0 + p1;
+        let s2 = s * s;
+        [
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [
+                drest * p0 / s + rest * p1 / s2,
+                drest * p0 / s - rest * p0 / s2,
+            ],
+            [
+                drest * p1 / s - rest * p1 / s2,
+                drest * p1 / s + rest * p0 / s2,
+            ],
+        ]
+    }
+
     /// Proportion of sites under positive selection on the foreground
     /// branch (classes 2a + 2b).
     pub fn positive_selection_proportion(&self) -> f64 {
@@ -259,6 +282,40 @@ mod tests {
         assert_eq!((c[2].background_omega, c[2].foreground_omega), (0, 2));
         // class 2b: ω1 background, ω2 foreground
         assert_eq!((c[3].background_omega, c[3].foreground_omega), (1, 2));
+    }
+
+    #[test]
+    fn proportion_jacobian_matches_differences() {
+        for (p0, p1) in [(0.6, 0.25), (0.1, 0.05), (0.7, 0.29)] {
+            let m = BranchSiteModel { p0, p1, ..model() };
+            let jac = m.proportion_jacobian();
+            for (k, step) in [(0, [1e-7, 0.0]), (1, [0.0, 1e-7])] {
+                let moved = |sign: f64| {
+                    BranchSiteModel {
+                        p0: p0 + sign * step[0],
+                        p1: p1 + sign * step[1],
+                        ..m
+                    }
+                    .site_classes()
+                };
+                let (up, down) = (moved(1.0), moved(-1.0));
+                for (c, row) in jac.iter().enumerate() {
+                    let d = (up[c].proportion - down[c].proportion) / 2e-7;
+                    assert!(
+                        (row[k] - d).abs() < 1e-6,
+                        "({p0}, {p1}) class {c}, p{k}: {} vs {d}",
+                        row[k]
+                    );
+                }
+            }
+        }
+        // On the simplex edge the remainder classes are empty and flat.
+        let edge = BranchSiteModel {
+            p0: 0.75,
+            p1: 0.25,
+            ..model()
+        };
+        assert_eq!(edge.proportion_jacobian()[2..], [[0.0; 2]; 2]);
     }
 
     #[test]

@@ -177,32 +177,130 @@ pub fn build_rate_matrix(
 /// branch-site scale (the mixture-averaged background rate CodeML uses)
 /// without building any extra matrices.
 pub fn rate_components(code: &GeneticCode, kappa: f64, pi: &[f64]) -> (f64, f64) {
-    assert_eq!(pi.len(), code.n_sense());
-    let n = code.n_sense();
-    let mut syn = 0.0f64;
-    let mut nonsyn = 0.0f64;
-    for i in 0..n {
-        let ci = code.sense_codon(i);
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let cj = code.sense_codon(j);
-            let Some(change) = ci.single_change(cj) else {
-                continue;
-            };
-            let mut rate = pi[i] * pi[j];
-            if change.kind == ChangeKind::Transition {
-                rate *= kappa;
-            }
-            if code.is_synonymous(ci, cj) {
-                syn += rate;
-            } else {
-                nonsyn += rate;
+    let f = RateComponents::new(code, pi).fluxes(kappa);
+    (f.syn, f.nonsyn)
+}
+
+/// The four fixed rate components of the Eq. 1 matrix — transition or
+/// transversion, synonymous or not — as the sparse pairs of codons one
+/// nucleotide apart. The unscaled symmetric form is
+/// `Ã(κ, ω) = C_tv,syn + κ C_ts,syn + ω C_tv,non + κω C_ts,non`, each
+/// component with its own diagonal (rows of Q sum to zero per component),
+/// so `∂Ã/∂κ` and `∂Ã/∂ω` are fixed combinations of the four. Built once
+/// per (code, π) and used only for derivatives: likelihood values never
+/// read it.
+#[derive(Debug, Clone)]
+pub struct RateComponents {
+    /// `(i, j, π_i π_j, π_j, transition, synonymous)` for each ordered
+    /// pair of codons one nucleotide apart, in row-major order.
+    pairs: Vec<(usize, usize, f64, f64, bool, bool)>,
+}
+
+/// `∂Ã/∂κ` and `∂Ã/∂ω` contracted with an adjoint (see
+/// [`RateComponents::contract`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KappaOmega {
+    /// The κ component.
+    pub kappa: f64,
+    /// The ω component.
+    pub omega: f64,
+}
+
+/// The stationary fluxes of [`rate_components`] and their κ derivatives
+/// (see [`RateComponents::fluxes`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fluxes {
+    /// Synonymous flux at κ.
+    pub syn: f64,
+    /// Non-synonymous flux at κ (per unit ω).
+    pub nonsyn: f64,
+    /// `∂syn/∂κ`.
+    pub dsyn: f64,
+    /// `∂nonsyn/∂κ`.
+    pub dnonsyn: f64,
+}
+
+impl RateComponents {
+    /// The components of the Eq. 1 matrix for `code` under `pi`.
+    ///
+    /// # Panics
+    /// Panics if `pi` has no entry per sense codon.
+    pub fn new(code: &GeneticCode, pi: &[f64]) -> RateComponents {
+        assert_eq!(
+            pi.len(),
+            code.n_sense(),
+            "pi must have one entry per sense codon"
+        );
+        let n = code.n_sense();
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            let ci = code.sense_codon(i);
+            for j in (0..n).filter(|&j| j != i) {
+                let cj = code.sense_codon(j);
+                if let Some(change) = ci.single_change(cj) {
+                    pairs.push((
+                        i,
+                        j,
+                        pi[i] * pi[j],
+                        pi[j],
+                        change.kind == ChangeKind::Transition,
+                        code.is_synonymous(ci, cj),
+                    ));
+                }
             }
         }
+        RateComponents { pairs }
     }
-    (syn, nonsyn)
+
+    /// `⟨M, ∂Ã/∂κ⟩` and `⟨M, ∂Ã/∂ω⟩` at `(κ, ω)`, for an adjoint `M`
+    /// over the unscaled symmetric form `Ã` (so a scaled `A = Ã/μ̄` divides
+    /// both by `μ̄`). Off the diagonal `Ã_ij = √(π_i π_j) κ^ts ω^non`, and
+    /// `Ã_ii = −Σ_j π_j κ^ts ω^non`.
+    pub fn contract(&self, m: &slim_linalg::Mat, kappa: f64, omega: f64) -> KappaOmega {
+        let mut out = KappaOmega {
+            kappa: 0.0,
+            omega: 0.0,
+        };
+        for &(i, j, pipj, pj, transition, synonymous) in &self.pairs {
+            // d Ã/d(rate of this pair): +√(π_i π_j) at (i, j), −π_j at (i, i).
+            let term = m[(i, j)] * pipj.sqrt() - m[(i, i)] * pj;
+            if transition {
+                out.kappa += term * if synonymous { 1.0 } else { omega };
+            }
+            if !synonymous {
+                out.omega += term * if transition { kappa } else { 1.0 };
+            }
+        }
+        out
+    }
+
+    /// The synonymous and non-synonymous stationary fluxes at `κ` — what
+    /// [`rate_components`] returns, summed pair by pair in row-major
+    /// order — and their κ derivatives: the inputs to a shared scale
+    /// `Σ p (syn + ω·nonsyn)` and its derivatives.
+    pub fn fluxes(&self, kappa: f64) -> Fluxes {
+        let mut f = Fluxes {
+            syn: 0.0,
+            nonsyn: 0.0,
+            dsyn: 0.0,
+            dnonsyn: 0.0,
+        };
+        for &(_, _, pipj, _, transition, synonymous) in &self.pairs {
+            let (rate, d) = if transition {
+                (pipj * kappa, pipj)
+            } else {
+                (pipj, 0.0)
+            };
+            let (value, slope) = if synonymous {
+                (&mut f.syn, &mut f.dsyn)
+            } else {
+                (&mut f.nonsyn, &mut f.dnonsyn)
+            };
+            *value += rate;
+            *slope += d;
+        }
+        f
+    }
 }
 
 impl RateMatrix {
@@ -482,6 +580,46 @@ mod tests {
                 rm.raw_rate
             );
         }
+    }
+
+    #[test]
+    fn rate_components_give_the_matrix_derivatives() {
+        // ⟨M, ∂Ã/∂κ⟩ and ⟨M, ∂Ã/∂ω⟩ against central differences of the
+        // unscaled symmetric form, and the fluxes against rate_components.
+        let code = GeneticCode::universal();
+        let pi = nonuniform_pi();
+        let comps = RateComponents::new(&code, &pi);
+        let m = Mat::from_fn(N_CODONS, N_CODONS, |i, j| {
+            ((i * 7 + j * 3) % 11) as f64 - 5.0
+        });
+        let inner = |kappa: f64, omega: f64| {
+            let a = build_rate_matrix(&code, kappa, omega, &pi, ScalePolicy::None).a;
+            a.as_slice()
+                .iter()
+                .zip(m.as_slice())
+                .map(|(x, y)| x * y)
+                .sum::<f64>()
+        };
+        let (kappa, omega, h) = (2.3, 0.4, 1e-5);
+        let got = comps.contract(&m, kappa, omega);
+        let dk = (inner(kappa + h, omega) - inner(kappa - h, omega)) / (2.0 * h);
+        let dw = (inner(kappa, omega + h) - inner(kappa, omega - h)) / (2.0 * h);
+        assert!(
+            (got.kappa - dk).abs() < 1e-7 * (1.0 + dk.abs()),
+            "{} vs {dk}",
+            got.kappa
+        );
+        assert!(
+            (got.omega - dw).abs() < 1e-7 * (1.0 + dw.abs()),
+            "{} vs {dw}",
+            got.omega
+        );
+        let f = comps.fluxes(kappa);
+        let (syn, nonsyn) = rate_components(&code, kappa, &pi);
+        assert_eq!((f.syn, f.nonsyn), (syn, nonsyn));
+        let (syn_h, nonsyn_h) = rate_components(&code, kappa + h, &pi);
+        assert!((f.dsyn - (syn_h - syn) / h).abs() < 1e-8);
+        assert!((f.dnonsyn - (nonsyn_h - nonsyn) / h).abs() < 1e-8);
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod site_model;
 
 pub use branch_site::{BranchSiteModel, Hypothesis, SiteClass, N_SITE_CLASSES};
 pub use codon_model::{
-    build_rate_matrix, build_rate_matrix_mg94, rate_components, RateMatrix, ScalePolicy,
+    build_rate_matrix, build_rate_matrix_mg94, rate_components, Fluxes, KappaOmega, RateComponents,
+    RateMatrix, ScalePolicy,
 };
 pub use site_model::{OmegaClass, SiteModel, SitesHypothesis};

@@ -112,6 +112,23 @@ impl SiteModel {
         }
     }
 
+    /// `∂(class proportion)/∂(p0, p1)` for each class of
+    /// [`classes`](Self::classes). M1a's proportions ignore p1; M2a's
+    /// remainder `1 − p0 − p1` is flat where it is clamped at 0.
+    pub fn proportion_jacobian(&self, hypothesis: SitesHypothesis) -> Vec<[f64; 2]> {
+        match hypothesis {
+            SitesHypothesis::M1a => vec![[1.0, 0.0], [-1.0, 0.0]],
+            SitesHypothesis::M2a => {
+                let drest = if 1.0 - self.p0 - self.p1 > 0.0 {
+                    -1.0
+                } else {
+                    0.0
+                };
+                vec![[1.0, 0.0], [0.0, 1.0], [drest, drest]]
+            }
+        }
+    }
+
     /// Parameter validity under a hypothesis.
     pub fn is_valid(&self, hypothesis: SitesHypothesis) -> bool {
         let base = self.kappa > 0.0
@@ -181,6 +198,32 @@ mod tests {
             ..good
         }
         .is_valid(SitesHypothesis::M2a));
+    }
+
+    #[test]
+    fn proportion_jacobian_matches_differences() {
+        let m = SiteModel {
+            kappa: 2.0,
+            omega0: 0.1,
+            omega2: 3.0,
+            p0: 0.5,
+            p1: 0.3,
+        };
+        for h in [SitesHypothesis::M1a, SitesHypothesis::M2a] {
+            let jac = m.proportion_jacobian(h);
+            for (k, step) in [(0, [1e-6, 0.0]), (1, [0.0, 1e-6])] {
+                let moved = |sign: f64| SiteModel {
+                    p0: m.p0 + sign * step[0],
+                    p1: m.p1 + sign * step[1],
+                    ..m
+                };
+                let (up, down) = (moved(1.0).classes(h), moved(-1.0).classes(h));
+                for (c, row) in jac.iter().enumerate() {
+                    let d = (up[c].proportion - down[c].proportion) / 2e-6;
+                    assert!((row[k] - d).abs() < 1e-8, "{h:?} class {c}, p{k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The paper (§II-B) names BFGS as CodeML's maximizer. This implementation
 //! minimizes (callers pass the *negative* log-likelihood) with:
 //!
-//! * finite-difference gradients ([`crate::numgrad`]) — the objective is a
-//!   tree likelihood with no cheap analytic gradient;
+//! * the objective's own exact gradient ([`GradMode::Analytic`], what the
+//!   likelihood fits run), or finite differences ([`crate::numgrad`]): the
+//!   oracle the exact gradient is tested against, and the paper harness'
+//!   mode;
 //! * an Armijo backtracking line search with quadratic interpolation
-//!   (full strong-Wolfe would double the already-dominant gradient cost);
+//!   (full strong-Wolfe would double the gradient cost);
 //! * the standard inverse-Hessian BFGS update, skipped when curvature
 //!   `sᵀy` is too small to be trustworthy;
 //! * iteration and function-evaluation accounting, because Table III of
@@ -24,7 +26,7 @@ pub struct BfgsOptions {
     pub grad_tol: f64,
     /// Relative function-change tolerance between accepted steps.
     pub f_tol: f64,
-    /// Finite-difference flavor for gradients.
+    /// Where gradients come from.
     pub grad_mode: GradMode,
     /// Maximum backtracking halvings per line search.
     pub max_backtracks: usize,
@@ -67,7 +69,9 @@ pub struct BfgsResult {
     pub grad: Vec<f64>,
     /// Number of BFGS iterations performed (the paper's "Iterations").
     pub iterations: usize,
-    /// Total objective evaluations, including finite differences.
+    /// Objective evaluations: the start, every line-search trial and,
+    /// under a finite-difference [`GradMode`], every probe. An analytic
+    /// gradient adds none.
     pub f_evals: usize,
     /// Why the run stopped.
     pub reason: TerminationReason,
@@ -81,12 +85,44 @@ fn inf_norm(a: &[f64]) -> f64 {
     a.iter().map(|v| v.abs()).fold(0.0, f64::max)
 }
 
+/// A function [`minimize`] minimizes: its value, and under
+/// [`GradMode::Analytic`] its own gradient. A closure
+/// `FnMut(&[f64]) -> f64` is an objective with a value only, for the
+/// finite-difference modes.
+pub trait Objective {
+    /// The value at `x`; a non-finite value rejects the point.
+    fn cost(&mut self, x: &[f64]) -> f64;
+
+    /// The exact gradient at `x`, the point the last
+    /// [`cost`](Objective::cost) call was given (where that value was
+    /// finite). Only [`GradMode::Analytic`] calls it.
+    fn gradient(&mut self, x: &[f64]) -> Vec<f64>;
+}
+
+impl<F: FnMut(&[f64]) -> f64> Objective for F {
+    fn cost(&mut self, x: &[f64]) -> f64 {
+        self(x)
+    }
+
+    /// # Panics
+    /// Always: a closure has no gradient of its own, so it runs under a
+    /// finite-difference [`GradMode`] only.
+    fn gradient(&mut self, _x: &[f64]) -> Vec<f64> {
+        // check: allow(rob-unwrap) a closure objective under GradMode::Analytic is a caller bug with no gradient to return
+        panic!("GradMode::Analytic needs an objective with its own gradient; a closure has none")
+    }
+}
+
 /// Minimize `f` starting from `x0`.
 ///
 /// The objective must return a finite value for any input reachable from
 /// `x0` (callers use [`crate::transform`] to keep model parameters in
 /// their domains); non-finite values are treated as +∞ by the line search.
-pub fn minimize(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
+/// Gradients are taken at the start and at every accepted point, by the
+/// finite differences [`BfgsOptions::grad_mode`] names or, under
+/// [`GradMode::Analytic`], from [`Objective::gradient`] right after the
+/// point's own evaluation.
+pub fn minimize(f: impl Objective, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
     let mut fit_span = crate::obsm::FIT.span();
     fit_span.arg_str("algo", "bfgs");
     let n = x0.len();
@@ -96,7 +132,7 @@ pub fn minimize(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) ->
     let ls_cell = std::cell::Cell::new(0usize);
     let eval = |x: &[f64]| -> f64 {
         evals_cell.set(evals_cell.get() + 1);
-        let v = (f_cell.borrow_mut())(x);
+        let v = f_cell.borrow_mut().cost(x);
         if v.is_finite() {
             v
         } else {
@@ -108,6 +144,7 @@ pub fn minimize(f: impl FnMut(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) ->
         match opts.grad_mode {
             GradMode::Central => central_gradient(eval, x),
             GradMode::Forward => forward_gradient(eval, x, fx),
+            GradMode::Analytic => f_cell.borrow_mut().gradient(x),
         }
     };
 
@@ -319,6 +356,55 @@ mod tests {
         );
         assert!((forward.x[0] - 3.0).abs() < 1e-3);
         assert!(forward.f_evals < central.f_evals);
+    }
+
+    /// `f = Σ (i+1)(x_i − i)²` with its exact gradient.
+    struct Bowl;
+
+    impl Objective for Bowl {
+        fn cost(&mut self, x: &[f64]) -> f64 {
+            x.iter()
+                .enumerate()
+                .map(|(i, &v)| (i + 1) as f64 * (v - i as f64).powi(2))
+                .sum()
+        }
+
+        fn gradient(&mut self, x: &[f64]) -> Vec<f64> {
+            x.iter()
+                .enumerate()
+                .map(|(i, &v)| 2.0 * (i + 1) as f64 * (v - i as f64))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn analytic_mode_takes_no_probes() {
+        let opts = |grad_mode| BfgsOptions {
+            grad_mode,
+            ..Default::default()
+        };
+        let analytic = minimize(Bowl, &[0.0; 6], &opts(GradMode::Analytic));
+        let central = minimize(Bowl, &[0.0; 6], &opts(GradMode::Central));
+        for (i, &v) in analytic.x.iter().enumerate() {
+            assert!((v - i as f64).abs() < 1e-6, "i={i}: {v}");
+        }
+        // One evaluation for the start plus one per line-search trial.
+        assert!(analytic.f_evals <= 1 + 3 * analytic.iterations);
+        assert!(analytic.f_evals * 6 < central.f_evals);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own gradient")]
+    fn analytic_mode_needs_a_gradient() {
+        let f = |x: &[f64]| x[0] * x[0];
+        let _ = minimize(
+            f,
+            &[1.0],
+            &BfgsOptions {
+                grad_mode: GradMode::Analytic,
+                ..Default::default()
+            },
+        );
     }
 
     #[test]

@@ -1,19 +1,29 @@
-//! Finite-difference gradients.
+//! Finite-difference gradients: the oracle the exact gradient is tested
+//! against, and the mode the paper harness runs.
 //!
-//! CodeML estimates derivatives of the log-likelihood numerically; so do
-//! we. Central differences are more accurate (O(h²)); forward differences
-//! halve the function-evaluation count (O(h)), which matters because each
-//! evaluation is a full tree-likelihood computation.
+//! CodeML estimates derivatives of the log-likelihood numerically, at
+//! 2(5 + B) evaluations per central-difference gradient for B branches.
+//! The fits now take the likelihood's exact gradient
+//! ([`GradMode::Analytic`]); the finite-difference modes stay for tests,
+//! which check the exact gradient against [`central_gradient`], and for
+//! the paper's Table III/IV and Fig. 3 comparisons, which run both
+//! engines on [`GradMode::Forward`] so the comparison stays like for
+//! like. Central differences are more accurate (O(h²)); forward
+//! differences halve the evaluation count (O(h)).
 
-/// Finite-difference flavor.
+/// Where [`minimize`](crate::minimize) gets its gradients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradMode {
-    /// Two evaluations per coordinate, O(h²) error.
+    /// Central differences: two evaluations per coordinate, O(h²) error.
     #[default]
     Central,
-    /// One extra evaluation per coordinate (plus one shared base), O(h)
-    /// error.
+    /// Forward differences: one extra evaluation per coordinate (plus one
+    /// shared base), O(h) error.
     Forward,
+    /// The objective's own exact gradient
+    /// ([`Objective::gradient`](crate::Objective::gradient)), at no
+    /// objective evaluation.
+    Analytic,
 }
 
 /// Relative step size: cube root of machine epsilon is the classic
@@ -144,7 +154,7 @@ mod tests {
             };
             match mode {
                 GradMode::Central => central_gradient(f, &x),
-                GradMode::Forward => forward_gradient(f, &x, quadratic(&x)),
+                _ => forward_gradient(f, &x, quadratic(&x)),
             };
             order
         };

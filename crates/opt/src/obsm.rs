@@ -30,10 +30,12 @@ pub(crate) struct OptMetrics {
     pub fits: Arc<Counter>,
     /// `opt.iterations` — quasi-Newton iterations across all fits.
     pub iterations: Arc<Counter>,
-    /// `opt.f_evals` — objective evaluations, incl. finite differences.
+    /// `opt.f_evals` — objective evaluations: starts, line-search trials
+    /// and finite-difference probes (an analytic gradient adds none).
     pub f_evals: Arc<Counter>,
-    /// `opt.grad_evals` — gradient evaluations (each costs n or 2n
-    /// objective calls depending on the finite-difference mode).
+    /// `opt.grad_evals` — gradients taken: one exact gradient each under
+    /// `GradMode::Analytic`; n forward or 2n central objective calls
+    /// each under finite differences.
     pub grad_evals: Arc<Counter>,
     /// `opt.line_search_steps` — Armijo backtracking trials.
     pub line_search_steps: Arc<Counter>,

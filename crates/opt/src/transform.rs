@@ -80,10 +80,40 @@ pub struct BlockTransform {
 /// Numerical guard: logistic inputs are clamped to ±`ZCAP` so `exp` never
 /// overflows and the map stays strictly inside the box.
 const ZCAP: f64 = 30.0;
+/// `LowerBounded` exponents are clamped to ±`EXP_CAP`, so `e^z` stays
+/// finite.
+const EXP_CAP: f64 = ZCAP * 17.0;
+/// Softmax logits are clamped to ±`SOFTMAX_CAP`.
+const SOFTMAX_CAP: f64 = 700.0;
 
 fn logistic(z: f64) -> f64 {
     let z = z.clamp(-ZCAP, ZCAP);
     1.0 / (1.0 + (-z).exp())
+}
+
+/// `d logistic / dz`, zero where the clamp holds `z`.
+fn logistic_slope(z: f64) -> f64 {
+    if z.abs() > ZCAP {
+        return 0.0;
+    }
+    let s = logistic(z);
+    s * (1.0 - s)
+}
+
+/// The softmax of `(z₁…z_dim, 0)` without its last (remainder) entry.
+/// Each logit is clamped to ±[`SOFTMAX_CAP`] first, and the max is taken
+/// over the clamped logits, so every exponent is ≤ 0 and the denominator
+/// is ≥ 1.
+fn softmax_with_rest(zs: &[f64]) -> Vec<f64> {
+    let clamped: Vec<f64> = zs
+        .iter()
+        .map(|v| v.clamp(-SOFTMAX_CAP, SOFTMAX_CAP))
+        .collect();
+    let zmax = clamped.iter().copied().fold(0.0f64, f64::max); // include the 0 logit
+    let exps: Vec<f64> = clamped.iter().map(|&v| (v - zmax).exp()).collect();
+    let rest = (-zmax).exp();
+    let denom: f64 = exps.iter().sum::<f64>() + rest;
+    exps.into_iter().map(|e| e / denom).collect()
 }
 
 fn logit(p: f64) -> f64 {
@@ -188,7 +218,7 @@ impl BlockTransform {
                     zi += 1;
                 }
                 Block::LowerBounded { lo } => {
-                    x.push(lo + z[zi].clamp(-ZCAP * 17.0, ZCAP * 17.0).exp());
+                    x.push(lo + z[zi].clamp(-EXP_CAP, EXP_CAP).exp());
                     zi += 1;
                 }
                 Block::BoxBounded { lo, hi } => {
@@ -201,17 +231,7 @@ impl BlockTransform {
                 Block::SimplexWithRest { dim } => {
                     // softmax over (z₁…z_dim, 0): the implicit 0 is the
                     // remainder class.
-                    let zs = &z[zi..zi + dim];
-                    let zmax = zs.iter().copied().fold(0.0f64, f64::max); // include the 0 logit
-                    let exps: Vec<f64> = zs
-                        .iter()
-                        .map(|&v| (v.clamp(-700.0, 700.0) - zmax).exp())
-                        .collect();
-                    let rest = (-zmax).exp();
-                    let denom: f64 = exps.iter().sum::<f64>() + rest;
-                    for e in exps {
-                        x.push(e / denom);
-                    }
+                    x.extend(softmax_with_rest(&z[zi..zi + dim]));
                     zi += dim;
                 }
                 Block::BoxBoundedVec { lo, hi, count } => {
@@ -223,6 +243,61 @@ impl BlockTransform {
             }
         }
         x
+    }
+
+    /// Pull a gradient back through [`to_constrained`](Self::to_constrained):
+    /// `Jᵀ·grad` with `J = ∂x/∂z` at `z`, where `grad` is a gradient over
+    /// the constrained parameters (one entry per constrained value; a
+    /// `Fixed` entry is dropped). Where a clamp holds a coordinate the map
+    /// is flat, so its derivative there is 0.
+    ///
+    /// # Panics
+    /// Panics if `z` or `grad` mismatches the transform's dimensions.
+    pub fn pull_back(&self, z: &[f64], grad: &[f64]) -> Vec<f64> {
+        assert_eq!(z.len(), self.unconstrained_len(), "pull_back: z length");
+        assert_eq!(
+            grad.len(),
+            self.constrained_len(),
+            "pull_back: gradient length"
+        );
+        let mut out = Vec::with_capacity(z.len());
+        let (mut xi, mut zi) = (0usize, 0usize);
+        for block in &self.blocks {
+            match *block {
+                Block::Free => out.push(grad[xi]),
+                Block::LowerBounded { .. } => {
+                    let slope = if z[zi].abs() > EXP_CAP {
+                        0.0
+                    } else {
+                        z[zi].exp()
+                    };
+                    out.push(grad[xi] * slope);
+                }
+                Block::BoxBounded { lo, hi } => {
+                    out.push(grad[xi] * (hi - lo) * logistic_slope(z[zi]));
+                }
+                Block::Fixed { .. } => {}
+                Block::SimplexWithRest { dim } => {
+                    // ∂p_k/∂z_j = p_k(δ_kj − p_j), so (Jᵀg)_j = p_j(g_j − Σ_k g_k p_k).
+                    let zs = &z[zi..zi + dim];
+                    let p = softmax_with_rest(zs);
+                    let g = &grad[xi..xi + dim];
+                    let mean: f64 = p.iter().zip(g).map(|(p, g)| p * g).sum();
+                    for ((&zj, &pj), &gj) in zs.iter().zip(&p).zip(g) {
+                        let inside = zj.abs() <= SOFTMAX_CAP;
+                        out.push(if inside { pj * (gj - mean) } else { 0.0 });
+                    }
+                }
+                Block::BoxBoundedVec { lo, hi, count } => {
+                    for k in 0..count {
+                        out.push(grad[xi + k] * (hi - lo) * logistic_slope(z[zi + k]));
+                    }
+                }
+            }
+            xi += block.constrained_len();
+            zi += block.unconstrained_len();
+        }
+        out
     }
 }
 
@@ -343,6 +418,85 @@ mod tests {
         assert_eq!(t.unconstrained_len(), 4);
         let x = t.to_constrained(&[0.7, 0.0, 1.0, -1.0]);
         assert_eq!(x[2], 1.0);
+    }
+
+    #[test]
+    fn softmax_stays_finite_for_huge_logits() {
+        // Logits past the ±700 clamp used to subtract the max of the
+        // unclamped logits, and 0/0 gave NaN from about 1445 on.
+        let t = BlockTransform::new(vec![Block::SimplexWithRest { dim: 2 }]);
+        for z in [
+            [1500.0, 0.0],
+            [1e300, -1e300],
+            [f64::MAX, 3.0],
+            [-1500.0, -2000.0],
+        ] {
+            let p = t.to_constrained(&z);
+            assert!(p.iter().all(|v| v.is_finite()), "{z:?} -> {p:?}");
+            assert!(p[0] + p[1] <= 1.0, "{z:?} -> {p:?}");
+        }
+        assert_eq!(
+            t.to_constrained(&[1500.0, 0.0]),
+            t.to_constrained(&[700.0, 0.0])
+        );
+    }
+
+    /// Central differences of `to_constrained`, contracted with `grad`.
+    fn numeric_pull_back(t: &BlockTransform, z: &[f64], grad: &[f64]) -> Vec<f64> {
+        (0..z.len())
+            .map(|j| {
+                let h = 1e-6 * z[j].abs().max(1.0);
+                let (mut zp, mut zm) = (z.to_vec(), z.to_vec());
+                zp[j] += h;
+                zm[j] -= h;
+                let (xp, xm) = (t.to_constrained(&zp), t.to_constrained(&zm));
+                (0..grad.len())
+                    .map(|i| grad[i] * (xp[i] - xm[i]) / (2.0 * h))
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pull_back_matches_differences_for_every_block() {
+        let t = BlockTransform::new(vec![
+            Block::Free,
+            Block::LowerBounded { lo: 1.0 },
+            Block::BoxBounded { lo: 1e-6, hi: 1.0 },
+            Block::Fixed { value: 1.0 },
+            Block::SimplexWithRest { dim: 2 },
+            Block::BoxBoundedVec {
+                lo: 1e-6,
+                hi: 50.0,
+                count: 2,
+            },
+        ]);
+        let grad = [0.3, -1.7, 2.5, 9.0, -0.4, 1.1, 0.8, -2.2];
+        // Interior points, then points held by every clamp: the logistic's
+        // ±30, the exponential's ±510 and the softmax's ±700 (where the
+        // other logit still moves the proportions).
+        for z in [
+            [0.4, -0.3, 1.2, 0.5, -0.8, -2.0, 3.0],
+            [-5.0, 2.0, -4.0, 3.0, 2.5, 8.0, -8.0],
+            [1.0, 600.0, 40.0, 800.0, 0.1, -35.0, 31.0],
+            [1.0, -600.0, -40.0, -900.0, -750.0, 45.0, -45.0],
+        ] {
+            let got = t.pull_back(&z, &grad);
+            let want = numeric_pull_back(&t, &z, &grad);
+            assert_eq!(got.len(), z.len());
+            for (j, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-6 * (1.0 + b.abs()),
+                    "z {z:?}, coordinate {j}: pull-back {a} vs differences {b}"
+                );
+            }
+        }
+        // Held by a clamp means exactly flat.
+        let z = [1.0, 600.0, 40.0, 800.0, 0.1, -35.0, 31.0];
+        let got = t.pull_back(&z, &grad);
+        for j in [1, 2, 3, 5, 6] {
+            assert_eq!(got[j], 0.0, "coordinate {j}");
+        }
     }
 
     #[test]
