@@ -192,14 +192,17 @@ impl<L: Likelihood> Objective for NegLnl<'_, L> {
     }
 
     /// The exact gradient, pulled back through the transform. BFGS takes
-    /// it right after the point's own evaluation, whose state serves it
-    /// on every backend.
+    /// it only where [`cost`](Objective::cost) was just finite, so the
+    /// state that evaluation kept serves it on every backend and no
+    /// evaluation can fail.
     fn gradient(&mut self, z: &[f64]) -> Vec<f64> {
         let x = self.transform.to_constrained(z);
-        match self.model.gradient(&mut self.evaluator, &x) {
-            Ok(g) => self.transform.pull_back(z, &g).iter().map(|v| -v).collect(),
-            Err(_) => vec![f64::NAN; z.len()],
-        }
+        let g = self
+            .model
+            .gradient(&mut self.evaluator, &x)
+            // check: allow(rob-unwrap) the kept state of the point just evaluated serves the gradient without an evaluation
+            .expect("gradient at the point just evaluated");
+        self.transform.pull_back(z, &g).iter().map(|v| -v).collect()
     }
 }
 

@@ -50,10 +50,14 @@ use std::sync::Arc;
 
 /// Units wider than this many patterns sum each edge's adjoint in `P`
 /// coordinates over their chunks and map it into the eigenbasis once per
-/// group. Per pattern that costs one `n²` product instead of three, and
-/// per (edge, slot, ω index) an `n × n` sum and two `n³` products, which
-/// pay for themselves from about `n` patterns on; narrower units keep no
-/// sum per edge.
+/// group: per pattern one `n²` product instead of three, for an `n × n`
+/// sum per (edge, slot, ω index) kept through the group and two `n³`
+/// products per sum. Measured on perfbench (EXPERIMENTS.md), the sums
+/// make tests on 4 × 1500-codon genes (256-pattern units) 1.5× faster
+/// than mapping every chunk; on 5 × 80-codon genes, two fits at once,
+/// they would make tests 1.2× faster but raise peak memory by 0.7 MB
+/// (8 %). So units no wider than this map each chunk straight and keep
+/// no sum; any width from 80 to 255 splits those shapes the same way.
 const WIDE_UNIT: usize = 4 * OUTSIDE_CHUNK;
 
 /// `∂lnL` at one point, in the mixture's own terms.

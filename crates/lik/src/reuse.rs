@@ -310,9 +310,9 @@ impl<'p> ReuseEvaluator<'p> {
 
     /// The gradient of the branch-site log-likelihood over
     /// `[κ, ω0, ω2, p0, p1, t…]` (the fit layout) at `model` and
-    /// `branch_lengths`. Evaluates first — the point a fit just
-    /// evaluated is served from the kept state — then runs one adjoint
-    /// pass over that state (DESIGN.md §6b); the pass writes
+    /// `branch_lengths`. Evaluates first unless the kept state holds that
+    /// point, as it holds the point a fit just evaluated, then runs one
+    /// adjoint pass over that state (DESIGN.md §6b); the pass writes
     /// none of it, so no later evaluation moves a bit. Under H0 the ω2
     /// entry is the derivative the classes selecting ω2 would see.
     ///
@@ -332,6 +332,9 @@ impl<'p> ReuseEvaluator<'p> {
 
     /// `∂lnL` of a shared-scale mixture at `branch_lengths`, in the
     /// mixture's own terms, from one adjoint pass on the calling thread.
+    /// The point a fit just evaluated is read from the kept state without
+    /// an evaluation, so `lik.evaluations` and the reuse counters see
+    /// only a point the state does not hold.
     ///
     /// # Errors
     /// Propagates evaluation errors.
@@ -341,7 +344,14 @@ impl<'p> ReuseEvaluator<'p> {
         branch_lengths: &[f64],
     ) -> Result<MixtureGradient, LinalgError> {
         debug_assert_eq!(mixture.scale, RateScale::Shared, "M0's per-class scale");
-        let value = self.evaluate_mixture(mixture, branch_lengths)?;
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let kept = self.state.as_ref().filter(|s| {
+            s.mixture.same_bits(mixture) && bits(&s.branch_lengths) == bits(branch_lengths)
+        });
+        let value = match kept {
+            Some(s) => s.value.clone(),
+            None => self.evaluate_mixture(mixture, branch_lengths)?,
+        };
         let _span = obsm::PHASE_GRADIENT.span();
         let problem = self.problem;
         let components = self

@@ -4,9 +4,8 @@
 //! minimizes (callers pass the *negative* log-likelihood) with:
 //!
 //! * the objective's own exact gradient ([`GradMode::Analytic`], what the
-//!   likelihood fits run), or finite differences ([`crate::numgrad`]): the
-//!   oracle the exact gradient is tested against, and the paper harness'
-//!   mode;
+//!   likelihood fits run), or finite differences ([`crate::numgrad`], the
+//!   paper harness' mode);
 //! * an Armijo backtracking line search with quadratic interpolation
 //!   (full strong-Wolfe would double the gradient cost);
 //! * the standard inverse-Hessian BFGS update, skipped when curvature

@@ -1,15 +1,16 @@
-//! Finite-difference gradients: the oracle the exact gradient is tested
-//! against, and the mode the paper harness runs.
+//! Finite-difference gradients: the mode the paper harness runs.
 //!
 //! CodeML estimates derivatives of the log-likelihood numerically, at
 //! 2(5 + B) evaluations per central-difference gradient for B branches.
 //! The fits now take the likelihood's exact gradient
-//! ([`GradMode::Analytic`]); the finite-difference modes stay for tests,
-//! which check the exact gradient against [`central_gradient`], and for
-//! the paper's Table III/IV and Fig. 3 comparisons, which run both
-//! engines on [`GradMode::Forward`] so the comparison stays like for
-//! like. Central differences are more accurate (O(h²)); forward
-//! differences halve the evaluation count (O(h)).
+//! ([`GradMode::Analytic`]). Forward differences stay for the paper's
+//! Table III/IV and Fig. 3 comparisons, which run both engines on
+//! [`GradMode::Forward`] so the comparison stays like for like; they
+//! cost one evaluation per coordinate at O(h) error, central differences
+//! two at O(h²). No fit runs [`GradMode::Central`] any more: it is
+//! [`BfgsOptions`](crate::BfgsOptions)' default and this crate's tests'
+//! mode, and the exact gradient's oracle test uses a fourth-order
+//! difference of its own.
 
 /// Where [`minimize`](crate::minimize) gets its gradients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

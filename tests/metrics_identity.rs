@@ -225,3 +225,50 @@ fn tests_count_termination_reasons_and_h1_outcomes() {
     assert_eq!(sum("opt.termination."), delta("opt.fits"));
     assert_eq!(sum("core.h1."), seeds.len() as u64);
 }
+
+/// An exact gradient reads the point its fit just evaluated from the
+/// kept state, so `lik.evaluations` counts only the fit's own objective
+/// evaluations — BFGS's, plus the one check of the starting point per
+/// fit — and no gradient.
+#[test]
+fn exact_gradients_add_no_likelihood_evaluations() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = slimcodeml::bio::parse_newick("((A:0.1,B:0.2)#1:0.05,C:0.3);").unwrap();
+    let aln = slimcodeml::bio::CodonAlignment::from_fasta(
+        ">A\nATGCCCAAATGGTTT\n>B\nATGCCAAAATGGTTC\n>C\nATGCCCAAATGGTTT\n",
+    )
+    .unwrap();
+    for backend in [Backend::SlimPlus, Backend::CodeMlStyle] {
+        let options = AnalysisOptions {
+            backend,
+            max_iterations: 12,
+            seed: 7,
+            ..AnalysisOptions::default()
+        };
+        let analysis = Analysis::new(&tree, &aln, options).unwrap();
+
+        slimcodeml::obs::set_enabled(true);
+        slimcodeml::opt::register_metrics();
+        slimcodeml::lik::register_metrics();
+        let before = slimcodeml::obs::snapshot();
+        analysis.fit(Hypothesis::H1).expect("H1 fit");
+        let after = slimcodeml::obs::snapshot();
+        slimcodeml::obs::set_enabled(false);
+
+        let delta = |name: &str| {
+            after
+                .counter(name)
+                .unwrap_or(0)
+                .saturating_sub(before.counter(name).unwrap_or(0))
+        };
+        assert!(
+            delta("opt.grad_evals") > 0,
+            "{backend:?}: no gradient taken"
+        );
+        assert_eq!(
+            delta("lik.evaluations"),
+            delta("opt.f_evals") + delta("opt.fits"),
+            "{backend:?}: gradients counted as evaluations"
+        );
+    }
+}
