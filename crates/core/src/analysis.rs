@@ -537,12 +537,12 @@ mod tests {
             (
                 Hypothesis::H0,
                 GradMode::Analytic,
-                (0xc0a59d4199f5d850, 4, 11),
+                (0xc0a59d419a76cda1, 4, 11),
             ),
             (
                 Hypothesis::H1,
                 GradMode::Analytic,
-                (0xc0a59db48c9d09b8, 4, 11),
+                (0xc0a59db487d6afc6, 4, 11),
             ),
         ] {
             let options = AnalysisOptions {

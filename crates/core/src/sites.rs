@@ -274,7 +274,7 @@ mod tests {
             (
                 Backend::SlimPlus,
                 GradMode::Analytic,
-                (0xc03a6e5aa80fe6c5, 0xc03a6e5a5781f673),
+                (0xc03a6e5aa80fe6e8, 0xc03a6e5a5781f692),
             ),
         ] {
             let r = sites_test(

@@ -38,7 +38,10 @@
 //! The pass reads the evaluator's state and writes none of it. It runs on
 //! the calling thread in fixed unit, chunk, node and edge order through
 //! dispatched kernels only, so its bits are the same for every thread
-//! count, SIMD mode and kept or cleared state.
+//! count, SIMD mode and kept or cleared state. Its sums over patterns run
+//! in the evaluator's pattern order, which the patterns alone decide
+//! ([`LikelihoodProblem::canonical_pattern_order`]), so the order of the
+//! alignment's columns and records moves none of them.
 
 use crate::mixture::Mixture;
 use crate::problem::LikelihoodProblem;
@@ -99,6 +102,9 @@ pub(crate) struct Adjoint<'a> {
     mixture: &'a Mixture,
     eigensystems: &'a [Arc<EigenSystem>],
     branch_lengths: &'a [f64],
+    /// The evaluator's pattern order, in which every sum over patterns
+    /// runs.
+    order: &'a [usize],
     /// `[pattern][class]` posteriors.
     posteriors: Vec<Vec<f64>>,
     /// Per slot: `Xᵀ`, and `Σ_i π_i^{1/2} X[i, :]` (a missing codon's row).
@@ -126,6 +132,7 @@ impl<'a> Adjoint<'a> {
         mixture: &'a Mixture,
         eigensystems: &'a [Arc<EigenSystem>],
         branch_lengths: &'a [f64],
+        order: &'a [usize],
         value: &LikelihoodValue,
     ) -> Adjoint<'a> {
         let n = problem.pi.len();
@@ -148,6 +155,7 @@ impl<'a> Adjoint<'a> {
             mixture,
             eigensystems,
             branch_lengths,
+            order,
             posteriors: slim_stat::class_posteriors(&value.per_class, &value.proportions),
             xt,
             missing_row,
@@ -259,13 +267,10 @@ impl<'a> Adjoint<'a> {
             // Mixing: Σ_p w_p L_c(p) / L(p); a class that was not pruned
             // (proportion 0) reads −∞ and adds nothing.
             let mut mix = 0.0;
-            for (p, (&lc, &l)) in value.per_class[c]
-                .iter()
-                .zip(&value.per_pattern)
-                .enumerate()
-            {
+            for &p in self.order {
+                let (lc, l) = (value.per_class[c][p], value.per_pattern[p]);
                 if l.is_finite() {
-                    // check: allow(det-float-accum) fixed pattern-order sum
+                    // check: allow(det-float-accum) fixed sum in the evaluator's pattern order
                     mix += problem.patterns.weight(p) * (lc - l).exp();
                 }
             }
@@ -290,7 +295,7 @@ impl<'a> Adjoint<'a> {
         cpvs: &[Option<Mat>],
     ) {
         let problem = self.problem;
-        let (n, bw, lo) = (problem.pi.len(), above[0].cols(), unit.lo);
+        let (n, bw) = (problem.pi.len(), above[0].cols());
         let inside = problem.leaf_taxon[child].is_none().then(|| {
             cpvs[unit.slot(child, term[0])]
                 .as_ref()
@@ -319,7 +324,7 @@ impl<'a> Adjoint<'a> {
                     }
                     any = true;
                     for (q, w) in weights.iter_mut().enumerate() {
-                        *w = scale[v][q] * self.posteriors[lo + q][c];
+                        *w = scale[v][q] * self.posteriors[unit.pattern(q)][c];
                     }
                     for i in 0..n {
                         for ((o, &av), &w) in
@@ -375,7 +380,7 @@ impl<'a> Adjoint<'a> {
             }
             (None, Some(taxon)) => {
                 for q in 0..bw {
-                    let codon = problem.patterns.pattern(unit.lo + q)[taxon];
+                    let codon = problem.patterns.pattern(unit.pattern(q))[taxon];
                     if codon == slim_bio::patterns::MISSING {
                         bt.row_mut(q).copy_from_slice(&self.missing_row[s]);
                     } else {
@@ -423,7 +428,7 @@ impl<'a> Adjoint<'a> {
             (Some(inside), _) => gemm(1.0, u, Transpose::No, inside, Transpose::Yes, 1.0, g),
             (None, Some(taxon)) => {
                 for q in 0..u.cols() {
-                    let codon = problem.patterns.pattern(unit.lo + q)[taxon];
+                    let codon = problem.patterns.pattern(unit.pattern(q))[taxon];
                     for i in 0..n {
                         let uv = u[(i, q)];
                         if codon == slim_bio::patterns::MISSING {
@@ -481,7 +486,7 @@ impl OutsideVisitor for Adjoint<'_> {
                             z += u[(i, q)] * m[(i, q)];
                         }
                         if z > 0.0 && z.is_finite() {
-                            problem.patterns.weight(unit.lo + q) / z
+                            problem.patterns.weight(unit.pattern(q)) / z
                         } else {
                             0.0
                         }

@@ -191,6 +191,20 @@ impl LikelihoodProblem {
         self.patterns.n_patterns()
     }
 
+    /// The patterns sorted by the codons they hold at the leaves, read in
+    /// node order. The order depends on the patterns alone, not on the
+    /// order of the alignment's columns or records, so the evaluator keeps
+    /// its units in it: every sum over patterns that does not run in
+    /// pattern order (the exact gradient's) then has the same bits for
+    /// every arrangement of the same data.
+    pub(crate) fn canonical_pattern_order(&self) -> Vec<usize> {
+        let taxa: Vec<usize> = self.leaf_taxon.iter().flatten().copied().collect();
+        let key = |p: usize| taxa.iter().map(move |&t| self.patterns.pattern(p)[t]);
+        let mut order: Vec<usize> = (0..self.n_patterns()).collect();
+        order.sort_by(|&a, &b| key(a).cmp(key(b)));
+        order
+    }
+
     /// Σ weight × value over the patterns, summed naively in pattern
     /// order: the total M0, M1a/M2a and the two-ratio model report.
     pub(crate) fn weighted_sum(&self, per_pattern: &[f64]) -> f64 {

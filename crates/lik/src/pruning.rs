@@ -34,7 +34,10 @@
 //! and the root combination is a per-column dot with π. Therefore pruning
 //! a block `[lo, lo+b)` produces exactly the bits the same patterns get in
 //! a full-width pass — the partition into blocks, and which thread runs
-//! which block, cannot change any per-pattern value.
+//! which block, cannot change any per-pattern value. Blocks cover
+//! positions in [`LikelihoodProblem::canonical_pattern_order`], and the
+//! evaluator writes each per-pattern output back to its pattern, so the
+//! order of the alignment's columns and records moves no bit either.
 
 use crate::engine::EngineConfig;
 use crate::problem::LikelihoodProblem;
@@ -305,10 +308,11 @@ impl PruneScratch {
 
 /// One unit's fixed inputs — the problem, the engine configuration, the
 /// operators, the foreground path, the group's ω slots and the unit's
-/// first pattern — whose methods are the per-unit kernels: the pruning
-/// pass and the outside pass. Methods that take a variant `v` read the
-/// CPVs through that variant's view: its own CPV at a node on the
-/// foreground path, the group's shared copy at any other node.
+/// first position in the evaluator's pattern order — whose methods are
+/// the per-unit kernels: the pruning pass and the outside pass. Methods
+/// that take a variant `v` read the CPVs through that variant's view: its
+/// own CPV at a node on the foreground path, the group's shared copy at
+/// any other node.
 #[derive(Clone, Copy)]
 pub(crate) struct Unit<'a> {
     pub(crate) problem: &'a LikelihoodProblem,
@@ -317,10 +321,19 @@ pub(crate) struct Unit<'a> {
     /// Per node: whether a foreground branch lies below it.
     pub(crate) fg_path: &'a [bool],
     pub(crate) group: Group,
+    /// The evaluator's pattern order: position → the problem's pattern
+    /// ([`LikelihoodProblem::canonical_pattern_order`]).
+    pub(crate) order: &'a [usize],
     pub(crate) lo: usize,
 }
 
 impl<'a> Unit<'a> {
+    /// The problem's pattern in column `q` of this unit.
+    // check: allow(panic-free-hot-path) `order` holds every pattern, and a unit's columns lie inside the evaluator's block [lo, lo + bw) ⊆ [0, n_patterns)
+    pub(crate) fn pattern(&self, q: usize) -> usize {
+        self.order[self.lo + q]
+    }
+
     /// The operator on the edge above `node`, in variant `v`'s ω slot for
     /// that edge.
     // check: hot reuse-engine operator fetch
@@ -476,7 +489,7 @@ impl<'a> Unit<'a> {
                 problem.root,
                 self.group.bg,
                 self.group.fg()[v],
-                self.lo,
+                &self.order[self.lo..self.lo + bw],
             );
         }
     }
@@ -561,7 +574,7 @@ impl<'a> Unit<'a> {
             // data integrates the state out: P·1 = 1 (rows of P sum to
             // one), so the contribution is a ones column.
             for q in 0..bw {
-                let codon = self.problem.patterns.pattern(self.lo + q)[taxon];
+                let codon = self.problem.patterns.pattern(self.pattern(q))[taxon];
                 if codon == slim_bio::patterns::MISSING {
                     for i in 0..n {
                         dest[(i, q)] = 1.0;
@@ -611,7 +624,7 @@ impl<'a> Unit<'a> {
     }
 
     /// The outside pass over one `bw`-column chunk of kept CPVs, starting
-    /// at pattern `self.lo`: preorder and depth first, so O(depth) outside
+    /// at position `self.lo`: preorder and depth first, so O(depth) outside
     /// blocks per variant are live. The root's outside block is π. At
     /// each internal node every child's message is computed once — once
     /// for all variants when they share it, as in
@@ -764,8 +777,9 @@ impl<'a> Unit<'a> {
 
 /// A consumer of the outside pass. The evaluator announces each group's
 /// classes per variant before the group's units; the other calls cover
-/// one column chunk of one unit: `unit.lo` is the chunk's first pattern,
-/// and every slice holds one block per variant of `unit.group`.
+/// one column chunk of one unit: `unit.pattern(q)` is the pattern in its
+/// column `q`, and every slice holds one block per variant of
+/// `unit.group`.
 pub(crate) trait OutsideVisitor {
     /// A group begins: `members[v]` lists the classes of its variant `v`.
     fn begin_group(&mut self, members: Vec<Vec<usize>>);
@@ -872,7 +886,6 @@ pub(crate) mod sanitize_hooks {
         post: &[Option<Mat>],
         weights: &[Vec<f64>],
         slots: &[(usize, usize)],
-        block: usize,
     ) {
         for (node, m) in post.iter().enumerate() {
             let Some(m) = m else { continue };
@@ -880,24 +893,19 @@ pub(crate) mod sanitize_hooks {
                 let total = slim_linalg::neumaier_sum(&m.col(p));
                 // Non-negative values: `<= 0.0` means zero.
                 let impossible = w.iter().all(|&c| c <= 0.0) && total <= 0.0;
-                let lo = p - p % block;
                 assert!(
                     (total - 1.0).abs() <= 1e-9 || impossible,
                     "sanitize: posterior column sums to {total} at outside pass node {node}, \
-                     pattern {p} (ω classes (bg, fg) = {slots:?}), pattern block [{lo}, {})",
-                    (lo + block).min(weights.len())
+                     pattern {p} (ω classes (bg, fg) = {slots:?})"
                 );
             }
         }
     }
 
-    pub(super) fn root_outputs(out: &[f64], root: usize, bg: usize, fg: usize, lo: usize) {
-        for (q, &v) in out.iter().enumerate() {
+    pub(super) fn root_outputs(out: &[f64], root: usize, bg: usize, fg: usize, patterns: &[usize]) {
+        for (&v, &p) in out.iter().zip(patterns) {
             slim_linalg::sanitize::check_log_value("per-pattern lnL", v, || {
-                format!(
-                    "root {root} combination (ω classes bg={bg} fg={fg}), pattern {}",
-                    lo + q
-                )
+                format!("root {root} combination (ω classes bg={bg} fg={fg}), pattern {p}")
             });
         }
     }
@@ -1213,10 +1221,7 @@ mod tests {
 
     #[cfg(feature = "sanitize")]
     #[test]
-    #[should_panic(
-        expected = "node 1, pattern 3 (ω classes (bg, fg) = [(0, 0), (1, 2)]), \
-                               pattern block [2, 4)"
-    )]
+    #[should_panic(expected = "node 1, pattern 3 (ω classes (bg, fg) = [(0, 0), (1, 2)])")]
     fn sanitize_names_a_posterior_column_off_one() {
         let mut m = Mat::zeros(2, 4);
         for p in 0..4 {
@@ -1226,9 +1231,9 @@ mod tests {
         // Pattern 2 is impossible in every class and all zero: allowed.
         m[(0, 2)] = 0.0;
         let weights = vec![ok.clone(), ok.clone(), vec![0.0, 0.0], ok];
-        sanitize_hooks::posterior_columns(&[None, Some(m.clone())], &weights, &[(0, 0), (1, 2)], 2);
+        sanitize_hooks::posterior_columns(&[None, Some(m.clone())], &weights, &[(0, 0), (1, 2)]);
         m[(1, 3)] = 1e-6;
-        sanitize_hooks::posterior_columns(&[None, Some(m)], &weights, &[(0, 0), (1, 2)], 2);
+        sanitize_hooks::posterior_columns(&[None, Some(m)], &weights, &[(0, 0), (1, 2)]);
     }
 
     #[test]

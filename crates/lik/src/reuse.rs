@@ -170,6 +170,9 @@ pub struct ReuseEvaluator<'p> {
     branch_node: Vec<usize>,
     /// Per node: whether a foreground branch lies below it.
     fg_path: Vec<bool>,
+    /// The order the units hold the patterns in: position → pattern
+    /// ([`LikelihoodProblem::canonical_pattern_order`]).
+    order: Vec<usize>,
     /// Internal nodes off and on the foreground path.
     n_shared: usize,
     n_fg: usize,
@@ -211,6 +214,7 @@ impl<'p> ReuseEvaluator<'p> {
             config,
             branch_node,
             fg_path,
+            order: problem.canonical_pattern_order(),
             n_shared: n_internal - n_fg,
             n_fg,
             state: None,
@@ -298,12 +302,7 @@ impl<'p> ReuseEvaluator<'p> {
                 .iter()
                 .map(|c| (slot[c.background_omega], slot[c.foreground_omega]))
                 .collect();
-            crate::pruning::sanitize_hooks::posterior_columns(
-                &post,
-                &visitor.weights,
-                &slots,
-                self.config.pattern_block.max(1),
-            );
+            crate::pruning::sanitize_hooks::posterior_columns(&post, &visitor.weights, &slots);
         }
         Ok(post)
     }
@@ -366,7 +365,14 @@ impl<'p> ReuseEvaluator<'p> {
         let gradient = simd::with_forced(self.config.simd, || {
             // check: allow(rob-unwrap) a successful evaluation stores its state
             let eigensystems = &self.state.as_ref().expect("evaluation state").eigensystems;
-            let mut adjoint = Adjoint::new(problem, mixture, eigensystems, branch_lengths, &value);
+            let mut adjoint = Adjoint::new(
+                problem,
+                mixture,
+                eigensystems,
+                branch_lengths,
+                &self.order,
+                &value,
+            );
             self.outside_passes(&mut adjoint);
             adjoint.finish(&value, &components, scale, &slot)
         });
@@ -406,6 +412,7 @@ impl<'p> ReuseEvaluator<'p> {
                         ops,
                         fg_path: &self.fg_path,
                         group,
+                        order: &self.order,
                         lo,
                     };
                     unit.outside_pass(&self.units[g * n_blocks + b], visitor);
@@ -672,6 +679,7 @@ impl<'p> ReuseEvaluator<'p> {
                     ops: &ops,
                     fg_path: &self.fg_path,
                     group,
+                    order: &self.order,
                     lo,
                 };
                 runits.push(RUnit { unit, bw, cache });
@@ -705,13 +713,17 @@ impl<'p> ReuseEvaluator<'p> {
         } else {
             prune_worker(runits.into_iter(), dirty_ref);
         }
-        // Each class reads its variant's output, block by block; a class
-        // with proportion 0 was not pruned.
+        // Each class reads its variant's output, block by block, back into
+        // the problem's pattern order; a class with proportion 0 was not
+        // pruned.
         let mut per_class = vec![vec![f64::NEG_INFINITY; n_pat]; classes.len()];
         for (out, cv) in per_class.iter_mut().zip(&geometry.class_variant) {
             let Some((g, v)) = *cv else { continue };
             for (b, &(lo, bw)) in geometry.blocks.iter().enumerate() {
-                out[lo..lo + bw].copy_from_slice(self.units[g * n_blocks + b].variant_out(v));
+                let unit_out = self.units[g * n_blocks + b].variant_out(v);
+                for (&p, &value) in self.order[lo..lo + bw].iter().zip(unit_out) {
+                    out[p] = value;
+                }
             }
         }
 
@@ -741,6 +753,7 @@ impl<'p> ReuseEvaluator<'p> {
                 ops: &ops,
                 fg_path: &self.fg_path,
                 group,
+                order: &self.order,
                 lo: geometry.blocks[ui % n_blocks].0,
             };
             unit.sanitize_recheck_node(node, v, &self.units[ui], &mut PruneScratch::new());
@@ -804,11 +817,12 @@ impl OutsideVisitor for Posteriors {
                 if total <= 0.0 {
                     continue;
                 }
+                let p = unit.pattern(q);
                 for &c in classes {
-                    let w = self.weights[unit.lo + q][c];
+                    let w = self.weights[p][c];
                     for i in 0..n {
                         // check: allow(det-float-accum) one term per site class, added in unit order
-                        dest[(i, unit.lo + q)] += w * (inside[(i, q)] * outside[(i, q)] / total);
+                        dest[(i, p)] += w * (inside[(i, q)] * outside[(i, q)] / total);
                     }
                 }
             }

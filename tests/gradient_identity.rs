@@ -6,9 +6,11 @@
 //! thread count, the SIMD dispatch mode, whether the evaluator's state
 //! was kept from earlier evaluations or built fresh, or whether the
 //! metrics registry and the trace recorder are on. Checked on every
-//! Table II analog for branch-site H0 and H1 and for M2a.
+//! Table II analog for branch-site H0 and H1 and for M2a. Nor may they
+//! depend on the order of the alignment's columns or records: the pass
+//! sums over patterns in an order the patterns alone decide.
 
-use slimcodeml::bio::{FreqModel, GeneticCode};
+use slimcodeml::bio::{CodonAlignment, FreqModel, GeneticCode};
 use slimcodeml::lik::site_models::site_model_gradient;
 use slimcodeml::lik::{EngineConfig, LikelihoodProblem, ReuseEvaluator, SimdMode};
 use slimcodeml::model::{BranchSiteModel, SiteModel, SitesHypothesis};
@@ -103,6 +105,47 @@ fn gradient_bits_are_identical_across_threads_simd_state_and_sinks() {
             slimcodeml::trace::set_enabled(false);
             slimcodeml::trace::clear();
             assert_eq!(observed, reference, "{label}: metrics and trace on");
+        }
+    }
+}
+
+/// `aln` with its records reversed and its columns rotated by a third
+/// and then reversed, as FASTA text would present the same data.
+fn rearranged(aln: &CodonAlignment) -> CodonAlignment {
+    let n = aln.n_codons();
+    let columns: Vec<usize> = (0..n).rev().map(|c| (c + n / 3) % n).collect();
+    let mut fasta = String::new();
+    for r in (0..aln.names().len()).rev() {
+        fasta.push_str(&format!(">{}\n", aln.names()[r]));
+        for &c in &columns {
+            fasta.push_str(&aln.sequence(r)[c].to_string_repr());
+        }
+        fasta.push('\n');
+    }
+    CodonAlignment::from_fasta(&fasta).unwrap()
+}
+
+#[test]
+fn gradient_bits_ignore_column_and_record_order() {
+    for id in DatasetId::ALL {
+        let d = dataset(id);
+        let problem = |aln: &CodonAlignment| {
+            LikelihoodProblem::new(&d.tree, aln, &GeneticCode::universal(), FreqModel::F3x4)
+                .unwrap()
+        };
+        let (original, moved) = (problem(&d.alignment), problem(&rearranged(&d.alignment)));
+        let bl = d.tree.branch_lengths();
+        for sites in [false, true] {
+            let on = |p: &LikelihoodProblem| {
+                let mut ev = ReuseEvaluator::new(p, EngineConfig::slim());
+                gradient(&mut ev, &d.true_model, sites, &bl)
+            };
+            assert_eq!(
+                on(&moved),
+                on(&original),
+                "dataset {} sites={sites}",
+                id.label()
+            );
         }
     }
 }
