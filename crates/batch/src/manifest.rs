@@ -74,8 +74,8 @@ pub struct ManifestEntry {
     pub freq: FreqModel,
     /// `true` selects the vertebrate mitochondrial code.
     pub mito: bool,
-    /// Where BFGS takes its gradients (`"grad"`: `analytic`, `central`
-    /// or `forward`); a manifest without it follows
+    /// Where BFGS takes its gradients (`"grad"`: `analytic` or
+    /// `forward`); a manifest without it follows
     /// [`AnalysisOptions::default`], the exact gradient.
     pub grad: GradMode,
     /// Base RNG seed (retries reseed deterministically from this).
@@ -146,7 +146,6 @@ fn backend_token(b: Backend) -> &'static str {
 fn grad_token(g: GradMode) -> &'static str {
     match g {
         GradMode::Forward => "forward",
-        GradMode::Central => "central",
         GradMode::Analytic => "analytic",
     }
 }
@@ -154,10 +153,9 @@ fn grad_token(g: GradMode) -> &'static str {
 fn parse_grad(s: &str, ctx: &str) -> Result<GradMode> {
     match s.to_ascii_lowercase().as_str() {
         "forward" => Ok(GradMode::Forward),
-        "central" => Ok(GradMode::Central),
         "analytic" => Ok(GradMode::Analytic),
         _ => Err(BatchError::Manifest(format!(
-            "{ctx}: unknown grad mode {s:?} (analytic|central|forward)"
+            "{ctx}: unknown grad mode {s:?} (analytic|forward)"
         ))),
     }
 }
@@ -689,7 +687,6 @@ mod tests {
     fn grad_tokens_roundtrip_and_default_to_the_exact_gradient() {
         for (token, mode) in [
             ("analytic", GradMode::Analytic),
-            ("central", GradMode::Central),
             ("forward", GradMode::Forward),
         ] {
             let doc = format!(
@@ -701,10 +698,13 @@ mod tests {
         }
         let m = BatchManifest::parse(&minimal("\"all\"")).unwrap();
         assert_eq!(m.entries[0].grad, GradMode::Analytic);
-        let bad =
-            r#"{"version": 1, "genes": [{"id":"g","alignment":"a","tree":"t","grad":"secant"}]}"#;
-        let err = BatchManifest::parse(bad).unwrap_err().to_string();
-        assert!(err.contains("analytic|central|forward"), "{err}");
+        for token in ["secant", "central"] {
+            let bad = format!(
+                r#"{{"version": 1, "genes": [{{"id":"g","alignment":"a","tree":"t","grad":"{token}"}}]}}"#
+            );
+            let err = BatchManifest::parse(&bad).unwrap_err().to_string();
+            assert!(err.contains("analytic|forward"), "{err}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ const BACKENDS: [Backend; 4] = [
     Backend::SlimPlus,
     Backend::SlimSymmetric,
 ];
-const GRADS: [GradMode; 3] = [GradMode::Analytic, GradMode::Central, GradMode::Forward];
+const GRADS: [GradMode; 2] = [GradMode::Analytic, GradMode::Forward];
 const FREQS: [FreqModel; 4] = [
     FreqModel::Equal,
     FreqModel::F1x4,

@@ -580,32 +580,6 @@ fn timing_report(analysis: &Analysis, baseline: &Snapshot) -> String {
         gradient * 1e3,
         (eigen + expm + pruning + reduction + gradient) * 1e3,
     );
-    if analysis.options().backend.reuses_likelihoods() {
-        let reused = count("lik.reuse.units_reused");
-        let recomputed = count("lik.reuse.units_recomputed");
-        let total = reused + recomputed;
-        // 0/0 → 0.0: a reusing run with no CPV blocks at all (e.g.
-        // zero evaluations) must not print NaN.
-        let rate = if total > 0 {
-            reused as f64 / total as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "  reuse: {reused} CPV block{} reused / {recomputed} recomputed \
-             ({:.1}% hit rate, {} full invalidation{})\n",
-            if reused == 1 { "" } else { "s" },
-            rate * 100.0,
-            count("lik.reuse.full_invalidations"),
-            if count("lik.reuse.full_invalidations") == 1 {
-                ""
-            } else {
-                "s"
-            },
-        ));
-    } else {
-        out.push_str("  reuse: off\n");
-    }
     out.push_str(&format!(
         "  simd: {} ({} lane{})\n",
         simd.name(),
@@ -1099,33 +1073,6 @@ mod tests {
             "timing header must state the cumulative semantics: {report}"
         );
         assert!(report.contains("likelihood evaluations"), "{report}");
-        assert!(report.contains("reuse:"), "{report}");
-        assert!(!report.contains("reuse: off"), "slim fits reuse: {report}");
-    }
-
-    #[test]
-    fn timing_report_reuse_off_says_so() {
-        let cfg = direct(
-            parse_args(&args(&[
-                "--seq",
-                "-",
-                "--tree",
-                "-",
-                "--max-iter",
-                "6",
-                "--backend",
-                "codeml",
-                "--timing",
-            ]))
-            .unwrap(),
-        );
-        let report = run(
-            &cfg,
-            ">A\nATGCCCAAA\n>B\nATGCCAAAA\n>C\nATGCCCAAG\n",
-            "((A:0.2,B:0.2)#1:0.1,C:0.3);",
-        )
-        .unwrap();
-        assert!(report.contains("reuse: off"), "{report}");
     }
 
     #[test]

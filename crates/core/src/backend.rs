@@ -4,7 +4,9 @@ use slim_lik::EngineConfig;
 
 /// Which numerical engine computes the likelihood. All backends compute
 /// the *same* function — the paper's accuracy experiment (§IV-1) checks
-/// exactly this — but with very different cost profiles.
+/// exactly this — but with very different cost profiles. Every backend's
+/// fits run one evaluator that computes each new point whole; backends
+/// differ only in the engine configuration they select.
 ///
 /// # Interaction with batch runs
 ///
@@ -49,16 +51,6 @@ impl Backend {
             Backend::SlimPlus => EngineConfig::slim_plus(),
             Backend::SlimSymmetric => EngineConfig::slim_symmetric(),
         }
-    }
-
-    /// Whether a fit keeps its evaluator's state between calls, so each
-    /// evaluation recomputes only what the parameter change touched.
-    /// Every backend does except [`Backend::CodeMlStyle`]: its fits clear
-    /// the state before every call, because that backend models CodeML's
-    /// recompute-everything cost for Tables III/IV and Fig. 3. Both give
-    /// the same bits (see slim-lik's reuse module docs).
-    pub fn reuses_likelihoods(self) -> bool {
-        self != Backend::CodeMlStyle
     }
 
     /// Display label matching the paper's terminology.

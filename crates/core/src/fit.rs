@@ -175,16 +175,11 @@ struct NegLnl<'p, L> {
     transform: BlockTransform,
     evaluator: ReuseEvaluator<'p>,
     model: L,
-    /// Whether the evaluator keeps its state between calls.
-    reuse: bool,
 }
 
 impl<L: Likelihood> Objective for NegLnl<'_, L> {
     fn cost(&mut self, z: &[f64]) -> f64 {
         let x = self.transform.to_constrained(z);
-        if !self.reuse {
-            self.evaluator.clear();
-        }
         match self.model.lnl(&mut self.evaluator, &x) {
             Ok(v) if v.is_finite() => -v,
             _ => f64::INFINITY,
@@ -210,11 +205,12 @@ impl<L: Likelihood> Objective for NegLnl<'_, L> {
 /// over the layout `[κ, ω0, ω2, p0, p1, t…]`, where
 /// `omega2_and_proportions` bound the ω2, p0 and p1 slots.
 ///
-/// One evaluator, under the analysis' one `config`, serves the whole fit.
-/// It diffs parameters bitwise
-/// against its previous call, so kept and cleared state give the same
-/// bits (see slim-lik's reuse module docs); the codeml-style backend
-/// clears it before every evaluation.
+/// One evaluator, under the analysis' one `config`, serves the whole fit
+/// on every backend. Each point it has not just evaluated is computed
+/// whole; its kept state serves the exact gradient and the one repeat in
+/// a fit, the start point, which is checked here and then evaluated again
+/// by BFGS. Kept state gives a fresh evaluator's bits (see slim-lik's
+/// reuse module docs).
 ///
 /// # Errors
 /// [`CoreError::Optimization`] if the likelihood is not finite at `x0`.
@@ -246,7 +242,6 @@ pub(crate) fn maximize(
         transform: transform.clone(),
         evaluator: ReuseEvaluator::new(problem, config.clone()),
         model,
-        reuse: options.backend.reuses_likelihoods(),
     };
     if !objective.cost(&z0).is_finite() {
         return Err(CoreError::Optimization(

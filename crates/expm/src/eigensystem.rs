@@ -20,12 +20,7 @@ pub struct EigenSystem {
     pub inv_sqrt_pi: Vec<f64>,
     /// Equilibrium frequencies π.
     pub pi: Vec<f64>,
-    /// Process-unique decomposition identity — see [`EigenSystem::id`].
-    id: u64,
 }
-
-/// Next [`EigenSystem::id`]; ids only need to be distinct, never ordered.
-static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl EigenSystem {
     /// Decompose a rate matrix (§III-A steps 1–2).
@@ -60,19 +55,7 @@ impl EigenSystem {
             sqrt_pi: rm.sqrt_pi.clone(),
             inv_sqrt_pi: rm.inv_sqrt_pi.clone(),
             pi: rm.pi.clone(),
-            // check: allow(atomic-ordering) monotonic id allocator, no synchronization role
-            id: NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         })
-    }
-
-    /// Process-unique identity of this decomposition, allocated once per
-    /// [`EigenSystem::from_rate_matrix`] call and shared by clones (a
-    /// clone carries the same numeric content). Two live systems with the
-    /// same id reconstruct bit-identical `P(t)` for the same `t`, which
-    /// is what [`crate::PtCache`] keys on — cheaper and stricter than
-    /// fingerprinting the decomposition's floats.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Matrix order (61 for codon models).

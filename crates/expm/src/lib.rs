@@ -28,10 +28,8 @@
 
 pub mod cpv;
 mod eigensystem;
-mod ptcache;
 mod taylor;
 
 pub use cpv::{CpvScratch, CpvStrategy, SymTransition};
 pub use eigensystem::EigenSystem;
-pub use ptcache::{PtCache, PtKey};
 pub use taylor::expm_taylor;

@@ -8,9 +8,8 @@
 //! can be run as either comparand of the paper's evaluation:
 //!
 //! * [`EngineConfig::codeml_style`] — Eq. 9 reconstruction through naive
-//!   textbook kernels, per-site naive matrix×vector CPV updates, no
-//!   eigendecomposition reuse across evaluations: CodeML v4.4c's
-//!   computational profile;
+//!   textbook kernels, per-site naive matrix×vector CPV updates, each
+//!   site class pruned on its own: CodeML v4.4c's computational profile;
 //! * [`EngineConfig::slim`] — Eq. 10 (`dsyrk`-style symmetric rank-k)
 //!   reconstruction through blocked kernels and per-site `gemv`: the
 //!   configuration the paper measured as SlimCodeML;
@@ -23,14 +22,14 @@
 //! ([`m0`], [`site_models`] M1a/M2a, the [`branch_model`] two-ratio
 //! model) — is computed by one evaluator, [`ReuseEvaluator`], through one
 //! pruning kernel: each model is a mixture of site classes over at most
-//! three ω rate matrices. The evaluator keeps the previous evaluation's
+//! three ω rate matrices. The evaluator keeps its last evaluation's
 //! decompositions, transition operators and conditional probability
-//! vectors and recomputes only what its bitwise parameter diff marks
-//! dirty. A stateless call ([`log_likelihood`],
-//! [`site_class_log_likelihoods`], the auxiliary models' functions) is
-//! one evaluation on a fresh evaluator, whose empty state marks every unit
-//! dirty. Thread count ([`EngineConfig::threads`]), SIMD dispatch and
-//! kept-vs-cleared state never change a bit of the result.
+//! vectors, for the exact gradient, the outside pass and a repeat of that
+//! point; every other point is computed whole. A stateless call
+//! ([`log_likelihood`], [`site_class_log_likelihoods`], the auxiliary
+//! models' functions) is one evaluation on a fresh evaluator. Thread count
+//! ([`EngineConfig::threads`]), SIMD dispatch and kept-vs-fresh state
+//! never change a bit of the result.
 //!
 //! The evaluator also runs a preorder outside pass over the CPVs it keeps,
 //! through the same operators transposed; [`ancestral`] reconstruction is

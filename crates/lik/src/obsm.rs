@@ -40,19 +40,12 @@ pub(crate) struct LikMetrics {
     /// `lik.simd.lanes` — vector lanes of the SIMD backend the last
     /// evaluation resolved to (1 = scalar, 4 = AVX2, 2 = NEON).
     pub simd_lanes: Arc<Gauge>,
-    /// `lik.reuse.full_invalidations` — evaluations that had to recompute
-    /// everything (globals changed, empty state, or shape change).
-    pub reuse_full_invalidations: Arc<Counter>,
-    /// `lik.reuse.dirty_branches` — branches whose length bits changed
-    /// since the previous evaluation, summed over evaluations.
-    pub reuse_dirty_branches: Arc<Counter>,
-    /// `lik.reuse.units_reused` — internal-node CPV blocks served from the
-    /// cross-evaluation cache: one per unit at a node off the foreground
-    /// path, one per variant at a node on it.
+    /// `lik.reuse.units_reused` — internal-node CPV blocks a repeat of the
+    /// kept point served from the kept state: one per unit at a node off
+    /// the foreground path, one per variant at a node on it.
     pub reuse_units_reused: Arc<Counter>,
-    /// `lik.reuse.units_recomputed` — internal-node CPV blocks recomputed
-    /// because they sat on a dirty root-path or the state was empty,
-    /// counted as `units_reused` counts them.
+    /// `lik.reuse.units_recomputed` — internal-node CPV blocks every other
+    /// evaluation computed, counted as `units_reused` counts them.
     pub reuse_units_recomputed: Arc<Counter>,
 }
 
@@ -64,8 +57,6 @@ pub(crate) fn metrics() -> &'static LikMetrics {
         units: slim_obs::counter("lik.pruning.units"),
         threads: slim_obs::gauge("lik.threads"),
         simd_lanes: slim_obs::gauge("lik.simd.lanes"),
-        reuse_full_invalidations: slim_obs::counter("lik.reuse.full_invalidations"),
-        reuse_dirty_branches: slim_obs::counter("lik.reuse.dirty_branches"),
         reuse_units_reused: slim_obs::counter("lik.reuse.units_reused"),
         reuse_units_recomputed: slim_obs::counter("lik.reuse.units_recomputed"),
     })

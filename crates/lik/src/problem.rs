@@ -14,9 +14,7 @@ pub struct LikelihoodProblem {
     pub postorder: Vec<usize>,
     /// Children of each node.
     pub children: Vec<Vec<usize>>,
-    /// Parent of each node (`None` for the root) — the upward half of the
-    /// topology, used by the reuse engine to walk root-paths when a branch
-    /// length changes.
+    /// Parent of each node (`None` for the root).
     pub parent: Vec<Option<usize>>,
     /// Whether the edge above each node is the foreground branch.
     pub is_foreground: Vec<bool>,
@@ -174,18 +172,6 @@ impl LikelihoodProblem {
         self.branch_index.iter().flatten().count()
     }
 
-    /// Inverse of [`LikelihoodProblem::branch_index`]: for each branch
-    /// index, the node whose parent edge it is.
-    pub fn branch_nodes(&self) -> Vec<usize> {
-        let mut nodes = vec![usize::MAX; self.n_branches()];
-        for (node, bi) in self.branch_index.iter().enumerate() {
-            if let Some(bi) = *bi {
-                nodes[bi] = node;
-            }
-        }
-        nodes
-    }
-
     /// Number of unique site patterns.
     pub fn n_patterns(&self) -> usize {
         self.patterns.n_patterns()
@@ -254,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_inverts_children_and_branch_nodes_invert_indices() {
+    fn parent_inverts_children() {
         let (tree, aln) = toy();
         let code = GeneticCode::universal();
         let p = LikelihoodProblem::new(&tree, &aln, &code, FreqModel::F3x4).unwrap();
@@ -266,11 +252,6 @@ mod tests {
         }
         // Every non-root node has a parent.
         assert_eq!(p.parent.iter().filter(|x| x.is_some()).count(), 4);
-        let nodes = p.branch_nodes();
-        assert_eq!(nodes.len(), p.n_branches());
-        for (bi, &node) in nodes.iter().enumerate() {
-            assert_eq!(p.branch_index[node], Some(bi));
-        }
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! This module holds the *per-unit* pruning kernel, [`Unit::prune_block`]:
 //! one pruning [`Group`] of site classes over one contiguous block of site
-//! patterns, recomputing the internal nodes a dirty mask names and reading
-//! every other node's CPV from the unit's [`UnitCache`]. Every internal
-//! node runs through the one per-node body, `combine_children` followed by
-//! a rescale. The evaluator in [`crate::reuse`] fans units across worker
-//! threads; a stateless evaluation is that evaluator with empty state, so
-//! every unit is fully dirty. [`Unit::outside_pass`] is the preorder
+//! patterns, computing every internal node into the unit's [`UnitCache`].
+//! Every internal node runs through the one per-node body,
+//! `combine_children` followed by a rescale. The evaluator in
+//! [`crate::reuse`] fans units across worker threads and keeps their CPVs
+//! until its next evaluation. [`Unit::outside_pass`] is the preorder
 //! counterpart over a unit's kept CPVs, for ancestral posteriors and the
 //! exact gradient ([`crate::gradient`]).
 //!
@@ -42,7 +41,7 @@
 use crate::engine::EngineConfig;
 use crate::problem::LikelihoodProblem;
 use crate::reuse::ReuseEvaluator;
-use slim_expm::{cpv, CpvScratch, CpvStrategy, PtCache, SymTransition};
+use slim_expm::{cpv, CpvScratch, CpvStrategy, SymTransition};
 use slim_linalg::{gemm, LinalgError, Mat, Transpose};
 use slim_model::BranchSiteModel;
 
@@ -146,9 +145,9 @@ pub fn log_likelihood(
 /// Evaluate the branch-site likelihood, returning per-class detail.
 ///
 /// `branch_lengths` is indexed like [`LikelihoodProblem::branch_index`].
-/// One evaluation on a fresh [`ReuseEvaluator`], whose empty state marks
-/// every unit dirty. Runs on [`EngineConfig::threads`] workers; results
-/// are bit-identical for every thread count (see the module docs).
+/// One evaluation on a fresh [`ReuseEvaluator`]. Runs on
+/// [`EngineConfig::threads`] workers; results are bit-identical for every
+/// thread count (see the module docs).
 ///
 /// # Errors
 /// Propagates eigensolver failures.
@@ -203,25 +202,18 @@ impl Group {
     }
 }
 
-/// Cross-evaluation cache for one (group × pattern block) unit: the
-/// post-rescale CPV of every internal node, plus each node's per-column
-/// ln-rescale contribution so each variant's total scale log can be
-/// rebuilt exactly after a partial recompute, and each variant's
-/// per-pattern log-likelihoods.
+/// The buffers of one (group × pattern block) unit, kept from one
+/// evaluation to the next: the post-rescale CPV of every internal node,
+/// which the outside pass reads, and each variant's per-pattern
+/// log-likelihoods.
 ///
 /// Slots are `layer × n_nodes + node`: layer 0 holds the group's shared
 /// CPVs (nodes with no foreground branch below them), layer `1 + v`
 /// variant `v`'s (nodes on the foreground path).
-///
-/// `0.0` in [`UnitCache::scale`] means "this node did not rescale this
-/// column" — unambiguous because a real contribution is `ln m` with
-/// `m < SCALE_THRESHOLD = 1e-100`, i.e. at most ≈ −230.
 pub(crate) struct UnitCache {
     /// Post-rescale CPV per slot; `None` for leaves, unused slots and
     /// never-computed nodes.
     cpv: Vec<Option<Mat>>,
-    /// Per-slot per-column ln-rescale contributions (empty for leaves).
-    scale: Vec<Vec<f64>>,
     /// Per-pattern log-likelihoods, block width `bw` per variant.
     out: Vec<f64>,
     /// (states, block width) of the cached CPVs.
@@ -229,11 +221,10 @@ pub(crate) struct UnitCache {
 }
 
 impl UnitCache {
-    /// An empty cache; buffers appear on first recompute.
+    /// Empty buffers; they appear on the first pass.
     pub(crate) fn new() -> UnitCache {
         UnitCache {
             cpv: Vec::new(),
-            scale: Vec::new(),
             out: Vec::new(),
             dims: (0, 0),
         }
@@ -248,12 +239,10 @@ impl UnitCache {
     fn ensure(&mut self, n_slots: usize, n: usize, bw: usize, n_variants: usize) {
         if self.dims != (n, bw) {
             self.cpv.clear();
-            self.scale.clear();
             self.dims = (n, bw);
         }
         if self.cpv.len() < n_slots {
             self.cpv.resize_with(n_slots, || None);
-            self.scale.resize_with(n_slots, Vec::new);
         }
         self.out.resize(n_variants * bw, 0.0);
     }
@@ -267,7 +256,10 @@ pub(crate) struct PruneScratch {
     tmp: Mat,
     /// One gathered leaf column.
     col: Vec<f64>,
-    /// Rebuilt total log of rescale factors, per block column.
+    /// The node being combined's per-column ln-rescale record.
+    rec: Vec<f64>,
+    /// Each variant's total log of rescale factors, block width per
+    /// variant.
     scale_log: Vec<f64>,
     /// Column/result scratch for the CPV kernels.
     scratch: CpvScratch,
@@ -283,6 +275,7 @@ impl PruneScratch {
         PruneScratch {
             tmp: Mat::zeros(0, 0),
             col: Vec::new(),
+            rec: Vec::new(),
             scale_log: Vec::new(),
             scratch: CpvScratch::new(),
             dests: Vec::new(),
@@ -290,7 +283,7 @@ impl PruneScratch {
         }
     }
 
-    fn ensure(&mut self, n: usize, bw: usize) {
+    fn ensure(&mut self, n: usize, bw: usize, n_variants: usize) {
         if self.dims != (n, bw) {
             // Lane-padded blocks (61 → 64 columns): the CPV kernels and the
             // elementwise combine run tail-free, and the pad columns stay
@@ -302,7 +295,7 @@ impl PruneScratch {
             self.col = vec![0.0; n];
         }
         self.scale_log.clear();
-        self.scale_log.resize(bw, 0.0);
+        self.scale_log.resize(n_variants * bw, 0.0);
     }
 }
 
@@ -317,7 +310,8 @@ impl PruneScratch {
 pub(crate) struct Unit<'a> {
     pub(crate) problem: &'a LikelihoodProblem,
     pub(crate) config: &'a EngineConfig,
-    pub(crate) ops: &'a PtCache<TransOp>,
+    /// Per-(node × ω slot) transition operators.
+    pub(crate) ops: &'a [Option<TransOp>],
     /// Per node: whether a foreground branch lies below it.
     pub(crate) fg_path: &'a [bool],
     pub(crate) group: Group,
@@ -336,22 +330,21 @@ impl<'a> Unit<'a> {
 
     /// The operator on the edge above `node`, in variant `v`'s ω slot for
     /// that edge.
-    // check: hot reuse-engine operator fetch
-    // check: allow(panic-free-hot-path) node < n_nodes by tree construction, v < variant count by caller loop bounds; the expm phase probes/rebuilds every slot a unit can address before pruning starts
+    // check: hot evaluator operator fetch
+    // check: allow(panic-free-hot-path) node < n_nodes by tree construction, v < variant count by caller loop bounds; the expm phase builds every slot a unit can address before pruning starts
     fn operator(&self, node: usize, v: usize) -> &'a TransOp {
         let w = if self.problem.is_foreground[node] {
             self.group.fg()[v]
         } else {
             self.group.bg
         };
-        self.ops
-            .value(node * N_OMEGA + w)
-            // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
-            .expect("operator probed or rebuilt in the expm phase")
+        self.ops[node * N_OMEGA + w]
+            .as_ref()
+            // check: allow(rob-unwrap) the expm phase builds every slot a unit can address before pruning starts
+            .expect("operator built in the expm phase")
     }
 
-    /// The cache slot variant `v` reads `node`'s CPV and rescale record
-    /// from.
+    /// The cache slot variant `v` reads `node`'s CPV from.
     // check: allow(panic-free-hot-path) node < n_nodes by tree construction
     pub(crate) fn slot(&self, node: usize, v: usize) -> usize {
         if self.fg_path[node] {
@@ -368,72 +361,59 @@ impl<'a> Unit<'a> {
         !self.problem.is_foreground[child] && !self.fg_path[child]
     }
 
-    /// Pruning pass over the pattern block `[lo, lo + bw)`, writing each
-    /// variant's per-pattern log-likelihoods into `cache`: recomputes the
-    /// `dirty` internal nodes and reuses every clean node's CPV and rescale
-    /// record byte-for-byte from `cache`. With every node dirty (an empty
-    /// cache) this is a plain full pass. A node off the foreground path is
-    /// computed once; a node on it once per variant.
+    /// Pruning pass over the pattern block `[lo, lo + bw)`: computes every
+    /// internal node into `cache`, in postorder, and writes each variant's
+    /// per-pattern log-likelihoods there. A node off the foreground path is
+    /// computed once; a node on it once per variant. `ops` must hold
+    /// operators for every ω slot the group selects on every branch.
     ///
-    /// `ops` must hold operators for every ω slot the group selects on
-    /// every branch; `dirty` must cover every node whose inputs changed
-    /// since `cache` was filled and be closed under "parent of".
-    ///
-    /// ## Why partial recomputes keep the bits
-    ///
-    /// * A clean node's cached CPV and rescale record are exactly what the
-    ///   last recompute stored, and every recompute runs the same per-node
-    ///   body on the same inputs, so by induction each cached CPV equals
-    ///   the full-pass CPV bit-for-bit.
-    /// * A variant's scale log is rebuilt by summing the per-node records
-    ///   of its view in postorder. A `0.0` record adds nothing: the
-    ///   accumulator starts at +0.0 and only ever holds sums of records
-    ///   ≤ −230, never −0.0.
-    /// * The root combination is a per-column dot with π.
+    /// Each variant's scale log sums, from +0.0 and in postorder, the
+    /// per-column rescale record of every node of its view (`0.0` where
+    /// the node did not rescale the column), so a variant's output has the
+    /// bits of a per-class pass.
     // check: hot per-block pruning unit (paper's inner loop)
-    // check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
-    pub(crate) fn prune_block(
-        &self,
-        dirty: &[bool],
-        bw: usize,
-        cache: &mut UnitCache,
-        ws: &mut PruneScratch,
-    ) {
+    // check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; postorder fills every child's cache slot before its parent reads it
+    pub(crate) fn prune_block(&self, bw: usize, cache: &mut UnitCache, ws: &mut PruneScratch) {
         let problem = self.problem;
         let n = problem.pi.len();
         let n_variants = self.group.fg().len();
         cache.ensure((1 + n_variants) * problem.children.len(), n, bw, n_variants);
-        ws.ensure(n, bw);
+        ws.ensure(n, bw, n_variants);
 
         let mut dests = std::mem::take(&mut ws.dests);
         for &node in &problem.postorder {
             if problem.children[node].is_empty() {
                 continue;
             }
-            if !dirty[node] {
-                debug_assert!(
-                    cache.cpv[self.slot(node, 0)].is_some(),
-                    "clean node {node} must have a cached CPV"
-                );
-                continue;
-            }
             let variants = if self.fg_path[node] { n_variants } else { 1 };
-            // Take the node's matrices out so the children's cached CPVs
-            // can be read immutably while we write into them.
+            // Take the node's matrices out so the children's CPVs can be
+            // read immutably while we write into them.
             dests.extend((0..variants).map(|v| {
                 cache.cpv[self.slot(node, v)]
                     .take()
                     .unwrap_or_else(|| Mat::zeros_padded(n, bw))
             }));
-            self.combine_children(node, 0, &cache.cpv, &mut dests, ws);
+            self.combine_children(node, &cache.cpv, &mut dests, ws);
             for (v, mut dest) in dests.drain(..).enumerate() {
-                let slot = self.slot(node, v);
-                rescale_columns(&mut dest, &mut cache.scale[slot]);
+                rescale_columns(&mut dest, &mut ws.rec);
+                // A shared block's record enters every variant's log.
+                let views = if self.fg_path[node] {
+                    v..v + 1
+                } else {
+                    0..n_variants
+                };
+                for view in views {
+                    let log = &mut ws.scale_log[view * bw..(view + 1) * bw];
+                    for (sl, &r) in log.iter_mut().zip(&ws.rec) {
+                        // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
+                        *sl += r;
+                    }
+                }
                 #[cfg(feature = "sanitize")]
                 sanitize_hooks::node_cpv(
                     "pruning",
                     &dest,
-                    &cache.scale[slot],
+                    &ws.rec,
                     node,
                     self.group.bg,
                     if self.fg_path[node] {
@@ -443,33 +423,18 @@ impl<'a> Unit<'a> {
                     },
                     self.lo,
                 );
-                cache.cpv[slot] = Some(dest);
+                cache.cpv[self.slot(node, v)] = Some(dest);
             }
         }
         ws.dests = dests;
 
+        // Root combination with π.
         for v in 0..n_variants {
-            // Rebuild the variant's total scale log: postorder sum of the
-            // per-node records of its view.
-            for sl in ws.scale_log.iter_mut() {
-                *sl = 0.0;
-            }
-            for &node in &problem.postorder {
-                if problem.children[node].is_empty() {
-                    continue;
-                }
-                let rec = &cache.scale[self.slot(node, v)];
-                for (sl, &r) in ws.scale_log.iter_mut().zip(rec.iter()) {
-                    // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
-                    *sl += r;
-                }
-            }
-
-            // Root combination with π.
             let root_cpv = cache.cpv[self.slot(problem.root, v)]
                 .as_ref()
-                // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
-                .expect("root CPV cached or recomputed");
+                // check: allow(rob-unwrap) the root is internal, so the pass above computed it
+                .expect("root CPV computed");
+            let scale_log = &ws.scale_log[v * bw..(v + 1) * bw];
             let out = &mut cache.out[v * bw..(v + 1) * bw];
             for (q, o) in out.iter_mut().enumerate() {
                 let mut s = 0.0;
@@ -478,7 +443,7 @@ impl<'a> Unit<'a> {
                     s += problem.pi[i] * root_cpv[(i, q)];
                 }
                 *o = if s > 0.0 {
-                    s.ln() + ws.scale_log[q]
+                    s.ln() + scale_log[q]
                 } else {
                     f64::NEG_INFINITY
                 };
@@ -495,8 +460,8 @@ impl<'a> Unit<'a> {
     }
 
     /// The per-node combine: internal `node`'s pre-rescale CPV block for
-    /// variants `first..first + dests.len()` into `dests`, one child at a
-    /// time in child order. The first child's message lands straight in
+    /// each variant into `dests` (one block for a node off the foreground
+    /// path), one child at a time in child order. The first child's message lands straight in
     /// each destination, later children's through staging with an
     /// elementwise multiply. A message every variant shares is computed
     /// once, into staging, and copied or multiplied into each.
@@ -504,7 +469,6 @@ impl<'a> Unit<'a> {
     fn combine_children(
         &self,
         node: usize,
-        first: usize,
         cpvs: &[Option<Mat>],
         dests: &mut [Mat],
         ws: &mut PruneScratch,
@@ -514,7 +478,7 @@ impl<'a> Unit<'a> {
             if share && self.shared_message(child) {
                 self.child_block(
                     child,
-                    first,
+                    0,
                     self.config.cpv,
                     &mut ws.tmp,
                     &mut ws.col,
@@ -533,7 +497,7 @@ impl<'a> Unit<'a> {
                 }
                 continue;
             }
-            for (v, dest) in (first..).zip(dests.iter_mut()) {
+            for (v, dest) in dests.iter_mut().enumerate() {
                 let cpv = self.config.cpv;
                 if j == 0 {
                     self.child_block(child, v, cpv, dest, &mut ws.col, cpvs, &mut ws.scratch);
@@ -589,8 +553,8 @@ impl<'a> Unit<'a> {
         } else {
             let child_cpv = cpvs[self.slot(child, v)]
                 .as_ref()
-                // check: allow(rob-unwrap) postorder computes every child (or keeps it cached) before its parent
-                .expect("child CPV cached or recomputed in postorder");
+                // check: allow(rob-unwrap) postorder computes every child before its parent
+                .expect("child CPV computed in postorder");
             op.apply_dense(strategy, child_cpv, dest, scratch);
         }
     }
@@ -710,66 +674,6 @@ impl<'a> Unit<'a> {
                         .collect();
                     stack.push((child, down));
                 }
-            }
-        }
-    }
-
-    /// Sanitize tripwire: recompute one *clean* node's CPV and rescale
-    /// record, as variant `v` sees them, from its (cached) children and
-    /// panic on any bit mismatch with the cached copy — catching
-    /// invalidation bugs the moment a stale value would be served.
-    #[cfg(feature = "sanitize")]
-    pub(crate) fn sanitize_recheck_node(
-        &self,
-        node: usize,
-        v: usize,
-        cache: &UnitCache,
-        ws: &mut PruneScratch,
-    ) {
-        let (lo, n, bw) = (self.lo, self.problem.pi.len(), cache.dims.1);
-        ws.ensure(n, bw);
-        let mut fresh = [Mat::zeros_padded(n, bw)];
-        let mut fresh_rec = Vec::new();
-        self.combine_children(node, v, &cache.cpv, &mut fresh, ws);
-        let [mut fresh] = fresh;
-        rescale_columns(&mut fresh, &mut fresh_rec);
-        let slot = self.slot(node, v);
-        let cached = cache.cpv[slot]
-            .as_ref()
-            // check: allow(rob-unwrap) sanitize spot-check picks its target from filled cache slots
-            .expect("recheck target has a cached CPV");
-        let ctx = || {
-            format!(
-                "reuse spot-check at node {node} (ω classes bg={} fg={}), \
-                 pattern block [{lo}, {})",
-                self.group.bg,
-                self.group.fg()[v],
-                lo + bw
-            )
-        };
-        for (i, (a, b)) in cached
-            .as_slice()
-            .iter()
-            .zip(fresh.as_slice().iter())
-            .enumerate()
-        {
-            if a.to_bits() != b.to_bits() {
-                // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
-                panic!(
-                    "sanitize: reused CPV diverges from recomputation at flat index {i}: \
-                     cached {a:e} vs fresh {b:e} in {}",
-                    ctx()
-                );
-            }
-        }
-        for (q, (a, b)) in cache.scale[slot].iter().zip(fresh_rec.iter()).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
-                panic!(
-                    "sanitize: reused rescale record diverges at column {q}: cached {a:e} vs \
-                     fresh {b:e} in {}",
-                    ctx()
-                );
             }
         }
     }

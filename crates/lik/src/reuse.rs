@@ -1,52 +1,39 @@
-//! The likelihood evaluator: dirty-path partial-likelihood reuse across
-//! evaluations, for every model the engine fits.
+//! The likelihood evaluator, for every model the engine fits, and the
+//! state it keeps of its last evaluation.
 //!
-//! A derivative-based fit evaluates the likelihood hundreds of times, and
-//! most evaluations change *one* parameter (a finite-difference probe) or
-//! a handful (a line-search step along a sparse direction). The evaluator
-//! keeps the previous evaluation's intermediates and recomputes only what
-//! the parameter change actually touches:
-//!
-//! * a changed **branch length** invalidates that branch's `P(t)`
-//!   operators and the CPVs of the nodes on the path from the branch's
-//!   parent to the root — everything else is served from cache;
-//! * a changed **global** (κ, an ω, a proportion) recomputes the rate
-//!   scale, decomposes each distinct ω afresh — ω values with equal bits
-//!   share one decomposition and one operator slot — and so invalidates
-//!   every operator and CPV.
+//! An evaluation decomposes each distinct ω — ω values with equal bits
+//! share one decomposition and one operator slot — builds every (branch ×
+//! needed ω slot) transition operator, prunes every internal node of every
+//! pruning unit and reduces (the phases of [`crate::par`]). The evaluator
+//! keeps what its last evaluation computed: the decompositions, the
+//! operators, every unit's CPVs and the result. The exact gradient
+//! ([`crate::gradient`]) and the ancestral posteriors read that state, and
+//! an evaluation whose point equals the kept point bit for bit is served
+//! from it outright. Any other point frees the kept decompositions and
+//! operators and recomputes everything, into the CPV buffers the evaluator
+//! already holds.
 //!
 //! The model is a [`Mixture`]: branch-site model A, M1a/M2a, M0 and the
 //! two-ratio model are all site classes over at most three ω matrices.
-//! This module is the one place that decides what an evaluation may
-//! reuse, across evaluations and across classes: pruning units are
-//! (group × pattern block), where a [`Group`] holds the classes that
-//! select one background ω slot, and a unit computes a node off the
-//! foreground path once and a node on it once per distinct foreground
-//! slot (see [`crate::pruning`]). The codeml-style preset prunes each
-//! class in a group of its own
+//! Pruning units are (group × pattern block), where a [`Group`] holds the
+//! classes that select one background ω slot, and a unit computes a node
+//! off the foreground path once and a node on it once per distinct
+//! foreground slot (see [`crate::pruning`]). The codeml-style preset
+//! prunes each class in a group of its own
 //! ([`EngineConfig::shares_class_pruning`]).
 //!
-//! ## The invalidation contract
+//! ## Why kept state gives a fresh evaluator's bits
 //!
-//! The evaluator diffs the incoming parameters **bitwise** against the
-//! previous evaluation's and derives the dirty set from that alone; no
-//! caller says what changed. Empty state — a fresh evaluator, or one whose
-//! state was [cleared](ReuseEvaluator::clear) — marks every unit dirty,
-//! which is exactly a stateless evaluation:
+//! A repeat is recognized by comparing the incoming parameters
+//! **bitwise** with the kept point's; no caller says what changed. Every
+//! other evaluation runs the byte-same kernels on the byte-same inputs as
+//! a fresh evaluator — the held CPV buffers are written before they are
+//! read — and the final reduction is the same serial fixed-order
+//! compensated sum. So a fresh evaluator, one with no kept point, is the
+//! stateless evaluation:
 //! [`site_class_log_likelihoods`](crate::site_class_log_likelihoods) is
-//! one call on a fresh evaluator.
-//!
-//! ## Why reuse is bit-identical
-//!
-//! Every cached object is keyed on the exact bits of its inputs (the
-//! bitwise parameter diff for decompositions and CPVs, [`PtKey`] for
-//! operators), and a recompute runs the byte-same kernels on the
-//! byte-same inputs as a full pass (see
-//! [`crate::pruning::Unit::prune_block`] for the per-unit argument, including
-//! the rescale bookkeeping). The final reduction is the same serial
-//! fixed-order compensated sum. So kept state and cleared state agree to
-//! the last bit — which the identity test layer replays optimizer-like
-//! update sequences to enforce.
+//! one call on a fresh evaluator, and the identity test layer replays
+//! optimizer-like update sequences against it.
 
 use crate::engine::EngineConfig;
 use crate::gradient::{Adjoint, MixtureGradient};
@@ -57,27 +44,39 @@ use crate::problem::LikelihoodProblem;
 use crate::pruning::{
     Group, LikelihoodValue, OutsideVisitor, PruneScratch, TransOp, Unit, UnitCache, N_OMEGA,
 };
-use slim_expm::{EigenSystem, PtCache, PtKey};
+use slim_expm::EigenSystem;
 use slim_linalg::{simd, LinalgError, Mat};
 use slim_model::{BranchSiteModel, RateComponents, ScalePolicy, SiteClass};
 use slim_obs::trace::{self, Value};
 use std::sync::Arc;
 
-/// The previous evaluation's reusable intermediates.
+/// What the last evaluation computed, at the point it computed it.
 struct EvalState {
-    /// Globals the caches were computed under (compared bitwise).
+    /// The globals evaluated at (compared bitwise).
     mixture: Mixture,
-    /// Branch lengths the caches were computed under (compared bitwise).
+    /// The branch lengths evaluated at (compared bitwise).
     branch_lengths: Vec<f64>,
     /// One decomposition per distinct ω.
     eigensystems: Vec<Arc<EigenSystem>>,
-    /// Each decomposition's [`stochastic_horizon`].
-    horizons: Vec<f64>,
-    /// Per-(node × ω slot) transition operators, validity-keyed on
-    /// (decomposition id, branch-length bits).
-    ops: PtCache<TransOp>,
-    /// The full previous result, for the nothing-changed shortcut.
+    /// Per-(node × ω slot) transition operators; `None` for a slot no
+    /// class selects on that node's edge, and for the root.
+    ops: Vec<Option<TransOp>>,
+    /// The result, for the repeat shortcut.
     value: LikelihoodValue,
+}
+
+impl EvalState {
+    /// Whether this state was computed at `mixture` and `branch_lengths`,
+    /// bit for bit.
+    fn holds(&self, mixture: &Mixture, branch_lengths: &[f64]) -> bool {
+        self.mixture.same_bits(mixture)
+            && self.branch_lengths.len() == branch_lengths.len()
+            && self
+                .branch_lengths
+                .iter()
+                .zip(branch_lengths)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 /// How an evaluation's site classes map onto pruning units: fixed pattern
@@ -149,7 +148,7 @@ impl Geometry {
         members
     }
 
-    /// The node blocks a pass over every unit touches at `shared`
+    /// The node blocks a pass over every unit computes at `shared`
     /// internal nodes off the foreground path and `fg` on it: one per
     /// unit at the first, one per variant at the second.
     fn node_blocks(&self, shared: usize, fg: usize) -> u64 {
@@ -159,15 +158,13 @@ impl Geometry {
     }
 }
 
-/// The likelihood evaluator: reuses the previous evaluation's
-/// decompositions, operators and CPVs along clean paths. One per fit (per
-/// hypothesis) or per loop of related evaluations; owns its caches, no
-/// sharing, no locking.
+/// The likelihood evaluator: keeps its last evaluation's decompositions,
+/// operators and CPVs, and serves a repeat of that point from them. One
+/// per fit (per hypothesis) or per loop of related evaluations; owns its
+/// state, no sharing, no locking.
 pub struct ReuseEvaluator<'p> {
     problem: &'p LikelihoodProblem,
     config: EngineConfig,
-    /// Branch index → the node *below* that branch.
-    branch_node: Vec<usize>,
     /// Per node: whether a foreground branch lies below it.
     fg_path: Vec<bool>,
     /// The order the units hold the patterns in: position → pattern
@@ -176,27 +173,23 @@ pub struct ReuseEvaluator<'p> {
     /// Internal nodes off and on the foreground path.
     n_shared: usize,
     n_fg: usize,
-    /// What the previous evaluation computed; `None` marks every unit
-    /// dirty.
+    /// What the last evaluation computed; `None` before the first
+    /// evaluation and after a failed one.
     state: Option<EvalState>,
     /// The pruning units' geometry; any change reallocates `units`.
     geometry: Geometry,
-    /// CPV + rescale-record buffers, one per (group × block) unit,
-    /// group-major. They outlive a full invalidation and
-    /// [`clear`](Self::clear): which CPVs are valid is decided by `state`
-    /// and the dirty set alone.
+    /// CPV buffers, one per (group × block) unit, group-major. They
+    /// outlive `state`: every evaluation that is not a repeat recomputes
+    /// every node into them.
     units: Vec<UnitCache>,
     /// The problem's rate components, built on the first gradient.
     components: Option<RateComponents>,
-    #[cfg(feature = "sanitize")]
-    rng_state: u64,
 }
 
 impl<'p> ReuseEvaluator<'p> {
     /// A fresh evaluator for `problem` under `config`; the first
     /// [`evaluate`](ReuseEvaluator::evaluate) computes everything.
     pub fn new(problem: &'p LikelihoodProblem, config: EngineConfig) -> ReuseEvaluator<'p> {
-        let branch_node = problem.branch_nodes();
         let mut fg_path = vec![false; problem.children.len()];
         for &node in &problem.postorder {
             fg_path[node] = problem.children[node]
@@ -212,7 +205,6 @@ impl<'p> ReuseEvaluator<'p> {
         ReuseEvaluator {
             problem,
             config,
-            branch_node,
             fg_path,
             order: problem.canonical_pattern_order(),
             n_shared: n_internal - n_fg,
@@ -221,8 +213,6 @@ impl<'p> ReuseEvaluator<'p> {
             geometry: Geometry::default(),
             units: Vec::new(),
             components: None,
-            #[cfg(feature = "sanitize")]
-            rng_state: 0x9e3779b97f4a7c15,
         }
     }
 
@@ -231,9 +221,9 @@ impl<'p> ReuseEvaluator<'p> {
         self.problem
     }
 
-    /// Evaluate the branch-site likelihood, reusing whatever the bitwise
-    /// parameter diff against the previous call proves unchanged. Each
-    /// phase runs inside its `lik.phase.*` span.
+    /// Evaluate the branch-site likelihood: from the kept state if it
+    /// holds this point bit for bit, else from scratch. Each phase runs
+    /// inside its `lik.phase.*` span.
     ///
     /// # Errors
     /// Propagates eigensolver failures. Rejects a point whose shared rate
@@ -343,10 +333,10 @@ impl<'p> ReuseEvaluator<'p> {
         branch_lengths: &[f64],
     ) -> Result<MixtureGradient, LinalgError> {
         debug_assert_eq!(mixture.scale, RateScale::Shared, "M0's per-class scale");
-        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let kept = self.state.as_ref().filter(|s| {
-            s.mixture.same_bits(mixture) && bits(&s.branch_lengths) == bits(branch_lengths)
-        });
+        let kept = self
+            .state
+            .as_ref()
+            .filter(|s| s.holds(mixture, branch_lengths));
         let value = match kept {
             Some(s) => s.value.clone(),
             None => self.evaluate_mixture(mixture, branch_lengths)?,
@@ -421,20 +411,6 @@ impl<'p> ReuseEvaluator<'p> {
         });
     }
 
-    /// Forget the kept state, so the next evaluation recomputes everything
-    /// — eigensystems, operators and every CPV, into the buffers the
-    /// evaluator already holds (codeml-style fits call this before every
-    /// evaluation).
-    pub fn clear(&mut self) {
-        self.state = None;
-    }
-
-    /// (hits, misses) of the per-branch operator cache since construction
-    /// or the last [`clear`](Self::clear).
-    pub fn op_cache_stats(&self) -> (u64, u64) {
-        self.state.as_ref().map_or((0, 0), |s| s.ops.stats())
-    }
-
     fn evaluate_inner(
         &mut self,
         mixture: &Mixture,
@@ -459,74 +435,49 @@ impl<'p> ReuseEvaluator<'p> {
         eval_span.arg_u64("threads", threads as u64);
         eval_span.arg_u64("patterns", n_pat as u64);
 
-        // --- Bitwise diff against the previous evaluation: the dirty set
-        // is derived from this alone. ---
-        let prev = self.state.take();
-        let (globals_changed, dirty_branches): (bool, Vec<usize>) = match &prev {
-            None => (true, Vec::new()),
-            Some(s) => {
-                let dirty: Vec<usize> = branch_lengths
-                    .iter()
-                    .zip(s.branch_lengths.iter())
-                    .enumerate()
-                    .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
-                    .map(|(i, _)| i)
-                    .collect();
-                (!mixture.same_bits(&s.mixture), dirty)
-            }
-        };
-
-        // --- Nothing changed: serve the previous result outright. ---
-        if let Some(s) = &prev {
-            if !globals_changed && dirty_branches.is_empty() {
-                obs.reuse_units_reused
-                    .add(self.geometry.node_blocks(self.n_shared, self.n_fg));
-                trace::instant_with("lik.reuse.hit", "lik", || {
-                    vec![("units", Value::U64(self.geometry.n_units() as u64))]
-                });
-                let value = s.value.clone();
-                self.state = prev;
-                return Ok(value);
-            }
+        // --- A repeat of the kept point: serve its result outright. ---
+        if let Some(s) = self
+            .state
+            .as_ref()
+            .filter(|s| s.holds(mixture, branch_lengths))
+        {
+            obs.reuse_units_reused
+                .add(self.geometry.node_blocks(self.n_shared, self.n_fg));
+            trace::instant_with("lik.reuse.hit", "lik", || {
+                vec![("units", Value::U64(self.geometry.n_units() as u64))]
+            });
+            return Ok(s.value.clone());
         }
+        // Any other point recomputes everything. The kept decompositions
+        // and operators are freed first, so old and new are never held
+        // together.
+        self.state = None;
 
-        // --- Phase 1: eigendecompositions, one per distinct ω — reused
-        // wholesale unless a global changed. ---
+        // --- Phase 1: eigendecompositions, one per distinct ω. ---
         let phase_span = obsm::PHASE_EIGEN.span();
         let (distinct, n_distinct, slot) = mixture.distinct_omegas();
-        let (mut ops, eigensystems, horizons) = match prev {
-            Some(s) if !globals_changed => (s.ops, s.eigensystems, s.horizons),
-            other => {
-                // First call or globals changed: new decompositions, and
-                // no CPV survives (the mixture itself moved). The operator
-                // cache persists; its (decomposition id, t) keys reject
-                // every operator of the old decompositions, which are
-                // freed here, before their replacements are built.
-                let ops = match other {
-                    Some(s) => s.ops,
-                    None => PtCache::new(0),
-                };
-                let policy = mixture.scale_policy(&problem.code, &problem.pi);
-                // A line-search step far out (κ and ω2 near e^510, or
-                // proportions of 0/0) can overflow the shared scale; no
-                // rate matrix is defined there, so the point is rejected.
-                if let ScalePolicy::External(scale) = policy {
-                    if !(scale.is_finite() && scale > 0.0) {
-                        return Err(LinalgError::InvalidScale {
-                            op: "shared rate scale",
-                        });
-                    }
-                }
-                let distinct = &distinct[..n_distinct];
-                let es = build_eigensystems(problem, &config, mixture.kappa, distinct, policy)?;
-                let horizons = es.iter().map(|e| stochastic_horizon(e)).collect();
-                (ops, es, horizons)
+        let policy = mixture.scale_policy(&problem.code, &problem.pi);
+        // A line-search step far out (κ and ω2 near e^510, or proportions
+        // of 0/0) can overflow the shared scale; no rate matrix is defined
+        // there, so the point is rejected.
+        if let ScalePolicy::External(scale) = policy {
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(LinalgError::InvalidScale {
+                    op: "shared rate scale",
+                });
             }
-        };
+        }
+        let eigensystems = build_eigensystems(
+            problem,
+            &config,
+            mixture.kappa,
+            &distinct[..n_distinct],
+            policy,
+        )?;
+        let horizons: Vec<f64> = eigensystems.iter().map(|e| stochastic_horizon(e)).collect();
         drop(phase_span);
 
-        // --- Phase 2: transition operators — probe every (branch, needed
-        // ω slot), rebuild only the key misses. ---
+        // --- Phase 2: every (branch, needed ω slot) transition operator. ---
         let phase_span = obsm::PHASE_EXPM.span();
         // needed[is_foreground][slot]: the slots the classes select on
         // background and on foreground branches.
@@ -535,8 +486,8 @@ impl<'p> ReuseEvaluator<'p> {
             needed[0][slot[c.background_omega]] = true;
             needed[1][slot[c.foreground_omega]] = true;
         }
-        ops.resize(n_nodes * N_OMEGA);
-        let mut stale: Vec<(usize, usize, f64)> = Vec::new();
+        // (operator slot, ω slot, branch length) of every operator.
+        let mut work: Vec<(usize, usize, f64)> = Vec::new();
         for node in 0..n_nodes {
             let Some(bi) = problem.branch_index[node] else {
                 continue;
@@ -546,31 +497,28 @@ impl<'p> ReuseEvaluator<'p> {
                 if !needed[usize::from(problem.is_foreground[node])][w] {
                     continue;
                 }
-                let key = PtKey::new(&eigensystems[w], t);
-                if !ops.probe(node * N_OMEGA + w, key) {
-                    // Past its horizon the decomposition cannot give a
-                    // stochastic P(t), so the point is rejected instead.
-                    if t > horizons[w] {
-                        return Err(LinalgError::IllConditioned {
-                            op: "P(t) reconstruction",
-                        });
-                    }
-                    stale.push((node, w, t));
+                // Past its horizon the decomposition cannot give a
+                // stochastic P(t), so the point is rejected instead.
+                if t > horizons[w] {
+                    return Err(LinalgError::IllConditioned {
+                        op: "P(t) reconstruction",
+                    });
                 }
+                work.push((node * N_OMEGA + w, w, t));
             }
         }
-        let mut built: Vec<Option<TransOp>> = (0..stale.len()).map(|_| None).collect();
-        let expm_threads = threads.min(stale.len()).max(1);
+        let mut built: Vec<Option<TransOp>> = (0..work.len()).map(|_| None).collect();
+        let expm_threads = threads.min(work.len()).max(1);
         if expm_threads >= 2 {
-            let per = stale.len().div_ceil(expm_threads);
+            let per = work.len().div_ceil(expm_threads);
             let eigensystems = &eigensystems;
             let config_ref = &config;
             crossbeam::thread::scope(|scope| {
-                for (chunk, out) in stale.chunks(per).zip(built.chunks_mut(per)) {
+                for (chunk, out) in work.chunks(per).zip(built.chunks_mut(per)) {
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
-                            for (&(_, w, t), slot) in chunk.iter().zip(out.iter_mut()) {
-                                *slot = Some(build_op(&eigensystems[w], config_ref, t));
+                            for (&(_, w, t), op) in chunk.iter().zip(out.iter_mut()) {
+                                *op = Some(build_op(&eigensystems[w], config_ref, t));
                             }
                         });
                     });
@@ -579,21 +527,17 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("expm scope");
         } else {
-            for (&(_, w, t), slot) in stale.iter().zip(built.iter_mut()) {
-                *slot = Some(build_op(&eigensystems[w], &config, t));
+            for (&(_, w, t), op) in work.iter().zip(built.iter_mut()) {
+                *op = Some(build_op(&eigensystems[w], &config, t));
             }
         }
-        for ((node, w, t), op) in stale.iter().copied().zip(built) {
-            ops.insert(
-                node * N_OMEGA + w,
-                PtKey::new(&eigensystems[w], t),
-                // check: allow(rob-unwrap) every stale slot was filled by the build loop above
-                op.expect("stale operator rebuilt"),
-            );
+        let mut ops: Vec<Option<TransOp>> = (0..n_nodes * N_OMEGA).map(|_| None).collect();
+        for (&(s, _, _), op) in work.iter().zip(built) {
+            ops[s] = op;
         }
         drop(phase_span);
 
-        // --- Unit geometry + dirty set. ---
+        // --- Unit geometry: only a new one needs new buffers. ---
         let classes = mixture.classes();
         let geometry = Geometry::new(
             classes,
@@ -602,68 +546,17 @@ impl<'p> ReuseEvaluator<'p> {
             n_pat,
             config.pattern_block.max(1),
         );
-        // Full invalidation when the globals moved (no prior state counts
-        // as that) or the cached units are addressed under a different
-        // geometry (e.g. a proportion hit exactly 0 and dropped a class).
-        // Only a new geometry needs new buffers: a full invalidation
-        // recomputes every node into the ones already held.
-        let full = globals_changed || self.geometry != geometry;
-        if full {
-            obs.reuse_full_invalidations.inc();
-        }
-        obs.reuse_dirty_branches.add(dirty_branches.len() as u64);
         if self.geometry != geometry {
             self.units = (0..geometry.n_units()).map(|_| UnitCache::new()).collect();
             self.geometry = geometry;
         }
         let geometry = &self.geometry;
-
-        let mut dirty = vec![false; n_nodes];
-        if full {
-            for node in 0..n_nodes {
-                dirty[node] = !problem.children[node].is_empty();
-            }
-        } else {
-            // A changed branch above node v changes the operator applied
-            // *to* v, so v's parent and every ancestor up to the root must
-            // recompute; v's own CPV is untouched. Dirty sets are closed
-            // under "parent of", so an already-marked node ends the walk.
-            for &bi in &dirty_branches {
-                let mut cur = problem.parent[self.branch_node[bi]];
-                while let Some(p) = cur {
-                    if dirty[p] {
-                        break;
-                    }
-                    dirty[p] = true;
-                    cur = problem.parent[p];
-                }
-            }
-        }
-        let dirty_fg = (0..n_nodes)
-            .filter(|&v| dirty[v] && self.fg_path[v])
-            .count();
-        let dirty_shared = dirty.iter().filter(|&&d| d).count() - dirty_fg;
         let n_units = geometry.n_units();
-        let recomputed = geometry.node_blocks(dirty_shared, dirty_fg);
-        let reused = geometry.node_blocks(self.n_shared - dirty_shared, self.n_fg - dirty_fg);
         obs.units.add(n_units as u64);
-        obs.reuse_units_recomputed.add(recomputed);
-        obs.reuse_units_reused.add(reused);
-        if reused > 0 {
-            trace::instant_with("lik.reuse.hit", "lik", || {
-                vec![("cpv_blocks", Value::U64(reused))]
-            });
-        }
-        if recomputed > 0 {
-            trace::instant_with("lik.reuse.miss", "lik", || {
-                vec![
-                    ("cpv_blocks", Value::U64(recomputed)),
-                    ("full", Value::U64(full as u64)),
-                ]
-            });
-        }
+        obs.reuse_units_recomputed
+            .add(geometry.node_blocks(self.n_shared, self.n_fg));
 
-        // --- Phase 3: dirty-path pruning over cached units. ---
+        // --- Phase 3: pruning, every internal node of every unit. ---
         let phase_span = obsm::PHASE_PRUNING.span();
         let n_blocks = geometry.blocks.len();
         let mut runits: Vec<RUnit> = Vec::with_capacity(n_units);
@@ -685,7 +578,6 @@ impl<'p> ReuseEvaluator<'p> {
                 runits.push(RUnit { unit, bw, cache });
             }
         }
-        let dirty_ref: &[bool] = &dirty;
         let prune_threads = threads.min(runits.len()).max(1);
         if prune_threads >= 2 {
             let (tx, rx) = crossbeam::channel::unbounded::<RUnit>();
@@ -699,7 +591,7 @@ impl<'p> ReuseEvaluator<'p> {
                     let rx = rx.clone();
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
-                            prune_worker(rx.iter(), dirty_ref);
+                            prune_worker(rx.iter());
                         });
                         // Scoped thread: flush before the scope unblocks.
                         if trace::enabled() {
@@ -711,7 +603,7 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("pruning scope");
         } else {
-            prune_worker(runits.into_iter(), dirty_ref);
+            prune_worker(runits.into_iter());
         }
         // Each class reads its variant's output, block by block, back into
         // the problem's pattern order; a class with proportion 0 was not
@@ -725,38 +617,6 @@ impl<'p> ReuseEvaluator<'p> {
                     out[p] = value;
                 }
             }
-        }
-
-        // Sanitize tripwire: recompute one randomly chosen *reused* CPV
-        // block, as a random variant of a random unit reads it, from its
-        // cached children and demand bit equality — a stale-serve is
-        // caught at the evaluation that commits it.
-        #[cfg(feature = "sanitize")]
-        if !full && reused > 0 {
-            let clean: Vec<usize> = (0..n_nodes)
-                .filter(|&v| !problem.children[v].is_empty() && !dirty[v])
-                .collect();
-            let mut next = || {
-                self.rng_state = self
-                    .rng_state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (self.rng_state >> 33) as usize
-            };
-            let node = clean[next() % clean.len()];
-            let ui = next() % n_units;
-            let group = geometry.groups[ui / n_blocks];
-            let v = next() % group.fg().len();
-            let unit = Unit {
-                problem,
-                config: &config,
-                ops: &ops,
-                fg_path: &self.fg_path,
-                group,
-                order: &self.order,
-                lo: geometry.blocks[ui % n_blocks].0,
-            };
-            unit.sanitize_recheck_node(node, v, &self.units[ui], &mut PruneScratch::new());
         }
         drop(phase_span);
 
@@ -776,7 +636,6 @@ impl<'p> ReuseEvaluator<'p> {
             mixture: *mixture,
             branch_lengths: branch_lengths.to_vec(),
             eigensystems,
-            horizons,
             ops,
             value: value.clone(),
         });
@@ -830,7 +689,7 @@ impl OutsideVisitor for Posteriors {
     }
 }
 
-/// One pruning unit's work order: its inputs, block width and cache.
+/// One pruning unit's work order: its inputs, block width and buffers.
 struct RUnit<'a> {
     unit: Unit<'a>,
     bw: usize,
@@ -840,7 +699,7 @@ struct RUnit<'a> {
 /// The pruning worker loop, shared by the threaded and serial paths: one
 /// scratch workspace, one `lik.block` span per unit, the whole loop inside
 /// a `lik.pruning.worker_busy` span.
-fn prune_worker<'a>(work: impl Iterator<Item = RUnit<'a>>, dirty: &[bool]) {
+fn prune_worker<'a>(work: impl Iterator<Item = RUnit<'a>>) {
     let _busy = obsm::WORKER_BUSY.span();
     let mut ws = PruneScratch::new();
     for RUnit { unit, bw, cache } in work {
@@ -848,7 +707,7 @@ fn prune_worker<'a>(work: impl Iterator<Item = RUnit<'a>>, dirty: &[bool]) {
         block_span.arg_u64("bg", unit.group.bg as u64);
         block_span.arg_u64("variants", unit.group.fg().len() as u64);
         block_span.arg_u64("lo", unit.lo as u64);
-        unit.prune_block(dirty, bw, cache, &mut ws);
+        unit.prune_block(bw, cache, &mut ws);
     }
 }
 
@@ -927,8 +786,8 @@ mod tests {
     /// every single branch, on and off the foreground path, an exact
     /// repeat, a sparse line-search move, then each global move in
     /// `moves` (the last one together with a branch change) followed by
-    /// the probes again, and a cleared state — each step checked
-    /// bit-for-bit against a stateless evaluation (a fresh evaluator).
+    /// the probes again — each step checked bit-for-bit against a
+    /// stateless evaluation (a fresh evaluator).
     /// A move may change the unit geometry (a proportion reaching 0, two
     /// ω values meeting), so the probes also run under the new one.
     fn run_script<M>(
@@ -982,14 +841,6 @@ mod tests {
                 check(&mut ev, &model, &bl);
             }
         }
-        let (hits, misses) = ev.op_cache_stats();
-        assert!(hits > 0, "the script must exercise operator reuse");
-        assert!(misses > 0, "the script must exercise operator rebuilds");
-        // Cleared state: the next evaluation starts from nothing.
-        ev.clear();
-        assert_eq!(ev.op_cache_stats(), (0, 0));
-        bl[2] += 0.02;
-        check(&mut ev, &model, &bl);
     }
 
     /// H1 and H0 on both toy trees. H1's moves drop classes by setting a
@@ -1030,8 +881,7 @@ mod tests {
 
     #[test]
     fn reuse_matches_stateless_bit_identically_serial() {
-        // Small blocks force several units per group so root-path
-        // invalidation crosses block boundaries.
+        // Small blocks force several units per group.
         for config in slim_configs(1) {
             branch_site_script(config);
         }
@@ -1122,12 +972,11 @@ mod tests {
 
     #[test]
     fn posteriors_from_kept_state_match_a_fresh_evaluator() {
-        // After a probe of the foreground branch, a probe off the
+        // After a probe of the foreground branch and a probe off the
         // foreground path (the branch above an internal node whose parent
-        // has no foreground branch below it), each with its restore (a
-        // partial recompute), and on an exact repeat (served whole), the
-        // outside pass reads the kept CPVs and gives a fresh evaluator's
-        // bits.
+        // has no foreground branch below it), each with its restore, and
+        // on an exact repeat (served from the kept state), the outside
+        // pass reads the kept CPVs and gives a fresh evaluator's bits.
         for problem in [toy_problem(), deep_problem()] {
             let config = EngineConfig::slim().with_pattern_block(2);
             let mixture = Mixture::branch_site(&BranchSiteModel::default_start(Hypothesis::H1));
@@ -1182,13 +1031,19 @@ mod tests {
         // H0's ω2 = ω1 = 1 needs two operators on the foreground branch,
         // H1 three.
         let problem = toy_problem();
-        let n_br = problem.n_branches() as u64;
-        let bl = vec![0.1; problem.n_branches()];
-        for (hypothesis, ops) in [(Hypothesis::H0, 2 * n_br), (Hypothesis::H1, 2 * n_br + 1)] {
+        let n_br = problem.n_branches();
+        let bl = vec![0.1; n_br];
+        for (hypothesis, es, ops) in [
+            (Hypothesis::H0, 2, 2 * n_br),
+            (Hypothesis::H1, 3, 2 * n_br + 1),
+        ] {
             let mut ev = ReuseEvaluator::new(&problem, EngineConfig::slim());
             ev.evaluate(&BranchSiteModel::default_start(hypothesis), &bl)
                 .unwrap();
-            assert_eq!(ev.op_cache_stats(), (0, ops), "{hypothesis:?}");
+            let state = ev.state.as_ref().unwrap();
+            assert_eq!(state.eigensystems.len(), es, "{hypothesis:?}");
+            let built = state.ops.iter().filter(|op| op.is_some()).count();
+            assert_eq!(built, ops, "{hypothesis:?}");
         }
     }
 }

@@ -1,16 +1,16 @@
-//! Property tests on the evaluator's cross-evaluation reuse bit-identity
-//! contract.
+//! Property tests on the evaluator's kept-state bit-identity contract.
 //!
 //! The evaluator ([`slim_lik::ReuseEvaluator`]) promises that for *any*
 //! sequence of parameter updates — the optimizer-shaped mix of
 //! single-coordinate finite-difference probes, multi-branch line-search
 //! moves, global model steps, and exact repeats — every evaluation
 //! returns the same log-likelihood **bits** as a stateless evaluation (a
-//! fresh evaluator, empty state) of the same point, regardless of how
-//! much of the previous evaluation it reused. Nobody tells the evaluator
-//! what changed: its bitwise diff against the previous call is the only
-//! source of the dirty set. Proptest drives that promise over random
-//! sequences on every Table II dataset analog, at 1 and 4 threads, with
+//! fresh evaluator) of the same point, whether it was served from the
+//! kept state or recomputed into the buffers the evaluator holds. Nobody
+//! tells the evaluator what changed: its bitwise comparison with the
+//! kept point is the only source of a repeat. Proptest drives that
+//! promise over random sequences on every Table II dataset analog, at 1
+//! and 4 threads, with
 //! SIMD forced scalar and forced native; a fixed sequence also covers
 //! every other engine preset, and another the shared pruning geometry
 //! (site classes grouped by background ω) at 1 and 4 threads and pattern
@@ -34,7 +34,7 @@ enum Step {
     BranchProbe { branch: usize, eps: f64 },
     /// Line-search move: scale several branch lengths at once.
     BranchMove { branches: Vec<(usize, f64)> },
-    /// Global model step (κ / ω0 / ω2 / p0 / p1) — invalidates everything.
+    /// Global model step (κ / ω0 / ω2 / p0 / p1).
     Global { which: usize, delta: f64 },
     /// Mixed step: a global change plus a branch change in one move.
     Mixed { which: usize, branch: usize },
@@ -230,9 +230,8 @@ proptest! {
 /// fixed optimizer-shaped sequence — the coverage matrix the random test
 /// samples from, run deterministically so the big analogs (ii, iv) are
 /// exercised exactly once per mode. The other presets (codeml-style
-/// kernels, the slim+ bundled products, the Eq. 12
-/// symmetric operators served from `PtCache`) run once per analog at one
-/// thread with auto SIMD.
+/// kernels, the slim+ bundled products, the Eq. 12 symmetric operators)
+/// run once per analog at one thread with auto SIMD.
 #[test]
 fn reuse_is_bit_identical_on_every_dataset_shape() {
     let steps = [

@@ -1,7 +1,7 @@
 //! The trace sink: the *when/in-what-order* companion to the registry's
 //! *how-much* aggregates. Spans ([`crate::Site::span`]) emit begin/end
-//! pairs and [`instant_with`] emits instant events (reuse hits/misses,
-//! retries, quarantines). All
+//! pairs and [`instant_with`] emits instant events (reuse hits, retries,
+//! quarantines). All
 //! of them land in per-thread buffers that drain into one bounded global
 //! ring — the **flight recorder**. The ring serves two consumers:
 //!

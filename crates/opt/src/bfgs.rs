@@ -4,8 +4,9 @@
 //! minimizes (callers pass the *negative* log-likelihood) with:
 //!
 //! * the objective's own exact gradient ([`GradMode::Analytic`], what the
-//!   likelihood fits run), or finite differences ([`crate::numgrad`], the
-//!   paper harness' mode);
+//!   likelihood fits run), or forward differences ([`crate::numgrad`], the
+//!   paper harness' mode, and the default, since a closure objective has
+//!   no gradient of its own);
 //! * an Armijo backtracking line search with quadratic interpolation
 //!   (full strong-Wolfe would double the gradient cost);
 //! * the standard inverse-Hessian BFGS update, skipped when curvature
@@ -14,7 +15,7 @@
 //!   the paper reports iteration counts and both engines must report them
 //!   identically.
 
-use crate::numgrad::{central_gradient, forward_gradient, GradMode};
+use crate::numgrad::{forward_gradient, GradMode};
 
 /// Knobs for [`minimize`].
 #[derive(Debug, Clone)]
@@ -37,7 +38,7 @@ impl Default for BfgsOptions {
             max_iterations: 500,
             grad_tol: 1e-4,
             f_tol: 1e-9,
-            grad_mode: GradMode::Central,
+            grad_mode: GradMode::Forward,
             max_backtracks: 40,
         }
     }
@@ -69,8 +70,8 @@ pub struct BfgsResult {
     /// Number of BFGS iterations performed (the paper's "Iterations").
     pub iterations: usize,
     /// Objective evaluations: the start, every line-search trial and,
-    /// under a finite-difference [`GradMode`], every probe. An analytic
-    /// gradient adds none.
+    /// under [`GradMode::Forward`], every probe. An analytic gradient adds
+    /// none.
     pub f_evals: usize,
     /// Why the run stopped.
     pub reason: TerminationReason,
@@ -86,8 +87,8 @@ fn inf_norm(a: &[f64]) -> f64 {
 
 /// A function [`minimize`] minimizes: its value, and under
 /// [`GradMode::Analytic`] its own gradient. A closure
-/// `FnMut(&[f64]) -> f64` is an objective with a value only, for the
-/// finite-difference modes.
+/// `FnMut(&[f64]) -> f64` is an objective with a value only, for
+/// [`GradMode::Forward`].
 pub trait Objective {
     /// The value at `x`; a non-finite value rejects the point.
     fn cost(&mut self, x: &[f64]) -> f64;
@@ -104,8 +105,8 @@ impl<F: FnMut(&[f64]) -> f64> Objective for F {
     }
 
     /// # Panics
-    /// Always: a closure has no gradient of its own, so it runs under a
-    /// finite-difference [`GradMode`] only.
+    /// Always: a closure has no gradient of its own, so it runs under
+    /// [`GradMode::Forward`] only.
     fn gradient(&mut self, _x: &[f64]) -> Vec<f64> {
         // check: allow(rob-unwrap) a closure objective under GradMode::Analytic is a caller bug with no gradient to return
         panic!("GradMode::Analytic needs an objective with its own gradient; a closure has none")
@@ -117,10 +118,10 @@ impl<F: FnMut(&[f64]) -> f64> Objective for F {
 /// The objective must return a finite value for any input reachable from
 /// `x0` (callers use [`crate::transform`] to keep model parameters in
 /// their domains); non-finite values are treated as +∞ by the line search.
-/// Gradients are taken at the start and at every accepted point, by the
-/// finite differences [`BfgsOptions::grad_mode`] names or, under
-/// [`GradMode::Analytic`], from [`Objective::gradient`] right after the
-/// point's own evaluation.
+/// Gradients are taken at the start and at every accepted point, by
+/// forward differences or, under [`GradMode::Analytic`], from
+/// [`Objective::gradient`] right after the point's own evaluation
+/// ([`BfgsOptions::grad_mode`]).
 pub fn minimize(f: impl Objective, x0: &[f64], opts: &BfgsOptions) -> BfgsResult {
     let mut fit_span = crate::obsm::FIT.span();
     fit_span.arg_str("algo", "bfgs");
@@ -141,7 +142,6 @@ pub fn minimize(f: impl Objective, x0: &[f64], opts: &BfgsOptions) -> BfgsResult
     let gradient = |x: &[f64], fx: f64| -> Vec<f64> {
         grads_cell.set(grads_cell.get() + 1);
         match opts.grad_mode {
-            GradMode::Central => central_gradient(eval, x),
             GradMode::Forward => forward_gradient(eval, x, fx),
             GradMode::Analytic => f_cell.borrow_mut().gradient(x),
         }
@@ -297,14 +297,29 @@ mod tests {
         assert!(r.iterations <= 20);
     }
 
+    /// Rosenbrock's valley with its exact gradient: forward differences
+    /// stop short of the minimum at the default tolerance.
+    struct Rosenbrock;
+
+    impl Objective for Rosenbrock {
+        fn cost(&mut self, x: &[f64]) -> f64 {
+            (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
+        }
+
+        fn gradient(&mut self, x: &[f64]) -> Vec<f64> {
+            let r = x[1] - x[0] * x[0];
+            vec![-2.0 * (1.0 - x[0]) - 400.0 * x[0] * r, 200.0 * r]
+        }
+    }
+
     #[test]
     fn rosenbrock_2d() {
-        let f = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
         let r = minimize(
-            f,
+            Rosenbrock,
             &[-1.2, 1.0],
             &BfgsOptions {
                 max_iterations: 2000,
+                grad_mode: GradMode::Analytic,
                 ..Default::default()
             },
         );
@@ -341,22 +356,6 @@ mod tests {
         assert_eq!(r.iterations, 0);
     }
 
-    #[test]
-    fn forward_mode_cheaper() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let central = minimize(f, &[0.0, 0.0], &BfgsOptions::default());
-        let forward = minimize(
-            f,
-            &[0.0, 0.0],
-            &BfgsOptions {
-                grad_mode: GradMode::Forward,
-                ..Default::default()
-            },
-        );
-        assert!((forward.x[0] - 3.0).abs() < 1e-3);
-        assert!(forward.f_evals < central.f_evals);
-    }
-
     /// `f = Σ (i+1)(x_i − i)²` with its exact gradient.
     struct Bowl;
 
@@ -383,13 +382,13 @@ mod tests {
             ..Default::default()
         };
         let analytic = minimize(Bowl, &[0.0; 6], &opts(GradMode::Analytic));
-        let central = minimize(Bowl, &[0.0; 6], &opts(GradMode::Central));
+        let forward = minimize(Bowl, &[0.0; 6], &opts(GradMode::Forward));
         for (i, &v) in analytic.x.iter().enumerate() {
             assert!((v - i as f64).abs() < 1e-6, "i={i}: {v}");
         }
         // One evaluation for the start plus one per line-search trial.
         assert!(analytic.f_evals <= 1 + 3 * analytic.iterations);
-        assert!(analytic.f_evals * 6 < central.f_evals);
+        assert!(analytic.f_evals * 3 < forward.f_evals);
     }
 
     #[test]

@@ -148,9 +148,24 @@ fn fit_bits_are_unchanged_by_metrics_and_registry_records() {
     };
     assert!(delta("lik.evaluations") > 0, "lik layer did not record");
     assert!(delta("opt.iterations") > 0, "opt layer did not record");
+    // perfbench reads these counters by name; one it cannot find prints
+    // as null on its result line.
+    for name in [
+        "opt.iterations",
+        "opt.f_evals",
+        "opt.line_search_steps",
+        "lik.reuse.units_reused",
+        "lik.reuse.units_recomputed",
+    ] {
+        assert!(after.counter(name).is_some(), "{name} is not registered");
+    }
     assert!(
         delta("lik.reuse.units_reused") > 0,
-        "the fit's evaluator did not reuse a CPV block"
+        "the fit's start point is a repeat, served from the kept state"
+    );
+    assert!(
+        delta("lik.reuse.units_recomputed") > 0,
+        "every evaluation but the repeat computes its CPV blocks"
     );
     // The fit fed the span histograms `--timing` reads.
     let observations = |name: &str| {
