@@ -90,6 +90,58 @@ fn bench_kernels(c: &mut Criterion) {
     gv.finish();
 }
 
+/// `gemm` at the products the exact gradient's pass runs, whose shapes
+/// differ from the square 61³ above: `Xᵀ·U` over a chunk of 20 or 32
+/// patterns (lane-padded B and C), `A·Bᵀ` with `Bᵀ` stored lane-padded
+/// into a dense 61 × 61 `Ĥ`, and the outside pass's down step `Pᵀ·above`,
+/// which reads `Aᵀ` in place. GFlop/s is 2·m·k·n over the time.
+fn bench_gemm_shapes(c: &mut Criterion) {
+    fn filled(rows: usize, cols: usize, padded: bool, seed: u64) -> Mat {
+        let src = rng_mat(rows.max(cols), seed);
+        let mut m = if padded {
+            Mat::zeros_padded(rows, cols)
+        } else {
+            Mat::zeros(rows, cols)
+        };
+        for i in 0..rows {
+            m.row_mut(i).copy_from_slice(&src.row(i)[..cols]);
+        }
+        m
+    }
+    let mut group = c.benchmark_group("gemm_shapes");
+    group.sample_size(60);
+    // (label, m, k, n, op(A), B padded, C padded); the down step reads Aᵀ.
+    let shapes = [
+        ("xt_u_61x61x20", 61, 61, 20, Transpose::No, true, true),
+        ("xt_u_61x61x32", 61, 61, 32, Transpose::No, true, true),
+        ("a_bt_61x32x61", 61, 32, 61, Transpose::No, true, false),
+        ("down_61x61x32", 61, 61, 32, Transpose::Yes, true, true),
+    ];
+    for (label, m, k, n, ta, b_pad, c_pad) in shapes {
+        let a = match ta {
+            Transpose::No => filled(m, k, false, 1),
+            Transpose::Yes => filled(k, m, false, 1),
+        };
+        let b = filled(k, n, b_pad, 2);
+        let mut out = filled(m, n, c_pad, 3);
+        group.bench_function(label, |bench| {
+            bench.iter(|| {
+                slim_linalg::gemm(
+                    1.0,
+                    black_box(&a),
+                    ta,
+                    black_box(&b),
+                    Transpose::No,
+                    0.0,
+                    &mut out,
+                );
+                black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The same kernels under forced SIMD dispatch: scalar vs the best backend
 /// the host resolves (results are bit-identical by the dispatch contract;
 /// only the throughput differs). Complements the `simd_kernels` bin, which
@@ -146,5 +198,10 @@ fn bench_simd_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_simd_dispatch);
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_gemm_shapes,
+    bench_simd_dispatch
+);
 criterion_main!(benches);

@@ -16,69 +16,63 @@ pub enum Transpose {
     Yes,
 }
 
-/// Cache-block size over the `k` dimension (rows of B touched per pass).
-/// 64×64 f64 panel ≈ 32 KiB, sized to stay within L1/L2 for the panel pair.
+/// Columns of `op(A)` packed per pass over a strip of `C`: the packed
+/// `α·op(A)` is a stack buffer of `KC × 4`. Even, so a pair of `p` never
+/// straddles two passes; every product the engine runs has k ≤ 61 and
+/// takes one pass.
 const KC: usize = 64;
-/// Cache-block size over the `i` dimension.
-const MC: usize = 64;
 
 /// General matrix multiply `C ← α·op(A)·op(B) + β·C`.
 ///
-/// `op(X)` is `X` or `Xᵀ` per the corresponding [`Transpose`] flag. The
-/// kernel is a cache-blocked `i-k-j` loop: the innermost loop runs over
-/// contiguous rows of (possibly pre-transposed) `B` and `C` through the
-/// dispatched SIMD row kernels (`j` indexes independent outputs, so
-/// vector lanes never change the per-element operation order), streaming
-/// memory in row-major order.
+/// `op(X)` is `X` or `Xᵀ` per the corresponding [`Transpose`] flag. `C`
+/// is computed in strips of four rows (`simd::gemm_strip_with`):
+/// each strip packs its `α·op(A)` by `k`, reading `Aᵀ` in place, and the
+/// AVX2 backend runs it in 4 × 8 register tiles, the others as rows of
+/// the dispatched row kernels. `op(B) = Bᵀ` is copied first, because a
+/// strip streams rows of `B`. Either way each output starts from `β·c`
+/// and adds `α·a_ip·b_pj + α·a_i,p+1·b_p+1,j` per pair of `p` in order
+/// (the two products summed first, no fused multiply-add), then
+/// `α·a_ip·b_pj` for an odd `k`; lanes and tiles span independent
+/// outputs only, so the bits are the same on every backend.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
+// check: allow(panic-free-hot-path) shape contract asserted at entry; all loop indices bounded by rows()/cols() of the asserted shapes
 pub fn gemm(alpha: f64, a: &Mat, ta: Transpose, b: &Mat, tb: Transpose, beta: f64, c: &mut Mat) {
-    // Materialize transposed operands. For the 61×61 codon matrices this
-    // copy is ~30 KiB and negligible next to the O(n³) product; it keeps a
-    // single highly-tuned NN kernel on the hot path.
-    let at;
-    let a_eff = match ta {
-        Transpose::No => a,
-        Transpose::Yes => {
-            at = a.transpose();
-            &at
-        }
-    };
     let bt;
-    let b_eff = match tb {
+    let b = match tb {
         Transpose::No => b,
         Transpose::Yes => {
             bt = b.transpose();
             &bt
         }
     };
-    gemm_nn(alpha, a_eff, b_eff, beta, c);
-}
-
-/// The no-transpose kernel behind [`gemm`].
-// check: allow(panic-free-hot-path) shape contract asserted at entry; all loop indices bounded by rows()/cols() of the asserted shapes
-fn gemm_nn(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
-    let m = a.rows();
-    let k = a.cols();
+    // op(A)'s element (i, p) is `a_s[i·rs + p·cs]`.
+    let (m, k, rs, cs) = match ta {
+        Transpose::No => (a.rows(), a.cols(), a.stride(), 1),
+        Transpose::Yes => (a.cols(), a.rows(), 1, a.stride()),
+    };
     let n = b.cols();
     assert_eq!(b.rows(), k, "gemm: inner dimensions differ");
     assert_eq!(c.rows(), m, "gemm: C rows mismatch");
     assert_eq!(c.cols(), n, "gemm: C cols mismatch");
 
+    // check: allow(det-float-cmp) BLAS's exact β = 1 case: C is left as it is, not scaled by 1
     if beta != 1.0 {
+        // check: allow(det-float-cmp) BLAS's exact β = 0 case: C is zero-filled, so NaN or ∞ in it does not leak
         if beta == 0.0 {
             c.fill_zero();
         } else {
             c.scale(beta);
         }
     }
+    // check: allow(det-float-cmp) BLAS's exact α = 0 case: op(A)·op(B) is not read, so C is β·C exactly
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
 
-    let (lda, ldb, ldc) = (a.stride(), b.stride(), c.stride());
-    // When B and C share a row stride the inner j-loop runs over the full
+    let (ldb, ldc) = (b.stride(), c.stride());
+    // When B and C share a row stride the strips run over the full
     // (possibly lane-padded) width: no scalar tail, and pad columns stay
     // zero because their B inputs are zero. Logical outputs see the
     // identical per-element operation sequence either way.
@@ -87,36 +81,20 @@ fn gemm_nn(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
     let b_s = b.as_slice();
     let c_s = c.as_mut_slice();
     let be = crate::simd::active();
-
-    let mut kk = 0;
-    while kk < k {
-        let k_end = (kk + KC).min(k);
-        let mut ii = 0;
-        while ii < m {
-            let i_end = (ii + MC).min(m);
-            for i in ii..i_end {
-                let c_row = &mut c_s[i * ldc..i * ldc + jw];
-                let a_row = &a_s[i * lda..i * lda + k];
-                // Two-way unroll over p keeps two B-row streams live and
-                // halves loop overhead.
-                let mut p = kk;
-                while p + 1 < k_end {
-                    let aip0 = alpha * a_row[p];
-                    let aip1 = alpha * a_row[p + 1];
-                    let b_row0 = &b_s[p * ldb..p * ldb + jw];
-                    let b_row1 = &b_s[(p + 1) * ldb..(p + 1) * ldb + jw];
-                    crate::simd::fma_row2_with(be, c_row, aip0, b_row0, aip1, b_row1);
-                    p += 2;
-                }
-                if p < k_end {
-                    let aip = alpha * a_row[p];
-                    let b_row = &b_s[p * ldb..p * ldb + jw];
-                    crate::simd::fma_row_with(be, c_row, aip, b_row);
+    let mut packed = [[0.0; 4]; KC];
+    for i0 in (0..m).step_by(4) {
+        let rows = (m - i0).min(4);
+        let strip = &mut c_s[i0 * ldc..(i0 + rows - 1) * ldc + jw];
+        for k0 in (0..k).step_by(KC) {
+            let kc = (k - k0).min(KC);
+            for (p, ap) in packed[..kc].iter_mut().enumerate() {
+                for (r, v) in ap[..rows].iter_mut().enumerate() {
+                    *v = alpha * a_s[(i0 + r) * rs + (k0 + p) * cs];
                 }
             }
-            ii = i_end;
+            let b_pass = &b_s[k0 * ldb..];
+            crate::simd::gemm_strip_with(be, &packed[..kc], rows, b_pass, ldb, strip, ldc, jw);
         }
-        kk = k_end;
     }
 }
 
@@ -227,7 +205,7 @@ mod tests {
 
     #[test]
     fn block_boundaries_exercised() {
-        // Dimensions straddling KC/MC test the blocking edges.
+        // k straddling KC runs two packed passes over each strip.
         let n = KC + 3;
         let a = rng_mat(n, n, 13);
         let b = rng_mat(n, n, 14);

@@ -9,8 +9,8 @@
 //! reproduction may not link external BLAS/LAPACK, this crate provides both
 //! sides of that comparison from scratch:
 //!
-//! * **Tuned kernels** (`gemm`, `syrk`, `gemv`, `symv`): cache-blocked,
-//!   register-tiled implementations standing in for GotoBLAS.
+//! * **Tuned kernels** (`gemm`, `syrk`, `gemv`, `symv`): register-tiled
+//!   and vectorized implementations standing in for GotoBLAS.
 //! * **Naive kernels** (`naive` module): textbook triple loops standing in
 //!   for CodeML's hand-rolled C.
 //! * **Symmetric eigensolvers**: Householder tridiagonalization + implicit

@@ -273,6 +273,117 @@ pub unsafe fn fma_row2(c: &mut [f64], a0: f64, b0: &[f64], a1: f64, b1: &[f64]) 
     }
 }
 
+/// Four rows of `gemm` (see `super::gemm_strip_with`): 4 × 8 register
+/// tiles, one 4 × 4 tile for a 4-column remainder, and the row sequence in
+/// scalar code for the last `jw % 4` columns. A tile loads its block of
+/// `C` once, keeps one accumulator per row and four columns, adds
+/// `(ap[p][r]·b_p + ap[p+1][r]·b_{p+1})` to it per pair of `p` and a
+/// trailing `ap[p][r]·b_p` for odd `k`, and stores it once: every element
+/// sees `fma_row2`'s and `fma_row`'s operations in their order.
+// check: allow(panic-free-hot-path) the two asserts are the strip's shape contract, which gemm's own asserts already guarantee; the column tail indexes below k and jw
+// SAFETY: callers must have AVX2 available; the dispatcher only selects
+// this backend after `is_x86_feature_detected!("avx2")` succeeds.
+#[target_feature(enable = "avx2")]
+pub unsafe fn gemm_strip(
+    ap: &[[f64; 4]],
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+    jw: usize,
+) {
+    let k = ap.len();
+    // A tile reads `b[p·ldb + j]` and writes `c[r·ldc + j]` for p < k,
+    // r < 4 and j < jw; these make both raw-pointer ranges in bounds.
+    assert!(jw <= ldc && c.len() >= 3 * ldc + jw);
+    assert!(k == 0 || b.len() >= (k - 1) * ldb + jw);
+    let mut j = 0;
+    // SAFETY: the asserts above bound every offset `gemm_tile` touches for
+    // columns `j..j + 4·H ≤ jw`; `c` is a `&mut` that `b` cannot alias.
+    unsafe {
+        while j + 8 <= jw {
+            gemm_tile::<2>(ap, b.as_ptr().add(j), ldb, c.as_mut_ptr().add(j), ldc);
+            j += 8;
+        }
+        if j + 4 <= jw {
+            gemm_tile::<1>(ap, b.as_ptr().add(j), ldb, c.as_mut_ptr().add(j), ldc);
+            j += 4;
+        }
+    }
+    for r in 0..4 {
+        for jj in j..jw {
+            let mut cij = c[r * ldc + jj];
+            let mut p = 0;
+            while p + 1 < k {
+                cij += ap[p][r] * b[p * ldb + jj] + ap[p + 1][r] * b[(p + 1) * ldb + jj];
+                p += 2;
+            }
+            if p < k {
+                cij += ap[p][r] * b[p * ldb + jj];
+            }
+            c[r * ldc + jj] = cij;
+        }
+    }
+}
+
+/// One 4 × (4·H) tile of [`gemm_strip`], at `b` and `c` offset to its
+/// first column.
+// check: allow(panic-free-hot-path) `ap` is indexed at p and p + 1 < ap.len() only
+// SAFETY: callers must have AVX2, and `b[p·ldb + j]` and `c[r·ldc + j]`
+// in bounds for p < ap.len(), r < 4 and j < 4·H.
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_tile<const H: usize>(
+    ap: &[[f64; 4]],
+    b: *const f64,
+    ldb: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let k = ap.len();
+    // SAFETY: every offset below is one the caller's contract bounds.
+    unsafe {
+        let mut acc = [[_mm256_setzero_pd(); H]; 4];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            for (h, v) in acc_r.iter_mut().enumerate() {
+                *v = _mm256_loadu_pd(c.add(r * ldc + 4 * h));
+            }
+        }
+        let (mut b0, mut b1) = ([_mm256_setzero_pd(); H], [_mm256_setzero_pd(); H]);
+        let mut p = 0;
+        while p + 1 < k {
+            for h in 0..H {
+                b0[h] = _mm256_loadu_pd(b.add(p * ldb + 4 * h));
+                b1[h] = _mm256_loadu_pd(b.add((p + 1) * ldb + 4 * h));
+            }
+            for (acc_r, (a0, a1)) in acc.iter_mut().zip(ap[p].iter().zip(&ap[p + 1])) {
+                let (va0, va1) = (_mm256_set1_pd(*a0), _mm256_set1_pd(*a1));
+                for ((v, &x0), &x1) in acc_r.iter_mut().zip(&b0).zip(&b1) {
+                    let t0 = _mm256_mul_pd(va0, x0);
+                    let t1 = _mm256_mul_pd(va1, x1);
+                    *v = _mm256_add_pd(*v, _mm256_add_pd(t0, t1));
+                }
+            }
+            p += 2;
+        }
+        if p < k {
+            for h in 0..H {
+                b0[h] = _mm256_loadu_pd(b.add(p * ldb + 4 * h));
+            }
+            for (acc_r, a0) in acc.iter_mut().zip(&ap[p]) {
+                let va0 = _mm256_set1_pd(*a0);
+                for (v, &x0) in acc_r.iter_mut().zip(&b0) {
+                    *v = _mm256_add_pd(*v, _mm256_mul_pd(va0, x0));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (h, v) in acc_r.iter().enumerate() {
+                _mm256_storeu_pd(c.add(r * ldc + 4 * h), *v);
+            }
+        }
+    }
+}
+
 /// `y[j] *= x[j]`.
 // SAFETY: callers must have AVX2 available; the dispatcher only selects
 // this backend after `is_x86_feature_detected!("avx2")` succeeds.

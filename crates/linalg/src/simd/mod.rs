@@ -275,6 +275,48 @@ pub fn fma_row2_with(be: SimdBackend, c: &mut [f64], a0: f64, b0: &[f64], a1: f6
     dispatch!(be, fma_row2(c, a0, b0, a1, b1))
 }
 
+/// `gemm` on a strip of `rows` ≤ 4 rows of `C`: for `r < rows` and
+/// `j < jw`, `c[r·ldc + j]` adds `ap[p][r]·b[p·ldb + j]` over `p` in the
+/// row loop's order, `c + (ap[p][r]·b_p + ap[p+1][r]·b_{p+1})` per pair
+/// and `c + ap[p][r]·b_p` for a trailing odd `p`. `ap[p][r]` is the
+/// strip's `α·op(A)` packed by `p`. AVX2 computes a full strip in
+/// register tiles; every other strip runs as rows through
+/// [`fma_row2_with`] and [`fma_row_with`]. The bits are the same.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+// check: hot SIMD kernel entry
+// check: allow(panic-free-hot-path) slice windows bounded by the strip shape gemm asserts
+pub(crate) fn gemm_strip_with(
+    be: SimdBackend,
+    ap: &[[f64; 4]],
+    rows: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+    jw: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if be == SimdBackend::Avx2 && rows == 4 {
+        // SAFETY: `SimdBackend::Avx2` is only ever produced by `resolve()`
+        // after a successful runtime `is_x86_feature_detected!("avx2")`.
+        return unsafe { avx2::gemm_strip(ap, b, ldb, c, ldc, jw) };
+    }
+    for r in 0..rows {
+        let c_row = &mut c[r * ldc..r * ldc + jw];
+        let mut pairs = ap.chunks_exact(2);
+        for (p, a) in pairs.by_ref().enumerate() {
+            let b0 = &b[2 * p * ldb..2 * p * ldb + jw];
+            let b1 = &b[(2 * p + 1) * ldb..(2 * p + 1) * ldb + jw];
+            fma_row2_with(be, c_row, a[0][r], b0, a[1][r], b1);
+        }
+        if let [a] = pairs.remainder() {
+            let p = ap.len() - 1;
+            fma_row_with(be, c_row, a[r], &b[p * ldb..p * ldb + jw]);
+        }
+    }
+}
+
 /// `c[j] −= a0·b0[j] + a1·b1[j]` — the tuned tridiagonalization's rank-2
 /// update, subtracting like `tred2` does so that even the sign of a zero
 /// result matches it.

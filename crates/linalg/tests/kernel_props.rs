@@ -1,11 +1,11 @@
 //! Property tests pinning the tiled kernels to the textbook references.
 //!
-//! The blocked `gemm`/`syrk` paths reorder the loop nest for cache reuse but
-//! must compute the same inner products as `naive::matmul`; any disagreement
-//! beyond rounding is a tiling bug. Dimensions are drawn from a set that
-//! deliberately straddles the `KC = 64` / `MC = 64` block boundaries
+//! The tiled `gemm`/`syrk` paths reorder the loop nest for register reuse
+//! but must compute the same inner products as `naive::matmul`; any
+//! disagreement beyond rounding is a tiling bug. Dimensions are drawn from
+//! a set that deliberately straddles `gemm`'s `KC = 64` packed pass
 //! (63/64/65, 127/128/129) so every partial-panel edge case in the packing
-//! loops is exercised, not just the easy interior.
+//! loop is exercised, not just the easy interior.
 
 use proptest::prelude::*;
 use slim_linalg::gemm::{gemm, matmul, Transpose};

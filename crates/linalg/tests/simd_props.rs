@@ -175,6 +175,75 @@ proptest! {
     }
 }
 
+/// A `rows × cols` operand as `op` reads it: stored transposed for
+/// `Transpose::Yes`, dense or lane-padded.
+fn operand(rows: usize, cols: usize, t: Transpose, padded: bool, seed: u64) -> Mat {
+    let (r, c) = match t {
+        Transpose::No => (rows, cols),
+        Transpose::Yes => (cols, rows),
+    };
+    let v = rng_vec(r * c, seed);
+    let mut x = if padded {
+        Mat::zeros_padded(r, c)
+    } else {
+        Mat::zeros(r, c)
+    };
+    for i in 0..r {
+        x.row_mut(i).copy_from_slice(&v[i * c..(i + 1) * c]);
+    }
+    x
+}
+
+/// `gemm`'s register tiles give every output, pad columns included, the
+/// bits of the row loop: auto dispatch (AVX2's 4 × 8 and 4 × 4 tiles)
+/// against forced scalar, on rectangular shapes at and past every edge of
+/// a tile — rows not a multiple of 4, columns not a multiple of 8 or 4,
+/// odd `k`, `k` past one packed pass of 64 — with A and B as stored or
+/// transposed, dense or lane-padded. Each shape takes the next (α, β)
+/// pair in turn.
+#[test]
+fn gemm_tiles_match_row_loop_bits_on_every_edge() {
+    const SIDES: [usize; 18] = [
+        1, 2, 3, 4, 5, 7, 8, 9, 12, 20, 31, 32, 33, 61, 64, 65, 80, 129,
+    ];
+    let scalars = [
+        (1.0, 0.0),
+        (1.25, 0.5),
+        (1.0, 1.0),
+        (1.25, 0.0),
+        (1.0, 0.5),
+        (1.25, 1.0),
+    ];
+    let flags = [Transpose::No, Transpose::Yes];
+    let shapes = SIDES.iter().flat_map(|&m| {
+        let depths = SIDES.iter().copied().chain([256]);
+        depths.flat_map(move |k| SIDES.map(|n| (m, k, n)))
+    });
+    for (case, (m, k, n)) in shapes.enumerate() {
+        let (alpha, beta) = scalars[case % scalars.len()];
+        for padded in [false, true] {
+            let c0 = operand(m, n, Transpose::No, padded, case as u64);
+            for (ta, tb) in flags.iter().flat_map(|&ta| flags.map(|tb| (ta, tb))) {
+                let a = operand(m, k, ta, padded, (m * 1000 + k) as u64);
+                let b = operand(k, n, tb, padded, (k * 1000 + n) as u64);
+                let run = |mode: SimdMode| {
+                    let mut c = c0.clone();
+                    simd::with_forced(mode, || gemm(alpha, &a, ta, &b, tb, beta, &mut c));
+                    c
+                };
+                let (rows, tiles) = (run(SimdMode::ForceScalar), run(SimdMode::Auto));
+                let shape = format!("{m}×{k}×{n} α={alpha} β={beta} {ta:?}/{tb:?} padded={padded}");
+                assert_eq!(bits(rows.as_slice()), bits(tiles.as_slice()), "{shape}");
+                let stride = tiles.stride();
+                for (i, row) in tiles.as_slice().chunks(stride).enumerate() {
+                    let pads = &row[n..];
+                    assert!(pads.iter().all(|v| v.to_bits() == 0), "{shape} row {i}");
+                }
+            }
+        }
+    }
+}
+
 /// The probe itself: forced modes resolve to a backend the host supports,
 /// never to an unsupported one.
 #[test]
