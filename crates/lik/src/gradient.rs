@@ -107,8 +107,7 @@ pub(crate) struct Adjoint<'a> {
     order: &'a [usize],
     /// `[pattern][class]` posteriors.
     posteriors: Vec<Vec<f64>>,
-    /// Per slot: `Xᵀ`, and `Σ_i π_i^{1/2} X[i, :]` (a missing codon's row).
-    xt: Vec<Mat>,
+    /// Per slot: `Σ_i π_i^{1/2} X[i, :]` (a missing codon's row).
     missing_row: Vec<Vec<f64>>,
     /// The classes of each variant of the unit being visited.
     members: Vec<Vec<usize>>,
@@ -136,10 +135,6 @@ impl<'a> Adjoint<'a> {
         value: &LikelihoodValue,
     ) -> Adjoint<'a> {
         let n = problem.pi.len();
-        let xt = eigensystems
-            .iter()
-            .map(|es| es.eigen.vectors.transpose())
-            .collect();
         let missing_row = eigensystems
             .iter()
             .map(|es| {
@@ -157,7 +152,6 @@ impl<'a> Adjoint<'a> {
             branch_lengths,
             order,
             posteriors: slim_stat::class_posteriors(&value.per_class, &value.proportions),
-            xt,
             missing_row,
             members: Vec::new(),
             sums: (0..mixture.omegas().len())
@@ -183,7 +177,8 @@ impl<'a> Adjoint<'a> {
                     *v *= r * c;
                 }
             }
-            let xg = slim_linalg::gemm::matmul(&self.xt[s], Transpose::No, &g, Transpose::No);
+            let xg =
+                slim_linalg::gemm::matmul(&es.eigen.vectors, Transpose::Yes, &g, Transpose::No);
             gemm(
                 1.0,
                 &xg,
@@ -349,7 +344,7 @@ impl<'a> Adjoint<'a> {
             for i in 0..n {
                 slim_linalg::vecops::scal(es.inv_sqrt_pi[i], u.row_mut(i));
             }
-            let a = slim_linalg::gemm::matmul(&self.xt[s], Transpose::No, &u, Transpose::No);
+            let a = slim_linalg::gemm::matmul(&es.eigen.vectors, Transpose::Yes, &u, Transpose::No);
             gemm(1.0, &a, Transpose::No, bt, Transpose::No, 0.0, &mut self.h);
             self.add_edge(b, s, k, have_f);
             have_f = true;
